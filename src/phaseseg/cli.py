@@ -34,10 +34,14 @@ EXIT_NUMERIC = 3
 
 
 def _threads() -> int:
+    raw = os.environ.get("PHASESEG_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("PHASESEG_THREADS", "1")))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"PHASESEG_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
 
 
 def _parse_value(raw: str):
@@ -281,14 +285,14 @@ EVAL_DEFAULTS = {
 }
 
 
-def _predict(model, features, post: str, threshold: int) -> np.ndarray:
-    probs = mstcnpp.forward(model, features)
-    pred = accumulator.argmax_decode(probs[-1])
-    if post == "accumulator":
-        pred = accumulator.smooth(pred, accumulator.AccumulatorConfig(threshold=threshold))
-    elif post != "none":
+def predict(model, x, post: str, threshold: int) -> tuple[np.ndarray, np.ndarray]:
+    """Final-stage argmax timeline (raw) and the timeline after `post` (final)."""
+    if post not in ("none", "accumulator"):
         raise ValueError(f"post must be 'none' or 'accumulator', got {post!r}")
-    return pred
+    raw = accumulator.argmax_decode(mstcnpp.forward(model, x)[-1])
+    if post == "none":
+        return raw, raw
+    return raw, accumulator.smooth(raw, accumulator.AccumulatorConfig(threshold=threshold))
 
 
 def cmd_eval(args) -> int:
@@ -307,7 +311,7 @@ def cmd_eval(args) -> int:
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
     segment_counts = []
     for features, labels in dataset:
-        pred = _predict(model, features, cfg["post"], int(cfg["threshold"]))
+        _, pred = predict(model, features, cfg["post"], int(cfg["threshold"]))
         pooled += evalmetrics.confusion(labels, pred, n_classes).counts
         segment_counts.append(evalmetrics.segment_count(pred))
     rep = evalmetrics.report(evalmetrics.ConfusionMatrix(pooled))
@@ -351,14 +355,7 @@ def cmd_segment(args) -> int:
 
     model = mstcnpp.load_model(model_path, dtype=dtype)
     features = np.load(feat_path).astype(dtype)
-    probs = mstcnpp.forward(model, features)
-    raw = accumulator.argmax_decode(probs[-1])
-    final = raw
-    if cfg["post"] == "accumulator":
-        final = accumulator.smooth(raw, accumulator.AccumulatorConfig(
-            threshold=int(cfg["threshold"])))
-    elif cfg["post"] != "none":
-        raise ValueError(f"post must be 'none' or 'accumulator', got {cfg['post']!r}")
+    raw, final = predict(model, features, cfg["post"], int(cfg["threshold"]))
 
     csv_path = out_dir / "phases.csv"
     annotate.write_label_csv(csv_path, final, expanded=True)
@@ -501,6 +498,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _threads()  # a bad setting is reported whatever the command
         return args.func(args)
     except trainer.DivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

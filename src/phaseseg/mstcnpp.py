@@ -206,11 +206,18 @@ class ForwardCache:
 
 
 def _layer_forward(layer: DualDilatedLayer, h: np.ndarray, fuse_mode: str):
-    c1 = dilated_conv1d(h, layer.w_d1, layer.b_d1, layer.dilation_low)
+    # fusion and residual add run in place on fresh arrays; IEEE addition is
+    # commutative, so the bits equal those of c1 + c2 and h + fuse
+    a = dilated_conv1d(h, layer.w_d1, layer.b_d1, layer.dilation_low)
     c2 = dilated_conv1d(h, layer.w_d2, layer.b_d2, layer.dilation_high)
-    a = c1 + c2 if fuse_mode == "sum" else np.hstack([c1, c2])
+    if fuse_mode == "sum":
+        a += c2
+    else:
+        a = np.hstack([a, c2])
+    del c2
     r = relu(a)
-    out = h + conv1x1(r, layer.w_fuse, layer.b_fuse)
+    out = conv1x1(r, layer.w_fuse, layer.b_fuse)
+    out += h
     return out, _LayerCache(h_in=h, pre_relu=a, post_relu=r)
 
 
@@ -218,6 +225,8 @@ def forward(model: Model, x, return_cache: bool = False):
     """Run all stages; returns the list of per-stage probability matrices.
 
     With return_cache=True also returns the activations backward() needs.
+    Without it no activation outlives the layer that reads it, so memory
+    holds a few (T, channels) arrays whatever the depth.
     """
     cfg = model.config
     x = as_matrix(x, "features")
@@ -233,11 +242,14 @@ def forward(model: Model, x, return_cache: bool = False):
         layer_caches = []
         for layer in stage.layers:
             h, lc = _layer_forward(layer, h, cfg.fuse_mode)
-            layer_caches.append(lc)
+            if return_cache:
+                layer_caches.append(lc)
+            del lc  # otherwise this layer's activations live through the next layer
         logits = conv1x1(h, stage.head_w, stage.head_b)
         probs = softmax_rows(logits)
-        cache.stage_caches.append(_StageCache(
-            stage_input=current, layer_caches=layer_caches, final_h=h, probs=probs))
+        if return_cache:
+            cache.stage_caches.append(_StageCache(
+                stage_input=current, layer_caches=layer_caches, final_h=h, probs=probs))
         stage_probs.append(probs)
         current = probs
     if return_cache:
@@ -331,35 +343,76 @@ def model_to_bytes(model: Model) -> bytes:
     return b"".join(parts)
 
 
+def _param_count(cfg: StageConfig) -> int:
+    """Number of parameters of the architecture, computed without building it."""
+    f, c = cfg.channels, cfg.n_classes
+    fuse_in = f if cfg.fuse_mode == "sum" else 2 * f
+    layer = 2 * (f * f * KERNEL_SIZE + f) + f * fuse_in + f
+
+    def stage(in_width, n_layers):
+        return f * in_width + f + n_layers * layer + c * f + c
+
+    return (stage(cfg.in_dim, cfg.layers_prediction)
+            + (cfg.stages - 1) * stage(c, cfg.layers_refinement))
+
+
 def model_from_bytes(buf: bytes, offset: int = 0, dtype=np.float64) -> tuple[Model, int]:
-    """Parse a serialized model; returns (model, offset past the model)."""
+    """Parse a serialized model; returns (model, offset past the model).
+
+    The header alone fixes the parameter byte count, so a short buffer is
+    rejected before any parameter is allocated. Bytes after the model are
+    left to the caller.
+    """
     if buf[offset:offset + 4] != MAGIC:
         raise ModelFormatError("not a model file: bad magic bytes")
-    offset += 4
-    (version,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    if version != FORMAT_VERSION:
-        raise ModelVersionError(f"unsupported model format version {version} "
-                                f"(expected {FORMAT_VERSION})")
     try:
-        fields = _CONFIG_STRUCT.unpack_from(buf, offset)
+        (version,) = struct.unpack_from("<I", buf, offset + 4)
+        if version != FORMAT_VERSION:
+            raise ModelVersionError(f"unsupported model format version {version} "
+                                    f"(expected {FORMAT_VERSION})")
+        fields = _CONFIG_STRUCT.unpack_from(buf, offset + 8)
     except struct.error as exc:
         raise ModelFormatError(f"truncated model header: {exc}") from None
-    offset += _CONFIG_STRUCT.size
+    offset += 8 + _CONFIG_STRUCT.size
     if fields[6] >= len(_FUSE_MODES):
         raise ModelFormatError(f"unknown fusion mode id {fields[6]}")
-    cfg = StageConfig(in_dim=fields[0], channels=fields[1], n_classes=fields[2],
-                      stages=fields[3], layers_prediction=fields[4],
-                      layers_refinement=fields[5], fuse_mode=_FUSE_MODES[fields[6]])
-    model = init(cfg, seed=0, dtype=dtype)
-    for name, param in named_parameters(model):
-        nbytes = param.size * 4
-        if offset + nbytes > len(buf):
-            raise ModelFormatError(f"model file truncated inside parameter {name}")
-        values = np.frombuffer(buf, dtype="<f4", count=param.size, offset=offset)
-        param[...] = values.reshape(param.shape).astype(dtype)
-        offset += nbytes
-    return model, offset
+    try:
+        cfg = StageConfig(in_dim=fields[0], channels=fields[1], n_classes=fields[2],
+                          stages=fields[3], layers_prediction=fields[4],
+                          layers_refinement=fields[5], fuse_mode=_FUSE_MODES[fields[6]])
+    except ValueError as exc:
+        raise ModelFormatError(f"invalid model header: {exc}") from None
+    count = _param_count(cfg)
+    if offset + 4 * count > len(buf):
+        raise ModelFormatError(f"model file truncated: header describes {4 * count} "
+                               f"parameter bytes, {len(buf) - offset} present")
+    flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
+    pos = 0
+
+    def take(*shape):  # the next parameter in file order (named_parameters order)
+        nonlocal pos
+        size = int(np.prod(shape))
+        param = flat[pos:pos + size].reshape(shape).astype(dtype)
+        pos += size
+        return param
+
+    f, k = cfg.channels, KERNEL_SIZE
+    fuse_in = f if cfg.fuse_mode == "sum" else 2 * f
+    stages = []
+    for s in range(cfg.stages):
+        n_layers = cfg.layers_for_stage(s)
+        stages.append(Stage(
+            proj_w=take(f, cfg.in_dim if s == 0 else cfg.n_classes),
+            proj_b=take(f),
+            layers=[DualDilatedLayer(
+                w_d1=take(f, f, k), b_d1=take(f), w_d2=take(f, f, k), b_d2=take(f),
+                w_fuse=take(f, fuse_in), b_fuse=take(f),
+                dilation_low=2**l, dilation_high=2 ** (n_layers - 1 - l),
+            ) for l in range(n_layers)],
+            head_w=take(cfg.n_classes, f),
+            head_b=take(cfg.n_classes),
+        ))
+    return Model(config=cfg, stages=stages), offset + 4 * count
 
 
 def save_model(model: Model, path) -> None:

@@ -116,24 +116,39 @@ def _check_dconv_args(x, weights, bias, dilation):
     return cout, cin, k
 
 
+# OpenBLAS computes products with few rows (one row, or roughly fewer than
+# 1200 output entries) in kernels that round differently from the kernel of
+# a long product. A tap whose valid range is shorter than this is multiplied
+# over a window of at least this many rows of x (or all of x, when T is
+# shorter), so every output row is rounded as in a full-length product.
+_MIN_GEMM_ROWS = 64
+
+
 def dilated_conv1d(x, weights, bias, dilation: int) -> np.ndarray:
     """Same-length dilated 1-D convolution over the time axis.
 
     out[t, co] = bias[co] + sum_{ci,j} weights[co, ci, j] * x[t + (j - (k-1)/2) * dilation, ci]
-    with zero padding outside [0, T).
+    with zero padding outside [0, T). No padded copy is built: each tap adds
+    its product into the rows where it reads inside [0, T), in the order
+    bias, tap 0, tap 1, ..., so the result is bit-equal to the padded form.
     """
-    x = as_matrix(x)
+    x = np.ascontiguousarray(as_matrix(x))
     weights = np.asarray(weights, dtype=x.dtype)
     bias = np.asarray(bias, dtype=x.dtype)
     cout, _, k = _check_dconv_args(x, weights, bias, int(dilation))
     dilation = int(dilation)
     t_len = x.shape[0]
-    pad = (k - 1) // 2 * dilation
-    xp = np.zeros((t_len + 2 * pad, x.shape[1]), dtype=x.dtype)
-    xp[pad:pad + t_len] = x
-    out = np.tile(bias, (t_len, 1))
+    out = np.empty((t_len, cout), dtype=x.dtype)
+    out[...] = bias
     for j in range(k):
-        out += xp[j * dilation:j * dilation + t_len] @ weights[:, :, j].T
+        shift = (j - (k - 1) // 2) * dilation
+        lo, hi = max(0, -shift), min(t_len, t_len - shift)
+        if lo >= hi:
+            continue  # the tap reads only padding
+        rows = min(t_len, max(hi - lo, _MIN_GEMM_ROWS))
+        start = min(lo + shift, t_len - rows)
+        prod = x[start:start + rows] @ weights[:, :, j].T
+        out[lo:hi] += prod[lo + shift - start:hi + shift - start]
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -183,6 +184,55 @@ class TestSegment:
         text = (out / "ribbon.svg").read_text(encoding="utf-8")
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
         assert (out / "ribbon.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["truncated-header", "huge-channels"])
+    def test_hostile_model_file_exits_2(self, workspace, tmp_path, capsys, kind):
+        header = mstcnpp.MAGIC + struct.pack("<I", mstcnpp.FORMAT_VERSION)
+        if kind == "truncated-header":
+            blob = mstcnpp.MAGIC
+        else:
+            blob = header + struct.pack("<7I", 12, 2**31, 4, 4, 11, 10, 0)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob)
+        feat_file = next((workspace["data"] / "test").glob("seq_*.npy"))
+        rc = main(["segment", "--model", str(bad), "--ssl-features", str(feat_file),
+                   "--out", str(tmp_path / "seg")])
+        assert rc == 2
+        assert "truncated" in capsys.readouterr().err
+
+    def test_post_mode_from_config_validated(self, workspace, tmp_path, capsys):
+        cfg_file = tmp_path / "seg.cfg"
+        cfg_file.write_text("post = median\n", encoding="utf-8")
+        feat_file = next((workspace["data"] / "test").glob("seq_*.npy"))
+        rc = main(["segment", "--model", str(workspace["model"]), "--config", str(cfg_file),
+                   "--ssl-features", str(feat_file), "--out", str(tmp_path / "seg")])
+        assert rc == 2
+        assert "post must be" in capsys.readouterr().err
+
+    def test_raw_track_is_forward_argmax(self, workspace, tmp_path):
+        feat_file = next((workspace["data"] / "test").glob("seq_*.npy"))
+        out = tmp_path / "seg"
+        assert main(["segment", "--model", str(workspace["model"]), "--post", "none",
+                     "--ssl-features", str(feat_file), "--out", str(out)]) == 0
+        probs = mstcnpp.forward(mstcnpp.load_model(workspace["model"]), np.load(feat_file))
+        np.testing.assert_array_equal(read_label_csv(out / "phases.csv"),
+                                      np.argmax(probs[-1], axis=1))
+
+
+class TestThreadsSetting:
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    def test_invalid_value_exits_2(self, workspace, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("PHASESEG_THREADS", value)
+        rc = main(["eval", "--model", str(workspace["model"]),
+                   "--data", str(workspace["data"] / "test"), "--out", str(tmp_path / "e")])
+        assert rc == 2
+        assert "PHASESEG_THREADS" in capsys.readouterr().err
+
+    def test_valid_value_accepted(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.setenv("PHASESEG_THREADS", "2")
+        rc = main(["eval", "--model", str(workspace["model"]),
+                   "--data", str(workspace["data"] / "test"), "--out", str(tmp_path / "e")])
+        assert rc == 0
 
 
 class TestParseNotes:

@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from phaseseg.mstcnpp import (
     forward,
     init,
     load_model,
+    model_from_bytes,
     model_to_bytes,
     named_parameters,
     save_model,
@@ -172,6 +175,49 @@ class TestForward:
                                    atol=1e-10)
 
 
+class TestInferenceMemory:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("fuse_mode", ["sum", "concat"])
+    def test_cache_free_probs_bit_equal_to_cached(self, rng, fuse_mode, dtype):
+        cfg = StageConfig(in_dim=6, channels=8, n_classes=3, stages=3,
+                          layers_prediction=5, layers_refinement=4, fuse_mode=fuse_mode)
+        model = init(cfg, seed=2, dtype=dtype)
+        x = rng.normal(size=(40, 6))
+        plain = forward(model, x)
+        cached, _ = forward(model, x, return_cache=True)
+        for a, b in zip(plain, cached):
+            assert a.dtype == dtype
+            assert np.array_equal(a, b)
+
+    @staticmethod
+    def _peak_bytes(n_layers, return_cache):
+        cfg = StageConfig(in_dim=8, channels=16, n_classes=3, stages=2,
+                          layers_prediction=n_layers, layers_refinement=n_layers)
+        model = init(cfg, seed=0)
+        x = np.random.default_rng(0).normal(size=(2000, 8))
+        tracemalloc.start()
+        try:
+            result = forward(model, x, return_cache=return_cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del result
+        return peak
+
+    def test_inference_peak_independent_of_depth(self):
+        activation = 2000 * 16 * 8  # one (T, F) float64 array
+        shallow = self._peak_bytes(2, return_cache=False)
+        deep = self._peak_bytes(12, return_cache=False)
+        assert deep < shallow + activation, (shallow, deep)
+
+    def test_cached_peak_grows_with_depth(self):
+        activation = 2000 * 16 * 8
+        shallow = self._peak_bytes(2, return_cache=True)
+        deep = self._peak_bytes(12, return_cache=True)
+        # three cached arrays per layer, 2 stages x 10 extra layers
+        assert deep > shallow + 50 * activation, (shallow, deep)
+
+
 class TestBackward:
     def _loss_grads(self, model, x, labels):
         probs, cache = forward(model, x, return_cache=True)
@@ -297,3 +343,48 @@ class TestSerialization:
         path.write_bytes(data[:len(data) - 8])
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+
+def _header(**overrides):
+    fields = dict(in_dim=2048, channels=256, n_classes=4, stages=4,
+                  layers_prediction=11, layers_refinement=10, fuse=0)
+    fields.update(overrides)
+    return (mstcnpp.MAGIC + struct.pack("<I", mstcnpp.FORMAT_VERSION)
+            + struct.pack("<7I", *fields.values()))
+
+
+class TestHostileModelBytes:
+    @pytest.mark.parametrize("size", [4, 6, 8, 12, 35])
+    def test_truncated_header_rejected(self, size):
+        with pytest.raises(ModelFormatError, match="truncated model header"):
+            model_from_bytes(_header()[:size])
+
+    def test_huge_channels_rejected_without_allocating(self):
+        buf = _header(channels=2**31) + bytes(64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match="truncated"):
+                model_from_bytes(buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_invalid_header_values_rejected(self):
+        with pytest.raises(ModelFormatError):
+            model_from_bytes(_header(n_classes=1))
+        with pytest.raises(ModelFormatError):
+            model_from_bytes(_header(fuse=7))
+
+    def test_parameter_count_matches_file_size(self):
+        for cfg in (TINY, StageConfig(in_dim=3, channels=5, n_classes=2, stages=3,
+                                      layers_prediction=3, layers_refinement=1,
+                                      fuse_mode="concat")):
+            model = init(cfg, seed=1)
+            buf = model_to_bytes(model)
+            assert len(buf) == len(_header()) + 4 * mstcnpp._param_count(cfg)
+            loaded, end = model_from_bytes(buf + b"tail")
+            assert end == len(buf)
+            for (na, pa), (nb, pb) in zip(named_parameters(model), named_parameters(loaded)):
+                assert na == nb and pa.shape == pb.shape and pb.flags.writeable
+                assert np.array_equal(pb, pa.astype(np.float32))

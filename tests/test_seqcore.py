@@ -88,6 +88,37 @@ class TestDilatedConv:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+def padded_dilated_conv1d(x, weights, bias, dilation):
+    """The zero-padded form of the dilated convolution, kept as a bit-level reference."""
+    t_len, k = x.shape[0], weights.shape[2]
+    pad = (k - 1) // 2 * dilation
+    xp = np.zeros((t_len + 2 * pad, x.shape[1]), dtype=x.dtype)
+    xp[pad:pad + t_len] = x
+    out = np.tile(bias, (t_len, 1))
+    for j in range(k):
+        out += xp[j * dilation:j * dilation + t_len] @ weights[:, :, j].T
+    return out
+
+
+class TestPadlessDilatedConv:
+    # (T, channels): the wider shapes put short tap ranges (dilation T-1)
+    # into the sizes where BLAS switches to its small-product kernels
+    SHAPES = [(1, 3), (2, 3), (7, 5), (40, 16), (173, 64), (300, 256)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_bit_equal_to_padded_reference(self, rng, k, dtype):
+        for t_len, f in self.SHAPES:
+            x = rng.normal(size=(t_len, f)).astype(dtype)
+            w = rng.normal(size=(f, f, k)).astype(dtype)
+            b = rng.normal(size=f).astype(dtype)
+            for dilation in sorted({1, 2, max(1, t_len - 1), t_len, 2 * t_len}):
+                got = dilated_conv1d(x, w, b, dilation)
+                want = padded_dilated_conv1d(x, w, b, dilation)
+                assert got.dtype == dtype
+                assert np.array_equal(got, want), (t_len, f, k, dilation)
+
+
 class TestConv1x1:
     def test_identity(self, rng):
         x = rng.normal(size=(4, 3))
