@@ -34,25 +34,6 @@ class AccumulatorConfig:
             raise ValueError(f"threshold must be >= 1, got {self.threshold}")
 
 
-@dataclass(frozen=True)
-class PhaseTimeline:
-    """Hard per-frame phase ids over a fixed ordered ontology."""
-
-    labels: np.ndarray
-    n_classes: int = 4
-
-    def __post_init__(self):
-        arr = np.asarray(self.labels, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError(f"labels must be a non-empty 1-D array, got shape {arr.shape}")
-        if np.any(arr < 0) or np.any(arr >= self.n_classes):
-            raise ValueError(f"labels must lie in [0, {self.n_classes})")
-        object.__setattr__(self, "labels", arr)
-
-    def __len__(self):
-        return self.labels.size
-
-
 def _initial_phase(preds: np.ndarray, window: int) -> int:
     """Majority vote over the first `window` frames; ties pick the lower id."""
     head = preds[:window]
@@ -63,11 +44,10 @@ def _initial_phase(preds: np.ndarray, window: int) -> int:
 def smooth(predictions, cfg: AccumulatorConfig = AccumulatorConfig()) -> np.ndarray:
     """Convert a noisy prediction stream into a monotone phase timeline.
 
-    Accepts a PhaseTimeline or a 1-D integer array; returns an int64 array of
-    the same length. Raises on empty input.
+    Takes a 1-D array of phase ids; returns an int64 array of the same
+    length. Raises on empty input.
     """
-    preds = predictions.labels if isinstance(predictions, PhaseTimeline) else \
-        np.asarray(predictions, dtype=np.int64)
+    preds = np.asarray(predictions, dtype=np.int64)
     if preds.ndim != 1:
         raise ValueError(f"predictions must be 1-D, got shape {preds.shape}")
     if preds.size == 0:
@@ -106,7 +86,6 @@ def smooth(predictions, cfg: AccumulatorConfig = AccumulatorConfig()) -> np.ndar
 
 def argmax_decode(probs) -> np.ndarray:
     """Per-frame argmax of a probability matrix; ties go to the lower phase id."""
-    p = np.asarray(getattr(probs, "data", probs))
-    if p.ndim != 2:
-        raise ValueError(f"probabilities must be 2-D, got shape {p.shape}")
-    return np.argmax(p, axis=1).astype(np.int64)
+    if probs.ndim != 2:
+        raise ValueError(f"probabilities must be 2-D, got shape {probs.shape}")
+    return np.argmax(probs, axis=1).astype(np.int64)

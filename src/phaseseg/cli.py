@@ -354,7 +354,7 @@ def cmd_segment(args) -> int:
     dtype = _dtype_of(cfg["precision"])
 
     model = mstcnpp.load_model(model_path, dtype=dtype)
-    features = np.load(feat_path).astype(dtype)
+    features = synthgen.load_features(feat_path, dtype)
     raw, final = predict(model, features, cfg["post"], int(cfg["threshold"]))
 
     csv_path = out_dir / "phases.csv"

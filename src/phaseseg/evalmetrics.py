@@ -50,8 +50,8 @@ def confusion(gt, pred, n_classes: int, ignore=None) -> ConfusionMatrix:
 
     Frames with gt < 0 or flagged in `ignore` are skipped.
     """
-    gt = np.asarray(getattr(gt, "labels", gt), dtype=np.int64)
-    pred = np.asarray(getattr(pred, "labels", pred), dtype=np.int64)
+    gt = np.asarray(gt, dtype=np.int64)
+    pred = np.asarray(pred, dtype=np.int64)
     if gt.shape != pred.shape:
         raise ValueError(f"length mismatch: gt has {gt.shape}, pred has {pred.shape}")
     mask = gt >= 0
@@ -155,7 +155,7 @@ def format_report(rep: MetricReport, names=PHASE_NAMES) -> str:
 
 def segment_count(timeline) -> int:
     """Number of maximal constant runs; the over-segmentation proxy."""
-    labels = np.asarray(getattr(timeline, "labels", timeline))
+    labels = np.asarray(timeline)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("timeline must be a non-empty 1-D label array")
     return int(1 + np.count_nonzero(labels[1:] != labels[:-1]))
@@ -179,8 +179,8 @@ def export_ribbon(gt, pred, path, names=PHASE_NAMES) -> tuple[Path, Path]:
 
     Also writes a frame,gt,pred CSV next to the SVG. Returns both paths.
     """
-    gt = np.asarray(getattr(gt, "labels", gt), dtype=np.int64)
-    pred = np.asarray(getattr(pred, "labels", pred), dtype=np.int64)
+    gt = np.asarray(gt, dtype=np.int64)
+    pred = np.asarray(pred, dtype=np.int64)
     if gt.shape != pred.shape or gt.ndim != 1 or gt.size == 0:
         raise ValueError("gt and pred must be equal-length non-empty 1-D arrays")
     svg_path = Path(path)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seqcore import ShapeError, as_matrix, softmax_rows_backward
+from .seqcore import ShapeError, softmax_rows_backward
 
 PROB_FLOOR = 1e-12
 
@@ -87,11 +87,10 @@ def focal_loss(probs, labels, cfg: FocalConfig = FocalConfig(), ignore=None):
     Frames with label < 0 or flagged in `ignore` are skipped. Returns
     (loss, gradient w.r.t. logits); the gradient is zero on skipped frames.
     """
-    p = as_matrix(probs, "probabilities")
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (p.shape[0],):
-        raise ShapeError(f"labels must have shape ({p.shape[0]},), got {labels.shape}")
-    n_classes = p.shape[1]
+    if labels.shape != (probs.shape[0],):
+        raise ShapeError(f"labels must have shape ({probs.shape[0]},), got {labels.shape}")
+    n_classes = probs.shape[1]
     mask = _counted_mask(labels, n_classes, ignore)
     n_counted = int(mask.sum())
     if n_counted == 0:
@@ -100,7 +99,7 @@ def focal_loss(probs, labels, cfg: FocalConfig = FocalConfig(), ignore=None):
     alpha = cfg.class_weights(n_classes)
     rows = np.nonzero(mask)[0]
     y = labels[rows]
-    p_y = p[rows, y]
+    p_y = probs[rows, y]
     p_f = np.maximum(p_y, PROB_FLOOR)
     one_minus = 1.0 - p_f
     a_y = alpha[y]
@@ -115,8 +114,8 @@ def focal_loss(probs, labels, cfg: FocalConfig = FocalConfig(), ignore=None):
     dldp = np.where(p_y > PROB_FLOOR, dldp, 0.0)
 
     coef = dldp * p_y / n_counted
-    grad = np.zeros_like(p)
-    grad[rows] = -coef[:, None] * p[rows]
+    grad = np.zeros_like(probs)
+    grad[rows] = -coef[:, None] * probs[rows]
     grad[rows, y] += coef
     return loss, grad
 
@@ -160,16 +159,15 @@ def ntxent_loss(embeddings, cfg: ContrastiveConfig = ContrastiveConfig()):
     with sim the cosine similarity, averaged over all 2N anchors. Returns
     (loss, gradient w.r.t. the embedding rows).
     """
-    z = as_matrix(embeddings, "embeddings")
-    n = z.shape[0]
+    n = embeddings.shape[0]
     if n < 2 or n % 2 != 0:
         raise ShapeError(f"embeddings must hold 2N rows with N >= 1, got {n}")
     partners = cfg.partners(n)
-    norms = np.linalg.norm(z, axis=1)
+    norms = np.linalg.norm(embeddings, axis=1)
     if np.any(norms == 0):
         raise ValueError("zero-norm embedding row: cosine similarity undefined")
 
-    u = z / norms[:, None]
+    u = embeddings / norms[:, None]
     sims = u @ u.T
     logits = sims / cfg.tau
     np.fill_diagonal(logits, -np.inf)
@@ -202,11 +200,10 @@ def smoothing_loss(probs, clamp: float | None = None):
     """
     if clamp is not None and clamp <= 0:
         raise ValueError(f"clamp must be positive, got {clamp}")
-    p = as_matrix(probs, "probabilities")
-    t_len, n_classes = p.shape
+    t_len, n_classes = probs.shape
     if t_len < 2:
-        return 0.0, np.zeros_like(p)
-    q = np.maximum(p, PROB_FLOOR)
+        return 0.0, np.zeros_like(probs)
+    q = np.maximum(probs, PROB_FLOOR)
     diffs = np.log(q[1:]) - np.log(q[:-1])
     scale = 1.0 / (t_len * n_classes)
     magnitudes = np.abs(diffs)
@@ -217,11 +214,11 @@ def smoothing_loss(probs, clamp: float | None = None):
         loss = float(np.minimum(magnitudes, clamp).sum() * scale)
         signs = np.where(magnitudes < clamp, np.sign(diffs), 0.0)
 
-    d_q = np.zeros_like(p)
+    d_q = np.zeros_like(probs)
     d_q[1:] += signs / q[1:]
     d_q[:-1] -= signs / q[:-1]
-    d_p = np.where(p > PROB_FLOOR, d_q * scale, 0.0)
-    return loss, softmax_rows_backward(p, d_p).d_input
+    d_p = np.where(probs > PROB_FLOOR, d_q * scale, 0.0)
+    return loss, softmax_rows_backward(probs, d_p).d_input
 
 
 @dataclass
@@ -250,14 +247,13 @@ def total_loss(stage_probs, labels, cfg: FocalConfig = FocalConfig(),
         raise ValueError(f"smoothing weight must be >= 0, got {smoothing_weight}")
     if not stage_probs:
         raise ValueError("need at least one stage")
-    mats = [as_matrix(p, f"stage {i + 1} probabilities") for i, p in enumerate(stage_probs)]
-    shape = mats[0].shape
-    for i, m in enumerate(mats):
+    shape = stage_probs[0].shape
+    for i, m in enumerate(stage_probs):
         if m.shape != shape:
             raise ShapeError(f"stage {i + 1} shape {m.shape} differs from stage 1 {shape}")
 
     focals, smooths, grads = [], [], []
-    for m in mats:
+    for m in stage_probs:
         f_val, f_grad = focal_loss(m, labels, cfg, ignore=ignore)
         s_val, s_grad = smoothing_loss(m)
         focals.append(f_val)

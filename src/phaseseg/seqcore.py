@@ -1,9 +1,13 @@
-"""Sequence array types and differentiable layer primitives.
+"""Differentiable layer primitives over (T, channels) arrays.
 
 Everything here operates on dense (T, channels) float arrays where T is the
 frame index. The primitives (dilated 1-D convolution, 1x1 convolution, ReLU,
 row softmax) are pure functions with hand-written backward passes; they are
 the building blocks the multi-stage temporal model is assembled from.
+
+Arrays are checked where they enter the program (`synthgen.load_features`
+and `mstcnpp.forward` call `as_matrix`); the primitives take them as they
+are and check only their own contracts: operand shapes, and finite logits.
 
 All primitives preserve sequence length: dilated convolutions use symmetric
 zero padding of (k-1)/2 * dilation frames per side.
@@ -21,67 +25,15 @@ class ShapeError(ValueError):
 
 
 def as_matrix(x, name: str = "input") -> np.ndarray:
-    """Coerce to a 2-D float array, accepting the dataclass wrappers below."""
-    data = getattr(x, "data", x)
-    arr = np.asarray(data)
-    if not np.issubdtype(arr.dtype, np.floating):
+    """Coerce to a 2-D float array; bool and integer input becomes float64."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf":  # complex, dates, strings, objects
+        raise ValueError(f"{name} must be real numbers, got dtype {arr.dtype}")
+    if arr.dtype.kind != "f":
         arr = arr.astype(np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D (T, channels), got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class FeatureSequence:
-    """Per-frame embedding matrix of shape (T, d)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = as_matrix(self.data, "features")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ShapeError(f"features need T >= 1 and d >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("features contain non-finite entries")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def num_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class ProbSequence:
-    """Row-stochastic (T, C) matrix of per-frame class probabilities."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = as_matrix(self.data, "probabilities")
-        validate_probs(arr)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def num_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.data.shape[1]
-
-
-def validate_probs(p: np.ndarray, tol: float = 1e-6) -> None:
-    """Raise if rows are not probability vectors (entries in [0,1], sum 1)."""
-    if np.any(p < -tol) or np.any(p > 1 + tol):
-        raise ValueError("probabilities outside [0, 1]")
-    row_sums = p.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > tol):
-        worst = float(np.max(np.abs(row_sums - 1.0)))
-        raise ValueError(f"probability rows must sum to 1 (worst deviation {worst:.3g})")
 
 
 @dataclass
@@ -132,7 +84,7 @@ def dilated_conv1d(x, weights, bias, dilation: int) -> np.ndarray:
     its product into the rows where it reads inside [0, T), in the order
     bias, tap 0, tap 1, ..., so the result is bit-equal to the padded form.
     """
-    x = np.ascontiguousarray(as_matrix(x))
+    x = np.ascontiguousarray(x)
     weights = np.asarray(weights, dtype=x.dtype)
     bias = np.asarray(bias, dtype=x.dtype)
     cout, _, k = _check_dconv_args(x, weights, bias, int(dilation))
@@ -154,7 +106,6 @@ def dilated_conv1d(x, weights, bias, dilation: int) -> np.ndarray:
 
 def dilated_conv1d_backward(x, weights, dilation: int, grad_out) -> LayerGrad:
     """Analytic gradients of dilated_conv1d w.r.t. input, kernel and bias."""
-    x = as_matrix(x)
     weights = np.asarray(weights, dtype=x.dtype)
     grad_out = np.asarray(grad_out, dtype=x.dtype)
     cout, cin, k = weights.shape
@@ -181,7 +132,6 @@ def dilated_conv1d_backward(x, weights, dilation: int, grad_out) -> LayerGrad:
 
 def conv1x1(x, weights, bias) -> np.ndarray:
     """Per-frame affine map: out[t] = weights @ x[t] + bias."""
-    x = as_matrix(x)
     weights = np.asarray(weights, dtype=x.dtype)
     bias = np.asarray(bias, dtype=x.dtype)
     if weights.ndim != 2:
@@ -195,7 +145,6 @@ def conv1x1(x, weights, bias) -> np.ndarray:
 
 def conv1x1_backward(x, weights, grad_out) -> LayerGrad:
     """Analytic gradients of conv1x1 w.r.t. input, weights and bias."""
-    x = as_matrix(x)
     weights = np.asarray(weights, dtype=x.dtype)
     grad_out = np.asarray(grad_out, dtype=x.dtype)
     if grad_out.shape != (x.shape[0], weights.shape[0]):
@@ -226,19 +175,16 @@ def relu_backward(x, grad_out) -> LayerGrad:
 
 def softmax_rows(logits) -> np.ndarray:
     """Numerically stable per-row softmax; rows of the result sum to 1."""
-    z = as_matrix(logits, "logits")
-    if not np.all(np.isfinite(z)):
+    if not np.all(np.isfinite(logits)):
         raise ValueError("logits contain non-finite entries")
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_rows_backward(probs, grad_out) -> LayerGrad:
     """Gradient w.r.t. logits given the softmax output and upstream dL/dprobs."""
-    p = as_matrix(probs, "probabilities")
-    g = np.asarray(grad_out, dtype=p.dtype)
-    if g.shape != p.shape:
-        raise ShapeError(f"upstream gradient shape {g.shape} does not match probs {p.shape}")
-    inner = (g * p).sum(axis=1, keepdims=True)
-    return LayerGrad(d_input=p * (g - inner))
+    g = np.asarray(grad_out, dtype=probs.dtype)
+    if g.shape != probs.shape:
+        raise ShapeError(f"upstream gradient shape {g.shape} does not match probs {probs.shape}")
+    inner = (g * probs).sum(axis=1, keepdims=True)
+    return LayerGrad(d_input=probs * (g - inner))

@@ -21,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .accumulator import PhaseTimeline
 from .annotate import read_label_csv, write_label_csv
-from .seqcore import FeatureSequence
+from .seqcore import ShapeError, as_matrix
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,10 @@ def _jitter_boundaries(rng, durations: list[int], fraction: float) -> list[int]:
 
 
 def generate(cfg: SynthConfig, n_sequences: int,
-             sequence_seed: int | None = None) -> list[tuple[FeatureSequence, PhaseTimeline]]:
-    """Generate labeled sequences; deterministic for (cfg, n_sequences, sequence_seed).
+             sequence_seed: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Generate (features (T, d) float64, labels (T,) int64) pairs.
+
+    Deterministic for (cfg, n_sequences, sequence_seed).
 
     Cluster centers always derive from cfg.seed, so splits drawn with
     different sequence_seed values share one feature geometry.
@@ -137,10 +138,7 @@ def generate(cfg: SynthConfig, n_sequences: int,
 
         if cfg.label_noise > 0 and len(phases) > 1:
             durations = _jitter_boundaries(rng, durations, cfg.label_noise)
-        labels = np.repeat(phases, durations)
-
-        out.append((FeatureSequence(features),
-                    PhaseTimeline(labels, n_classes=cfg.n_phases)))
+        out.append((features, np.repeat(phases, durations).astype(np.int64)))
     return out
 
 
@@ -152,14 +150,32 @@ def save_dataset(sequences, directory) -> list[str]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for i, (features, timeline) in enumerate(sequences):
-        feat = features.data if isinstance(features, FeatureSequence) else np.asarray(features)
-        labels = timeline.labels if isinstance(timeline, PhaseTimeline) else np.asarray(timeline)
+    for i, (features, labels) in enumerate(sequences):
         npy = directory / f"seq_{i:03d}.npy"
-        np.save(npy, feat.astype(np.float32))
+        np.save(npy, np.asarray(features, dtype=np.float32))
         write_label_csv(directory / f"seq_{i:03d}.csv", labels, expanded=True)
         written.append(str(npy))
     return written
+
+
+def load_features(path, dtype=np.float64) -> np.ndarray:
+    """Load a (T, d) feature file, checked before the cast to dtype.
+
+    Raises ShapeError unless the array is 2-D with T >= 1 and d >= 1, and
+    ValueError if the file is not a readable array of real numbers or any
+    entry is non-finite; every message names the file.
+    """
+    try:
+        features = as_matrix(np.load(path), "features")
+    except ShapeError as exc:
+        raise ShapeError(f"{path}: {exc}") from None
+    except (ValueError, EOFError) as exc:  # EOFError: a zero-byte file
+        raise ValueError(f"{path}: {exc}") from None
+    if features.shape[0] < 1 or features.shape[1] < 1:
+        raise ShapeError(f"{path}: features need T >= 1 and d >= 1, got {features.shape}")
+    if not np.all(np.isfinite(features)):
+        raise ValueError(f"{path}: features contain non-finite entries")
+    return features.astype(dtype, copy=False)
 
 
 def load_dataset(directory, dtype=np.float64) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -170,7 +186,7 @@ def load_dataset(directory, dtype=np.float64) -> list[tuple[np.ndarray, np.ndarr
         csv_path = npy.with_suffix(".csv")
         if not csv_path.exists():
             raise FileNotFoundError(f"missing label file for {npy.name}")
-        features = np.load(npy).astype(dtype)
+        features = load_features(npy, dtype)
         labels = read_label_csv(csv_path, total_frames=features.shape[0])
         pairs.append((features, labels))
     if not pairs:

@@ -14,7 +14,6 @@ runs produce bit-identical parameters.
 from __future__ import annotations
 
 import math
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -329,46 +328,3 @@ def fit(model, train_set, val_set, cfg: TrainConfig, max_workers: int = 1):
         if rise_streak >= cfg.patience:
             break
     return best_model, report
-
-
-# ---------------------------------------------------------------------------
-# checkpoints: model file format plus optimizer state appended
-# ---------------------------------------------------------------------------
-
-_OPT_MAGIC = b"OPTS"
-
-
-def save_checkpoint(model, state: AdamWState, path) -> None:
-    """Model in its regular format, followed by the optimizer moments."""
-    parts = [mstcnpp.model_to_bytes(model), _OPT_MAGIC, struct.pack("<I", state.step)]
-    for name, param in mstcnpp.named_parameters(model):
-        m = state.m.get(name, np.zeros_like(param))
-        v = state.v.get(name, np.zeros_like(param))
-        parts.append(np.ascontiguousarray(m, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(v, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
-
-
-def load_checkpoint(path, dtype=np.float64):
-    """Inverse of save_checkpoint; returns (model, AdamWState)."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    model, offset = mstcnpp.model_from_bytes(buf, dtype=dtype)
-    if buf[offset:offset + 4] != _OPT_MAGIC:
-        raise mstcnpp.ModelFormatError("checkpoint missing optimizer section")
-    offset += 4
-    (step,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    state = AdamWState(step=step)
-    for name, param in mstcnpp.named_parameters(model):
-        for slot in (state.m, state.v):
-            nbytes = param.size * 8
-            if offset + nbytes > len(buf):
-                raise mstcnpp.ModelFormatError(f"checkpoint truncated in moments of {name!r}")
-            arr = np.frombuffer(buf, dtype="<f8", count=param.size, offset=offset)
-            slot[name] = arr.reshape(param.shape).astype(dtype)
-            offset += nbytes
-    if offset != len(buf):
-        raise mstcnpp.ModelFormatError("unexpected trailing bytes in checkpoint")
-    return model, state

@@ -197,12 +197,9 @@ def test_criterion_3_synthetic_end_to_end(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _train_eval(scfg, seed, gamma, smoothing_weight, n_test=6):
-    train = [(f.data, t.labels)
-             for f, t in synthgen.generate(scfg, 8, sequence_seed=1000 + seed)]
-    val = [(f.data, t.labels)
-           for f, t in synthgen.generate(scfg, 2, sequence_seed=2000 + seed)]
-    test = [(f.data, t.labels)
-            for f, t in synthgen.generate(scfg, n_test, sequence_seed=3000 + seed)]
+    train = synthgen.generate(scfg, 8, sequence_seed=1000 + seed)
+    val = synthgen.generate(scfg, 2, sequence_seed=2000 + seed)
+    test = synthgen.generate(scfg, n_test, sequence_seed=3000 + seed)
     mcfg = mstcnpp.StageConfig(in_dim=scfg.dim, channels=32, n_classes=4, stages=2,
                                layers_prediction=6, layers_refinement=6)
     model = mstcnpp.init(mcfg, seed=seed)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from phaseseg.accumulator import (
     AccumulatorConfig,
-    PhaseTimeline,
     argmax_decode,
     smooth,
 )
@@ -17,12 +16,6 @@ class TestConfig:
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
             AccumulatorConfig(threshold=0)
-
-    def test_timeline_validates_labels(self):
-        with pytest.raises(ValueError):
-            PhaseTimeline(np.array([0, 4]), n_classes=4)
-        with pytest.raises(ValueError):
-            PhaseTimeline(np.array([], dtype=int))
 
 
 class TestSmooth:
@@ -45,11 +38,6 @@ class TestSmooth:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             smooth(np.array([], dtype=int))
-
-    def test_accepts_phase_timeline(self):
-        tl = PhaseTimeline(np.array([1, 1, 1, 2, 2, 2]), n_classes=4)
-        out = smooth(tl, AccumulatorConfig(threshold=3))
-        np.testing.assert_array_equal(out, [1, 1, 1, 2, 2, 2])
 
     def test_initial_phase_by_majority_vote(self):
         preds = np.array([3, 1, 1, 1, 1])

@@ -1,10 +1,16 @@
 import json
+import shutil
 import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phaseseg import mstcnpp, synthgen
 from phaseseg.annotate import read_label_csv
@@ -217,6 +223,108 @@ class TestSegment:
         probs = mstcnpp.forward(mstcnpp.load_model(workspace["model"]), np.load(feat_file))
         np.testing.assert_array_equal(read_label_csv(out / "phases.csv"),
                                       np.argmax(probs[-1], axis=1))
+
+
+class TestMalformedFeatureFiles:
+    """Feature files are checked where they are loaded: any bad one exits 2."""
+
+    @staticmethod
+    def _dataset_with(workspace, tmp_path, split, make_bad):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        npy = data / split / "seq_000.npy"
+        np.save(npy, make_bad(np.load(npy)))
+        return data
+
+    def test_train_on_1d_features_exits_2(self, workspace, tmp_path, capsys):
+        data = self._dataset_with(workspace, tmp_path, "train", lambda x: x[:, 0])
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                   *TRAIN_FLAGS])
+        assert rc == 2
+        assert "seq_000.npy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_train_on_3d_features_exits_2(self, workspace, tmp_path, split):
+        data = self._dataset_with(workspace, tmp_path, split, lambda x: x[:, :, None])
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                   *TRAIN_FLAGS])
+        assert rc == 2
+
+    def test_eval_on_0d_features_exits_2(self, workspace, tmp_path):
+        data = self._dataset_with(workspace, tmp_path, "test", lambda x: np.array(1.0))
+        rc = main(["eval", "--model", str(workspace["model"]),
+                   "--data", str(data / "test"), "--out", str(tmp_path / "e")])
+        assert rc == 2
+
+    def _segment(self, workspace, tmp_path, features):
+        feat_file = tmp_path / "bad.npy"
+        np.save(feat_file, features)
+        return main(["segment", "--model", str(workspace["model"]),
+                     "--ssl-features", str(feat_file), "--out", str(tmp_path / "seg")])
+
+    def test_segment_on_nan_features_exits_2(self, workspace, tmp_path, capsys):
+        features = np.load(next((workspace["data"] / "test").glob("seq_*.npy")))
+        features[3, 1] = np.nan
+        assert self._segment(workspace, tmp_path, features) == 2
+        err = capsys.readouterr().err
+        assert "bad.npy" in err and "non-finite" in err
+
+    def test_segment_on_empty_features_exits_2(self, workspace, tmp_path, capsys):
+        assert self._segment(workspace, tmp_path, np.zeros((0, 12), np.float32)) == 2
+        assert "bad.npy" in capsys.readouterr().err
+
+    def test_segment_on_zero_byte_file_exits_2(self, workspace, tmp_path, capsys):
+        feat_file = tmp_path / "bad.npy"
+        feat_file.write_bytes(b"")
+        rc = main(["segment", "--model", str(workspace["model"]),
+                   "--ssl-features", str(feat_file), "--out", str(tmp_path / "seg")])
+        assert rc == 2
+        assert "bad.npy" in capsys.readouterr().err
+
+
+FUZZ_IN_DIM = 3
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    cfg = mstcnpp.StageConfig(in_dim=FUZZ_IN_DIM, channels=2, n_classes=4, stages=1,
+                              layers_prediction=1, layers_refinement=1)
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    mstcnpp.save_model(mstcnpp.init(cfg, seed=0), path)
+    return path
+
+
+@st.composite
+def feature_arrays(draw):
+    """Arrays of rank 0-3, sizes from 0, four dtypes, maybe one NaN or inf."""
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.int64, np.bool_]))
+    shape = draw(st.one_of(
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+        st.tuples(st.integers(0, 6), st.just(FUZZ_IN_DIM))))
+    if dtype is np.bool_:
+        elements = st.booleans()
+    elif dtype is np.int64:
+        elements = st.integers(-1000, 1000)
+    else:
+        elements = st.floats(-1e3, 1e3, width=32)
+    arr = draw(hnp.arrays(dtype, shape, elements=elements))
+    special = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if special is not None and arr.size and dtype in (np.float32, np.float64):
+        arr.flat[draw(st.integers(0, arr.size - 1))] = special
+    return arr
+
+
+@settings(max_examples=100, deadline=None)
+@given(features=feature_arrays())
+def test_segment_fuzzed_feature_files(fuzz_model, features):
+    valid = (features.ndim == 2 and features.shape[0] >= 1
+             and features.shape[1] == FUZZ_IN_DIM and bool(np.all(np.isfinite(features))))
+    with tempfile.TemporaryDirectory() as tmp:
+        feat_file = Path(tmp) / "x.npy"
+        np.save(feat_file, features)
+        rc = main(["segment", "--model", str(fuzz_model), "--ssl-features", str(feat_file),
+                   "--out", str(Path(tmp) / "seg"), "--threshold", "2"])
+    assert rc == (0 if valid else 2)
 
 
 class TestThreadsSetting:

@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaseseg.seqcore import (
-    FeatureSequence,
-    ProbSequence,
     ShapeError,
     conv1x1,
     conv1x1_backward,
@@ -18,28 +16,6 @@ from phaseseg.seqcore import (
 )
 
 from conftest import assert_grad_close, central_difference
-
-
-class TestTypes:
-    def test_feature_sequence_accepts_valid(self):
-        fs = FeatureSequence(np.ones((3, 2)))
-        assert fs.num_frames == 3 and fs.dim == 2
-
-    def test_feature_sequence_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            FeatureSequence(np.array([[1.0, np.nan]]))
-
-    def test_feature_sequence_rejects_1d(self):
-        with pytest.raises(ShapeError):
-            FeatureSequence(np.ones(4))
-
-    def test_prob_sequence_rejects_bad_rows(self):
-        with pytest.raises(ValueError):
-            ProbSequence(np.array([[0.7, 0.7]]))
-
-    def test_prob_sequence_accepts_stochastic(self):
-        ps = ProbSequence(np.array([[0.25, 0.75], [0.5, 0.5]]))
-        assert ps.num_classes == 2
 
 
 class TestDilatedConv:

@@ -13,9 +13,7 @@ from phaseseg.trainer import (
     cosine_lr,
     evaluate,
     fit,
-    load_checkpoint,
     sample_epoch,
-    save_checkpoint,
     sequence_weights,
 )
 
@@ -25,8 +23,7 @@ TINY = mstcnpp.StageConfig(in_dim=8, channels=8, n_classes=4, stages=2,
 
 def make_split(n, sequence_seed, dim=8, noise=0.3):
     cfg = synthgen.SynthConfig(dim=dim, noise_sigma=noise, seed=0)
-    return [(f.data, t.labels)
-            for f, t in synthgen.generate(cfg, n, sequence_seed=sequence_seed)]
+    return synthgen.generate(cfg, n, sequence_seed=sequence_seed)
 
 
 class TestAdamW:
@@ -194,8 +191,8 @@ class TestFit:
         # gradients are healthy enough to crush one 50-frame sequence
         cfg = synthgen.SynthConfig(dim=8, duration_mean=(12, 13, 15, 10),
                                    duration_std=(2, 2, 2, 2), seed=1)
-        (features, timeline), = synthgen.generate(cfg, 1)
-        x, y = features.data[:50], timeline.labels[:50]
+        (features, labels), = synthgen.generate(cfg, 1)
+        x, y = features[:50], labels[:50]
         model = mstcnpp.init(TINY, seed=0)
         params = dict(mstcnpp.named_parameters(model))
         state = AdamWState()
@@ -226,32 +223,3 @@ class TestFit:
         serial = evaluate(model, val, fc, 0.15, max_workers=1)
         threaded = evaluate(model, val, fc, 0.15, max_workers=4)
         assert serial == threaded
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        train = make_split(2, sequence_seed=100)
-        model = mstcnpp.init(TINY, seed=0)
-        params = dict(mstcnpp.named_parameters(model))
-        state = AdamWState()
-        fc = FocalConfig(gamma=2.0)
-        for features, labels in train:
-            probs, cache = mstcnpp.forward(model, features, return_cache=True)
-            _, stage_grads = total_loss(probs, labels, fc, 0.15)
-            grads = mstcnpp.backward(model, cache, stage_grads)
-            adamw_step(params, grads, state, lr=1e-3)
-
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(model, state, path)
-        loaded_model, loaded_state = load_checkpoint(path)
-        assert loaded_state.step == state.step
-        for name, _ in mstcnpp.named_parameters(model):
-            np.testing.assert_array_equal(loaded_state.m[name], state.m[name])
-            np.testing.assert_array_equal(loaded_state.v[name], state.v[name])
-
-    def test_checkpoint_without_optimizer_section_rejected(self, tmp_path):
-        model = mstcnpp.init(TINY, seed=0)
-        path = tmp_path / "ckpt.bin"
-        mstcnpp.save_model(model, path)
-        with pytest.raises(mstcnpp.ModelFormatError):
-            load_checkpoint(path)
