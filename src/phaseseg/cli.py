@@ -87,6 +87,9 @@ def resolve_config(defaults: dict, args: argparse.Namespace) -> tuple[dict, dict
         if flag is not None:
             resolved[key] = flag
             sources[key] = "flag"
+        value = resolved[key]
+        if type(default) is int and type(value) is not int:
+            raise ValueError(f"{key} must be an integer, got {value!r}")
     unknown = set(file_cfg) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -280,7 +283,6 @@ EVAL_DEFAULTS = {
     "seed": 0,
     "post": "none",
     "threshold": 30,
-    "lambda_smooth": 0.15,
     "precision": "float64",
 }
 
@@ -339,7 +341,6 @@ SEGMENT_DEFAULTS = {
     "seed": 0,
     "post": "accumulator",
     "threshold": 30,
-    "fps": 1.0,
     "precision": "float64",
 }
 
@@ -480,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pre-extracted per-frame embeddings (.npy, T x d)")
     p.add_argument("--post", choices=("none", "accumulator"))
     p.add_argument("--threshold", type=int)
-    p.add_argument("--fps", type=float)
     p.add_argument("--precision", choices=("float64", "float32"))
     p.set_defaults(func=cmd_segment)
 

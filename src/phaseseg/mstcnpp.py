@@ -15,12 +15,17 @@ convolution on the rectified fusion before the residual add:
 The whole forward/backward pair is hand-written; backward returns gradients
 for every parameter and chains correctly through the probability handoff
 between stages.
+
+A model's parameters live in one contiguous array, `Model.flat`, in file
+order; every weight and bias field is a writeable view into it, laid out by
+`_bind` alone. Gradients come back as a Model of the same layout.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,80 +110,79 @@ class Stage:
 class Model:
     config: StageConfig
     stages: list[Stage]
+    flat: np.ndarray  # every parameter in file order; the arrays in stages are views of it
+    params: list[tuple[str, np.ndarray]] = field(repr=False)  # (name, view) in file order
 
     @property
     def dtype(self):
-        return self.stages[0].proj_w.dtype
+        return self.flat.dtype
+
+
+def _bind(cfg: StageConfig, flat: np.ndarray) -> Model:
+    """The parameter layout: a model whose every parameter is a view of flat.
+
+    This is the only code that knows the file order; flat holds exactly
+    _param_count(cfg) elements.
+    """
+    f, k = cfg.channels, KERNEL_SIZE
+    fuse_in = f if cfg.fuse_mode == "sum" else 2 * f
+    params = []
+    pos = 0
+
+    def take(name, *shape):  # the next parameter in file order
+        nonlocal pos
+        view = flat[pos:pos + math.prod(shape)].reshape(shape)
+        pos += view.size
+        params.append((name, view))
+        return view
+
+    stages = []
+    for s in range(cfg.stages):
+        p = f"stage{s + 1}/"
+        n_layers = cfg.layers_for_stage(s)
+        proj_w = take(p + "proj_w", f, cfg.in_dim if s == 0 else cfg.n_classes)
+        proj_b = take(p + "proj_b", f)
+        layers = []
+        for l in range(n_layers):
+            lp = f"{p}layer{l + 1}/"
+            layers.append(DualDilatedLayer(
+                w_d1=take(lp + "w_d1", f, f, k), b_d1=take(lp + "b_d1", f),
+                w_d2=take(lp + "w_d2", f, f, k), b_d2=take(lp + "b_d2", f),
+                w_fuse=take(lp + "w_fuse", f, fuse_in), b_fuse=take(lp + "b_fuse", f),
+                dilation_low=2**l, dilation_high=2 ** (n_layers - 1 - l),
+            ))
+        stages.append(Stage(proj_w=proj_w, proj_b=proj_b, layers=layers,
+                            head_w=take(p + "head_w", cfg.n_classes, f),
+                            head_b=take(p + "head_b", cfg.n_classes)))
+    return Model(config=cfg, stages=stages, flat=flat, params=params)
 
 
 def init(cfg: StageConfig, seed: int, dtype=np.float64) -> Model:
-    """Seed-deterministic model: fan-in-scaled uniform weights, zero biases."""
+    """Seed-deterministic model: fan-in-scaled uniform weights, zero biases.
+
+    The draw order (per stage: each layer's w_d1, w_d2, w_fuse, then proj_w,
+    then head_w) differs from the file order and fixes every seeded model.
+    """
     rng = np.random.default_rng(seed)
-
-    def uniform(shape, fan_in):
-        limit = np.sqrt(1.0 / fan_in)
-        return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-    f = cfg.channels
-    fuse_in = f if cfg.fuse_mode == "sum" else 2 * f
-    stages = []
-    for s in range(cfg.stages):
-        in_width = cfg.in_dim if s == 0 else cfg.n_classes
-        n_layers = cfg.layers_for_stage(s)
-        layers = []
-        for l in range(n_layers):
-            layers.append(DualDilatedLayer(
-                w_d1=uniform((f, f, KERNEL_SIZE), f * KERNEL_SIZE),
-                b_d1=np.zeros(f, dtype=dtype),
-                w_d2=uniform((f, f, KERNEL_SIZE), f * KERNEL_SIZE),
-                b_d2=np.zeros(f, dtype=dtype),
-                w_fuse=uniform((f, fuse_in), fuse_in),
-                b_fuse=np.zeros(f, dtype=dtype),
-                dilation_low=2**l,
-                dilation_high=2 ** (n_layers - 1 - l),
-            ))
-        stages.append(Stage(
-            proj_w=uniform((f, in_width), in_width),
-            proj_b=np.zeros(f, dtype=dtype),
-            layers=layers,
-            head_w=uniform((cfg.n_classes, f), f),
-            head_b=np.zeros(cfg.n_classes, dtype=dtype),
-        ))
-    return Model(config=cfg, stages=stages)
+    model = _bind(cfg, np.zeros(_param_count(cfg), dtype=dtype))
+    weights = []
+    for stage in model.stages:
+        for layer in stage.layers:
+            weights += [layer.w_d1, layer.w_d2, layer.w_fuse]
+        weights += [stage.proj_w, stage.head_w]
+    for w in weights:  # fan-in is every axis but the output one
+        limit = np.sqrt(1.0 / math.prod(w.shape[1:]))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return model
 
 
 def named_parameters(model: Model) -> list[tuple[str, np.ndarray]]:
     """All parameters in a fixed, documented order (also the file order)."""
-    out = []
-    for s, stage in enumerate(model.stages):
-        prefix = f"stage{s + 1}"
-        out.append((f"{prefix}/proj_w", stage.proj_w))
-        out.append((f"{prefix}/proj_b", stage.proj_b))
-        for l, layer in enumerate(stage.layers):
-            lp = f"{prefix}/layer{l + 1}"
-            out.append((f"{lp}/w_d1", layer.w_d1))
-            out.append((f"{lp}/b_d1", layer.b_d1))
-            out.append((f"{lp}/w_d2", layer.w_d2))
-            out.append((f"{lp}/b_d2", layer.b_d2))
-            out.append((f"{lp}/w_fuse", layer.w_fuse))
-            out.append((f"{lp}/b_fuse", layer.b_fuse))
-        out.append((f"{prefix}/head_w", stage.head_w))
-        out.append((f"{prefix}/head_b", stage.head_b))
-    return out
+    return list(model.params)
 
 
 def clone(model: Model) -> Model:
-    stages = [Stage(
-        proj_w=st.proj_w.copy(),
-        proj_b=st.proj_b.copy(),
-        layers=[replace(ly, w_d1=ly.w_d1.copy(), b_d1=ly.b_d1.copy(),
-                        w_d2=ly.w_d2.copy(), b_d2=ly.b_d2.copy(),
-                        w_fuse=ly.w_fuse.copy(), b_fuse=ly.b_fuse.copy())
-                for ly in st.layers],
-        head_w=st.head_w.copy(),
-        head_b=st.head_b.copy(),
-    ) for st in model.stages]
-    return Model(config=model.config, stages=stages)
+    return _bind(model.config, model.flat.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +261,12 @@ def forward(model: Model, x, return_cache: bool = False):
     return stage_probs
 
 
-def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_out, fuse_mode, grads, name):
+def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_out, fuse_mode,
+                    grad: DualDilatedLayer):
     g_h = g_out.copy()  # residual path
     fuse = conv1x1_backward(lc.post_relu, layer.w_fuse, g_out)
-    grads[f"{name}/w_fuse"] = fuse.d_weights
-    grads[f"{name}/b_fuse"] = fuse.d_bias
+    grad.w_fuse[...] = fuse.d_weights
+    grad.b_fuse[...] = fuse.d_bias
     g_a = fuse.d_input * (lc.pre_relu > 0)
     if fuse_mode == "sum":
         g_c1 = g_c2 = g_a
@@ -270,20 +275,20 @@ def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_out, fuse_mode, 
         g_c1, g_c2 = g_a[:, :f], g_a[:, f:]
     b1 = dilated_conv1d_backward(lc.h_in, layer.w_d1, layer.dilation_low, g_c1)
     b2 = dilated_conv1d_backward(lc.h_in, layer.w_d2, layer.dilation_high, g_c2)
-    grads[f"{name}/w_d1"] = b1.d_weights
-    grads[f"{name}/b_d1"] = b1.d_bias
-    grads[f"{name}/w_d2"] = b2.d_weights
-    grads[f"{name}/b_d2"] = b2.d_bias
+    grad.w_d1[...] = b1.d_weights
+    grad.b_d1[...] = b1.d_bias
+    grad.w_d2[...] = b2.d_weights
+    grad.b_d2[...] = b2.d_bias
     g_h += b1.d_input + b2.d_input
     return g_h
 
 
-def backward(model: Model, cache: ForwardCache, stage_logit_grads) -> dict[str, np.ndarray]:
+def backward(model: Model, cache: ForwardCache, stage_logit_grads) -> Model:
     """Full-model gradients given each stage's direct dL/dlogits.
 
     Gradients flow backward through the probability handoff: the loss applied
     to stage s also reaches every earlier stage via the refinement inputs.
-    Returns a dict keyed like named_parameters().
+    Returns a gradient Model with the parameter layout of model.
     """
     if cache is None or not cache.stage_caches:
         raise ValueError("forward cache missing: run forward(..., return_cache=True)")
@@ -292,12 +297,11 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads) -> dict[str, 
         raise ShapeError(f"expected {n_stages} per-stage gradients, got {len(stage_logit_grads)}")
 
     cfg = model.config
-    grads: dict[str, np.ndarray] = {}
+    grads = _bind(cfg, np.zeros_like(model.flat))
     g_probs_next = None  # gradient arriving at this stage's output probabilities
     for s in range(n_stages - 1, -1, -1):
-        stage = model.stages[s]
+        stage, grad = model.stages[s], grads.stages[s]
         sc = cache.stage_caches[s]
-        name = f"stage{s + 1}"
 
         g_logits = np.asarray(stage_logit_grads[s], dtype=model.dtype)
         if g_logits.shape != sc.probs.shape:
@@ -307,17 +311,17 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads) -> dict[str, 
             g_logits = g_logits + softmax_rows_backward(sc.probs, g_probs_next).d_input
 
         head = conv1x1_backward(sc.final_h, stage.head_w, g_logits)
-        grads[f"{name}/head_w"] = head.d_weights
-        grads[f"{name}/head_b"] = head.d_bias
+        grad.head_w[...] = head.d_weights
+        grad.head_b[...] = head.d_bias
 
         g_h = head.d_input
         for l in range(len(stage.layers) - 1, -1, -1):
             g_h = _layer_backward(stage.layers[l], sc.layer_caches[l], g_h,
-                                  cfg.fuse_mode, grads, f"{name}/layer{l + 1}")
+                                  cfg.fuse_mode, grad.layers[l])
 
         proj = conv1x1_backward(sc.stage_input, stage.proj_w, g_h)
-        grads[f"{name}/proj_w"] = proj.d_weights
-        grads[f"{name}/proj_b"] = proj.d_bias
+        grad.proj_w[...] = proj.d_weights
+        grad.proj_b[...] = proj.d_bias
         g_probs_next = proj.d_input if s > 0 else None
     return grads
 
@@ -331,16 +335,11 @@ _CONFIG_STRUCT = struct.Struct("<7I")  # in_dim, channels, classes, stages, L_pr
 
 def model_to_bytes(model: Model) -> bytes:
     cfg = model.config
-    parts = [
-        MAGIC,
-        struct.pack("<I", FORMAT_VERSION),
-        _CONFIG_STRUCT.pack(cfg.in_dim, cfg.channels, cfg.n_classes, cfg.stages,
-                            cfg.layers_prediction, cfg.layers_refinement,
-                            _FUSE_MODES.index(cfg.fuse_mode)),
-    ]
-    for _, param in named_parameters(model):
-        parts.append(np.ascontiguousarray(param, dtype="<f4").tobytes())
-    return b"".join(parts)
+    return (MAGIC + struct.pack("<I", FORMAT_VERSION)
+            + _CONFIG_STRUCT.pack(cfg.in_dim, cfg.channels, cfg.n_classes, cfg.stages,
+                                  cfg.layers_prediction, cfg.layers_refinement,
+                                  _FUSE_MODES.index(cfg.fuse_mode))
+            + model.flat.astype("<f4").tobytes())
 
 
 def _param_count(cfg: StageConfig) -> int:
@@ -386,33 +385,8 @@ def model_from_bytes(buf: bytes, offset: int = 0, dtype=np.float64) -> tuple[Mod
     if offset + 4 * count > len(buf):
         raise ModelFormatError(f"model file truncated: header describes {4 * count} "
                                f"parameter bytes, {len(buf) - offset} present")
-    flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
-    pos = 0
-
-    def take(*shape):  # the next parameter in file order (named_parameters order)
-        nonlocal pos
-        size = int(np.prod(shape))
-        param = flat[pos:pos + size].reshape(shape).astype(dtype)
-        pos += size
-        return param
-
-    f, k = cfg.channels, KERNEL_SIZE
-    fuse_in = f if cfg.fuse_mode == "sum" else 2 * f
-    stages = []
-    for s in range(cfg.stages):
-        n_layers = cfg.layers_for_stage(s)
-        stages.append(Stage(
-            proj_w=take(f, cfg.in_dim if s == 0 else cfg.n_classes),
-            proj_b=take(f),
-            layers=[DualDilatedLayer(
-                w_d1=take(f, f, k), b_d1=take(f), w_d2=take(f, f, k), b_d2=take(f),
-                w_fuse=take(f, fuse_in), b_fuse=take(f),
-                dilation_low=2**l, dilation_high=2 ** (n_layers - 1 - l),
-            ) for l in range(n_layers)],
-            head_w=take(cfg.n_classes, f),
-            head_b=take(cfg.n_classes),
-        ))
-    return Model(config=cfg, stages=stages), offset + 4 * count
+    flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset).astype(dtype)
+    return _bind(cfg, flat), offset + 4 * count
 
 
 def save_model(model: Model, path) -> None:

@@ -123,7 +123,7 @@ def test_criterion_1_gradient_suite():
 
     probs, cache = mstcnpp.forward(model, x, return_cache=True)
     _, stage_grads = total_loss(probs, labels, fcfg, 0.15)
-    analytic = mstcnpp.backward(model, cache, stage_grads)
+    analytic = dict(mstcnpp.named_parameters(mstcnpp.backward(model, cache, stage_grads)))
     h = 1e-5
     for name, p in mstcnpp.named_parameters(model):
         flat = p.reshape(-1)

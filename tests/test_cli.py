@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from phaseseg import mstcnpp, synthgen
-from phaseseg.annotate import read_label_csv
+from phaseseg.annotate import read_label_csv, write_label_csv
 from phaseseg.cli import main
 
 TRAIN_FLAGS = ["--channels", "8", "--stages", "2", "--layers-prediction", "2",
@@ -103,6 +103,26 @@ class TestTrain:
         rc = main(["train", "--data", str(workspace["data"]),
                    "--out", str(tmp_path / "x"), "--config", str(cfg_file)])
         assert rc == 2
+
+    @pytest.mark.parametrize("line", ["epochs = 1e400", "epochs = 1.7", "channels = 0.5"])
+    def test_non_integer_setting_exits_2(self, workspace, tmp_path, capsys, line):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(line + "\n", encoding="utf-8")
+        rc = main(["train", "--data", str(workspace["data"]),
+                   "--out", str(tmp_path / "x"), "--config", str(cfg_file)])
+        assert rc == 2
+        assert f"{line.split()[0]} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_sequence_without_counted_frame_exits_2(self, workspace, tmp_path, capsys, split):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        csv_path = data / split / "seq_000.csv"
+        write_label_csv(csv_path, np.full(read_label_csv(csv_path).size, -1))
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                   *TRAIN_FLAGS])
+        assert rc == 2
+        assert f"{split} sequence 0 has no counted frame" in capsys.readouterr().err
 
     def test_bce_flag_runs(self, workspace, tmp_path):
         out = tmp_path / "bce"
@@ -325,6 +345,38 @@ def test_segment_fuzzed_feature_files(fuzz_model, features):
         rc = main(["segment", "--model", str(fuzz_model), "--ssl-features", str(feat_file),
                    "--out", str(Path(tmp) / "seg"), "--threshold", "2"])
     assert rc == (0 if valid else 2)
+
+
+def _segment_rc(model_bytes, features_file, tmp):
+    model_file = Path(tmp) / "m.bin"
+    model_file.write_bytes(model_bytes)
+    return main(["segment", "--model", str(model_file), "--ssl-features", str(features_file),
+                 "--out", str(Path(tmp) / "seg"), "--threshold", "2"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_features(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzzfeat") / "x.npy"
+    np.save(path, np.random.default_rng(0).normal(size=(9, FUZZ_IN_DIM)))
+    return path
+
+
+def test_segment_truncated_model_files(fuzz_model, fuzz_features, tmp_path):
+    blob = fuzz_model.read_bytes()
+    for size in range(len(blob)):
+        assert _segment_rc(blob[:size], fuzz_features, tmp_path) == 2, size
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields=st.tuples(*(st.one_of(st.just(v), st.integers(0, 6), st.integers(0, 2**32 - 1))
+                          for v in (FUZZ_IN_DIM, 2, 4, 1, 1, 1, 0))),
+       trailing=st.binary(max_size=16))
+def test_segment_fuzzed_model_files(fuzz_model, fuzz_features, fields, trailing):
+    # each header field kept or replaced at random, then random trailing bytes
+    blob = fuzz_model.read_bytes()
+    blob = blob[:8] + struct.pack("<7I", *fields) + blob[36:] + trailing
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _segment_rc(blob, fuzz_features, tmp) in (0, 2)
 
 
 class TestThreadsSetting:

@@ -222,7 +222,7 @@ class TestBackward:
         _, cache = forward(model, x, return_cache=True)
         zeros = [np.zeros((6, 3)) for _ in range(TINY.stages)]
         grads = mstcnpp.backward(model, cache, zeros)
-        assert all(not g.any() for g in grads.values())
+        assert not grads.flat.any()
 
     def test_missing_cache_rejected(self, rng):
         model = init(TINY, seed=0)
@@ -257,7 +257,7 @@ class TestBackward:
         labels = rng.integers(0, 3, size=6)
 
         _, cache, stage_grads = self._loss_grads(model, x, labels)
-        analytic = mstcnpp.backward(model, cache, stage_grads)
+        analytic = dict(named_parameters(mstcnpp.backward(model, cache, stage_grads)))
 
         h = 1e-5
         for name, p in named_parameters(model):
@@ -355,6 +355,49 @@ class TestSerialization:
             load_model(path)
 
 
+class TestLayout:
+    """Every parameter is a view of one flat array in file order."""
+
+    @staticmethod
+    def assert_tiles_flat(model):
+        count = mstcnpp._param_count(model.config)
+        assert model.flat.shape == (count,) and model.flat.flags.writeable
+        base = model.flat.__array_interface__["data"][0]
+        pos = 0
+        for name, view in named_parameters(model):
+            assert np.shares_memory(view, model.flat), name
+            offset = view.__array_interface__["data"][0] - base
+            assert offset == pos * model.flat.itemsize and view.flags.writeable, name
+            pos += view.size
+        assert pos == count
+        for stage in model.stages:
+            fields = [stage.proj_w, stage.proj_b, stage.head_w, stage.head_b]
+            for layer in stage.layers:
+                fields += [layer.w_d1, layer.b_d1, layer.w_d2, layer.b_d2,
+                           layer.w_fuse, layer.b_fuse]
+            assert all(np.shares_memory(f, model.flat) for f in fields)
+
+    @pytest.mark.parametrize("fuse_mode", ["sum", "concat"])
+    def test_views_tile_flat(self, rng, tmp_path, fuse_mode):
+        cfg = StageConfig(in_dim=5, channels=4, n_classes=3, stages=3,
+                          layers_prediction=2, layers_refinement=3, fuse_mode=fuse_mode)
+        model = init(cfg, seed=1)
+        self.assert_tiles_flat(model)
+        copy = mstcnpp.clone(model)
+        self.assert_tiles_flat(copy)
+        assert not np.shares_memory(copy.flat, model.flat)
+        assert np.array_equal(copy.flat, model.flat)
+        save_model(model, tmp_path / "model.bin")
+        for dtype in (np.float64, np.float32):
+            loaded = load_model(tmp_path / "model.bin", dtype=dtype)
+            assert loaded.dtype == dtype
+            self.assert_tiles_flat(loaded)
+        probs, cache = forward(model, rng.normal(size=(6, 5)), return_cache=True)
+        grads = mstcnpp.backward(model, cache, [np.ones_like(p) for p in probs])
+        self.assert_tiles_flat(grads)
+        assert grads.flat.any()
+
+
 def _header(**overrides):
     fields = dict(in_dim=2048, channels=256, n_classes=4, stages=4,
                   layers_prediction=11, layers_refinement=10, fuse=0)
@@ -370,15 +413,17 @@ class TestHostileModelBytes:
             model_from_bytes(_header()[:size])
 
     def test_huge_channels_rejected_without_allocating(self):
-        buf = _header(channels=2**31) + bytes(64)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ModelFormatError, match="truncated"):
-                model_from_bytes(buf)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        for fields in (dict(channels=2**31), dict(stages=2**31),
+                       dict(layers_prediction=2**31, layers_refinement=2**31)):
+            buf = _header(**fields) + bytes(64)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ModelFormatError, match="truncated"):
+                    model_from_bytes(buf)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, fields
 
     def test_invalid_header_values_rejected(self):
         with pytest.raises(ModelFormatError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phaseseg import mstcnpp, synthgen
+from phaseseg import mstcnpp, synthgen, trainer
 from phaseseg.losses import FocalConfig, total_loss
 from phaseseg.trainer import (
     AdamWState,
@@ -28,39 +28,33 @@ def make_split(n, sequence_seed, dim=8, noise=0.3):
 
 class TestAdamW:
     def test_zero_grad_no_decay_is_noop(self, rng):
-        p = rng.normal(size=(3, 4))
-        params = {"w": p.copy()}
-        adamw_step(params, {"w": np.zeros((3, 4))}, AdamWState(), lr=0.1)
-        np.testing.assert_array_equal(params["w"], p)
+        p = rng.normal(size=12)
+        params = p.copy()
+        adamw_step(params, np.zeros(12), AdamWState(), lr=0.1)
+        np.testing.assert_array_equal(params, p)
 
     def test_first_step_moves_by_lr_sign(self, rng):
         g = rng.normal(size=(5,))
         p = rng.normal(size=(5,))
-        params = {"w": p.copy()}
-        adamw_step(params, {"w": g}, AdamWState(), lr=1e-3)
+        params = p.copy()
+        adamw_step(params, g, AdamWState(), lr=1e-3)
         # bias-corrected first step: delta = -lr * g / (|g| + ~eps)
-        np.testing.assert_allclose(params["w"] - p, -1e-3 * np.sign(g), rtol=1e-4)
+        np.testing.assert_allclose(params - p, -1e-3 * np.sign(g), rtol=1e-4)
 
     def test_weight_decay_shrinks_params(self, rng):
         p = rng.normal(size=(4,))
-        params = {"w": p.copy()}
-        adamw_step(params, {"w": np.zeros(4)}, AdamWState(), lr=0.1, weight_decay=0.5)
-        np.testing.assert_allclose(params["w"], p * (1 - 0.1 * 0.5), rtol=1e-12)
-
-    def test_nonfinite_gradient_names_block(self, rng):
-        params = {"stage1/head_w": rng.normal(size=(2, 2))}
-        grads = {"stage1/head_w": np.array([[np.nan, 0.0], [0.0, 0.0]])}
-        with pytest.raises(DivergenceError, match="stage1/head_w"):
-            adamw_step(params, grads, AdamWState(), lr=0.1)
+        params = p.copy()
+        adamw_step(params, np.zeros(4), AdamWState(), lr=0.1, weight_decay=0.5)
+        np.testing.assert_allclose(params, p * (1 - 0.1 * 0.5), rtol=1e-12)
 
     def test_two_steps_accumulate_moments(self, rng):
         # closed-form two-step trace for a single scalar parameter
         g1, g2 = 0.4, -0.2
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        params = {"w": np.array([1.0])}
+        params = np.array([1.0])
         state = AdamWState()
-        adamw_step(params, {"w": np.array([g1])}, state, lr=lr)
-        adamw_step(params, {"w": np.array([g2])}, state, lr=lr)
+        adamw_step(params, np.array([g1]), state, lr=lr)
+        adamw_step(params, np.array([g2]), state, lr=lr)
 
         m = (1 - b1) * g1
         v = (1 - b2) * g1**2
@@ -68,7 +62,25 @@ class TestAdamW:
         m = b1 * m + (1 - b1) * g2
         v = b2 * v + (1 - b2) * g2**2
         w = w - lr * (m / (1 - b1**2)) / (math.sqrt(v / (1 - b2**2)) + eps)
-        np.testing.assert_allclose(params["w"], [w], rtol=1e-12)
+        np.testing.assert_allclose(params, [w], rtol=1e-12)
+
+    def test_chunked_update_matches_whole_array(self, rng):
+        # longer than one slice and not a multiple of it
+        size = 2 * trainer._ADAMW_CHUNK + 123
+        params, state = rng.normal(size=size), AdamWState()
+        ref_p, ref_m, ref_v = params.copy(), np.zeros(size), np.zeros(size)
+        lr, wd, b1, b2, eps = 1e-3, 0.01, 0.9, 0.999, 1e-8
+        for t in (1, 2, 3):
+            g = rng.normal(size=size)
+            adamw_step(params, g, state, lr=lr, weight_decay=wd)
+            ref_p *= 1.0 - lr * wd
+            ref_m *= b1
+            ref_m += (1.0 - b1) * g
+            ref_v *= b2
+            ref_v += (1.0 - b2) * np.square(g)
+            ref_p -= lr * (ref_m / (1.0 - b1**t)) / (np.sqrt(ref_v / (1.0 - b2**t)) + eps)
+            assert np.array_equal(params, ref_p)
+            assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
 
 
 class TestCosine:
@@ -92,12 +104,13 @@ class TestCosine:
 class TestSampling:
     def test_uniform_reproducible(self):
         data = make_split(5, sequence_seed=1)
-        assert sample_epoch(data, "uniform", seed=9) == sample_epoch(data, "uniform", seed=9)
-        assert sorted(sample_epoch(data, "uniform", seed=9)) == list(range(5))
+        assert (sample_epoch(data, "uniform", seed=9, n_classes=4)
+                == sample_epoch(data, "uniform", seed=9, n_classes=4))
+        assert sorted(sample_epoch(data, "uniform", seed=9, n_classes=4)) == list(range(5))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            sample_epoch([], "uniform", seed=0)
+            sample_epoch([], "uniform", seed=0, n_classes=4)
 
     def test_single_sequence_repeats(self):
         data = make_split(1, sequence_seed=1)
@@ -182,6 +195,25 @@ class TestFit:
             fit(model, train, val, TrainConfig(epochs=2, learning_rate=1e-3))
         assert exc_info.value.report is not None
 
+    def test_nonfinite_gradient_names_block(self, monkeypatch):
+        # the check runs before the update, so no parameter moves
+        train = make_split(2, sequence_seed=100)
+        val = make_split(1, sequence_seed=101)
+        model = mstcnpp.init(TINY, seed=0)
+        before = model.flat.copy()
+        backward = mstcnpp.backward
+
+        def poisoned(*args):
+            grads = backward(*args)
+            grads.stages[1].head_w[0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(mstcnpp, "backward", poisoned)
+        with pytest.raises(DivergenceError, match="stage2/head_w") as exc_info:
+            fit(model, train, val, TrainConfig(epochs=2, learning_rate=1e-3))
+        assert exc_info.value.report.diverged
+        assert np.array_equal(model.flat, before)
+
     def test_empty_sets_rejected(self):
         model = mstcnpp.init(TINY, seed=0)
         with pytest.raises(ValueError):
@@ -194,7 +226,6 @@ class TestFit:
         (features, labels), = synthgen.generate(cfg, 1)
         x, y = features[:50], labels[:50]
         model = mstcnpp.init(TINY, seed=0)
-        params = dict(mstcnpp.named_parameters(model))
         state = AdamWState()
         fc = FocalConfig(gamma=2.0)
         reached = False
@@ -205,7 +236,7 @@ class TestFit:
                 reached = True
                 break
             grads = mstcnpp.backward(model, cache, stage_grads)
-            adamw_step(params, grads, state, lr=0.02)
+            adamw_step(model.flat, grads.flat, state, lr=0.02)
         assert reached
 
     def test_gradient_accumulation_runs(self):
