@@ -68,7 +68,8 @@ class TrainConfig:
 
 # elements per AdamW slice: a slice of params, grads, m, v and the update's
 # temporaries stays in cache, where one pass over the whole array would not
-# (at paper size 2^14 was the fastest of 2^12 to 2^18, and twice whole-array)
+# (paper size, 2-core x86 VM with 2 MiB L2 per core: 2^14 was the fastest of
+# 2^12 to 2^18, about twice as fast as one whole-array pass)
 _ADAMW_CHUNK = 1 << 14
 
 
@@ -219,7 +220,7 @@ def fit(model, train_set, val_set, cfg: TrainConfig, max_workers: int = 1):
 
     Returns (best_model, report) where best_model is the checkpoint with the
     lowest validation loss. Raises DivergenceError (report attached) on a
-    non-finite loss.
+    non-finite loss or gradient.
     """
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
