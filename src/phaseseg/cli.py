@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -128,6 +129,8 @@ def write_manifest(out_dir: Path, command: str, config: dict, sources: dict,
         "input_hashes": _hash_inputs(inputs),
         "artifacts": [str(a) for a in artifacts],
         "wall_clock_s": round(time.perf_counter() - started, 3),
+        # the process's high-water mark so far (Linux reports ru_maxrss in KiB)
+        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")

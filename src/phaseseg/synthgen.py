@@ -45,8 +45,8 @@ class SynthConfig:
             raise ValueError("duration_mean and duration_std must align")
         if any(m <= 0 for m in self.duration_mean) or any(s < 0 for s in self.duration_std):
             raise ValueError("durations must be positive, stds nonnegative")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0 <= self.label_noise < 1:
             raise ValueError("label_noise must lie in [0, 1)")
 

@@ -50,8 +50,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        # nan fails every comparison, so each check asks for the valid range
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate (lr) must be finite and > 0, "
+                             f"got {self.learning_rate}")
+        for key, value in (("weight_decay", self.weight_decay),
+                           ("smoothing weight (lambda_smooth)", self.smoothing_weight),
+                           ("gamma", self.gamma)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1:
@@ -248,7 +255,7 @@ def fit(model, train_set, val_set, cfg: TrainConfig, max_workers: int = 1):
 
     state = AdamWState()
     report = TrainReport()
-    best_model = mstcnpp.clone(model)
+    best_model = mstcnpp.clone(model)  # the snapshot buffer, refilled on each improving epoch
     best_val = math.inf
     rise_streak = 0
     prev_val = math.inf
@@ -280,10 +287,14 @@ def fit(model, train_set, val_set, cfg: TrainConfig, max_workers: int = 1):
             total_sum += breakdown.total
 
             grads = mstcnpp.backward(model, cache, stage_grads)
+            # free this step's forward cache and gradient now, not when the
+            # next step rebinds the names: otherwise two of each are live
+            del probs, cache, stage_grads
             if pending is None:
                 pending = grads
             else:
                 pending.flat += grads.flat
+            del grads
             pending_n += 1
             if pending_n == cfg.batch_size or pos == len(order) - 1:
                 if pending_n > 1:
@@ -318,7 +329,7 @@ def fit(model, train_set, val_set, cfg: TrainConfig, max_workers: int = 1):
 
         if val_loss < best_val:
             best_val = val_loss
-            best_model = mstcnpp.clone(model)
+            np.copyto(best_model.flat, model.flat)  # in place: no third parameter array
             report.best_epoch = epoch
             report.best_checkpoint = f"epoch{epoch:03d}"
 

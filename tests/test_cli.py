@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 import struct
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from phaseseg import mstcnpp, synthgen
+from phaseseg import cli, mstcnpp, synthgen, trainer
 from phaseseg.annotate import read_label_csv, write_label_csv
 from phaseseg.cli import main
 
@@ -134,6 +135,79 @@ class TestTrain:
         rc = main(["train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+
+
+@pytest.mark.parametrize("command, line", [
+    ("train", "lr = nan"), ("train", "lr = inf"), ("train", "weight_decay = nan"),
+    ("train", "weight_decay = -5"), ("train", "gamma = nan"),
+    ("train", "lambda_smooth = nan"), ("train", "lambda_smooth = -1"),
+    ("gen-synth", "noise_sigma = nan"),
+])
+def test_bad_float_setting_exits_2(workspace, tmp_path, monkeypatch, capsys, command, line):
+    # rejected with the key named before any epoch runs or any sequence is written
+    fit_calls = []
+    monkeypatch.setattr(trainer, "fit", lambda *args, **kwargs: fit_calls.append(args))
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    extra = (["--data", str(workspace["data"]), *TRAIN_FLAGS[:-2]] if command == "train"
+             else ["--dim", "8"])
+    rc = main([command, "--config", str(cfg_file), "--out", str(out), *extra])
+    assert rc == 2
+    assert line.split()[0] in capsys.readouterr().err
+    assert not fit_calls and not list(out.rglob("*.npy"))
+
+
+@pytest.mark.parametrize("command", ["gen-synth", "train", "eval", "segment"])
+def test_manifest_records_peak_rss(workspace, tmp_path, command):
+    out = {"gen-synth": workspace["data"], "train": workspace["run"]}.get(command)
+    if out is None:
+        out = tmp_path / command
+        source = (["--data", str(workspace["data"] / "test")] if command == "eval" else
+                  ["--ssl-features", str(workspace["data"] / "test" / "seq_000.npy")])
+        assert main([command, "--model", str(workspace["model"]), "--out", str(out),
+                     *source]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["peak_rss_mib"] > 0
+
+
+_CONFIG_DEFAULTS = [cli.GEN_DEFAULTS, cli.TRAIN_DEFAULTS, cli.EVAL_DEFAULTS,
+                    cli.SEGMENT_DEFAULTS, cli.NOTES_DEFAULTS]
+
+
+@st.composite
+def config_files(draw):
+    """(command defaults, config file bytes): mostly that command's keys, some
+    empty or random keys, repeats, odd numbers, and now and then raw bytes."""
+    defaults = draw(st.sampled_from(_CONFIG_DEFAULTS))
+    key = st.one_of(st.sampled_from(sorted(defaults)), st.just(""), st.text(max_size=6))
+    value = st.one_of(
+        st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "9" * 5000,
+                         "0x10", "1_000", "true", "False", "", "=", "# c"]),
+        st.integers(-2**70, 2**70).map(str), st.floats().map(repr), st.text(max_size=8))
+    setting = st.tuples(key, value).map(lambda kv: f"{kv[0]} = {kv[1]}".encode())
+    lines = draw(st.lists(setting, max_size=8))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.binary(max_size=12)))
+    return defaults, b"\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=config_files())
+def test_fuzzed_config_file_resolves_or_raises_value_error(case):
+    # ValueError (UnicodeDecodeError included) is what main turns into exit 2
+    defaults, blob = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_bytes(blob)
+        try:
+            resolved, sources = cli.resolve_config(defaults, argparse.Namespace(config=str(path)))
+        except ValueError:
+            return
+    assert set(resolved) == set(sources) == set(defaults)
+    assert all(type(resolved[key]) is int
+               for key, default in defaults.items() if type(default) is int)
 
 
 class TestEval:

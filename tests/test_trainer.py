@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -149,9 +151,14 @@ class TestFit:
         model = mstcnpp.init(mcfg, seed=0)
         cfg = TrainConfig(epochs=10, learning_rate=5e-3, patience=1, seed=0,
                           weight_decay=0.0)
-        _, report = fit(model, train, val, cfg)
+        best, report = fit(model, train, val, cfg)
         assert report.stop_epoch == 2
         assert report.epochs[1].val_loss > report.epochs[0].val_loss
+        # best epoch 1 < stop epoch 2: epoch 2's update must not reach the snapshot
+        assert report.best_epoch == 1
+        assert not np.shares_memory(best.flat, model.flat)
+        loss, _ = evaluate(best, val, FocalConfig(gamma=cfg.gamma), cfg.smoothing_weight)
+        assert loss == min(e.val_loss for e in report.epochs)
 
     def test_reaches_high_accuracy_on_separable_data(self):
         train = make_split(6, sequence_seed=100, dim=16)
@@ -185,6 +192,65 @@ class TestFit:
         fc = FocalConfig(gamma=cfg.gamma)
         loss, _ = evaluate(best, val, fc, cfg.smoothing_weight)
         assert abs(loss - min(losses)) < 1e-12
+
+    def test_peak_memory_holds_one_step(self, rng):
+        # traced live set while training: the best snapshot, AdamW's m and v and
+        # one gradient (4 P; the parameters predate the trace) plus one forward
+        # cache C. The slack of 16 (T, F) arrays covers backward's temporaries;
+        # holding the previous step's cache and gradient as well adds C + P.
+        t_len, channels = 400, 32
+        mcfg = mstcnpp.StageConfig(in_dim=16, channels=channels, n_classes=4, stages=2,
+                                   layers_prediction=4, layers_refinement=4)
+        labels = np.repeat(np.arange(4), t_len // 4)
+        train = [(rng.normal(size=(t_len, 16)) + labels[:, None], labels) for _ in range(3)]
+        val = [(rng.normal(size=(t_len, 16)) + labels[:, None], labels)]
+        model = mstcnpp.init(mcfg, seed=0)
+        _, cache = mstcnpp.forward(model, train[0][0], return_cache=True)
+        arrays = {}
+        for sc in cache.stage_caches:
+            for arr in [sc.stage_input, sc.final_h, sc.probs,
+                        *(a for lc in sc.layer_caches for a in vars(lc).values())]:
+                arrays[id(arr)] = arr.nbytes
+        del cache
+        bound = 4 * model.flat.nbytes + sum(arrays.values()) + 16 * t_len * channels * 8
+        tracemalloc.start()
+        try:
+            fit(model, train, val, TrainConfig(epochs=3, learning_rate=1e-3, patience=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"traced peak {peak} B >= bound {bound} B"
+
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_step_buffers_die_before_next_forward(self, monkeypatch, batch_size):
+        # a forward cache dies once backward has read it; a gradient once it
+        # is added to the pending sum (only the first of a batch is that sum)
+        # or applied, so no earlier step's buffers are live at a forward
+        forward, backward = mstcnpp.forward, mstcnpp.backward
+        caches, grads = [], []
+
+        def watched_forward(model, x, return_cache=False):
+            assert all(ref() is None for ref in caches), "an earlier forward cache is live"
+            live = [ref for ref in grads if ref() is not None]
+            assert len(live) <= (0 if len(grads) % batch_size == 0 else 1), \
+                "an earlier gradient is live"
+            out = forward(model, x, return_cache)
+            if return_cache:
+                caches.append(weakref.ref(out[1]))
+            return out
+
+        def watched_backward(*args):
+            out = backward(*args)
+            grads.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(mstcnpp, "forward", watched_forward)
+        monkeypatch.setattr(mstcnpp, "backward", watched_backward)
+        train = make_split(4, sequence_seed=100)
+        val = make_split(1, sequence_seed=101)
+        fit(mstcnpp.init(TINY, seed=0), train, val,
+            TrainConfig(epochs=2, learning_rate=1e-3, batch_size=batch_size))
+        assert len(grads) == 8
 
     def test_divergence_attaches_report(self):
         train = make_split(2, sequence_seed=100)
