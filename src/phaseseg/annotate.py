@@ -8,8 +8,9 @@ are ignore-masked rather than guessed, since recordings may begin mid-phase.
 File formats:
   notes    - one JSON object per line: {"t": "HH:MM:SS", "note": "..."}
   lexicon  - lines of the form  phase_name: keyword1, keyword2
-  labels   - CSV with header frame,phase_id; one row per boundary, or one row
-             per frame in expanded mode (ignored frames carry phase_id -1)
+  labels   - CSV with header frame,phase_id; one row per frame (ignored
+             frames carry phase_id -1), which is what write_label_csv
+             writes, or one row per boundary, which read_label_csv also reads
 """
 
 from __future__ import annotations
@@ -143,9 +144,12 @@ def format_timestamp(seconds: int) -> str:
 
 def seconds_to_frame(seconds: float, fps: float) -> int:
     """Frame index of a wall-clock time at the working frame rate."""
-    if fps <= 0:
-        raise ValueError(f"fps must be positive, got {fps}")
-    return int(np.floor(seconds * fps))
+    if not (np.isfinite(fps) and fps > 0):
+        raise ValueError(f"fps must be finite and > 0, got {fps}")
+    frame = np.floor(seconds * fps)
+    if not np.isfinite(frame):
+        raise ValueError(f"{seconds} s at {fps} fps is beyond any frame index")
+    return int(frame)
 
 
 def extract_boundaries(notes, ontology: PhaseOntology = PhaseOntology()):
@@ -253,6 +257,8 @@ def read_notes_file(path) -> list[NoteRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise NoteParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+            except RecursionError:
+                raise NoteParseError(f"{path}:{lineno}: JSON nested too deeply") from None
             if not isinstance(obj, dict) or "t" not in obj or "note" not in obj:
                 raise NoteParseError(f"{path}:{lineno}: expected {{\"t\": ..., \"note\": ...}}")
             try:
@@ -264,8 +270,8 @@ def read_notes_file(path) -> list[NoteRecord]:
     return records
 
 
-def write_label_csv(path, timeline_or_labels, expanded: bool = True) -> None:
-    """Write labels as frame,phase_id rows (per frame, or per boundary)."""
+def write_label_csv(path, timeline_or_labels) -> None:
+    """Write labels as frame,phase_id rows, one per frame."""
     if isinstance(timeline_or_labels, LabelTimeline):
         labels = timeline_or_labels.labels
     else:
@@ -273,32 +279,38 @@ def write_label_csv(path, timeline_or_labels, expanded: bool = True) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "phase_id"])
-        if expanded:
-            for frame, phase in enumerate(labels):
-                writer.writerow([frame, int(phase)])
-        else:
-            prev = None
-            for frame, phase in enumerate(labels):
-                if phase != prev:
-                    writer.writerow([frame, int(phase)])
-                    prev = phase
+        for frame, phase in enumerate(labels):
+            writer.writerow([frame, int(phase)])
+
+
+_MAX_PHASE_ID = np.iinfo(np.int64).max
 
 
 def read_label_csv(path, total_frames: int | None = None) -> np.ndarray:
-    """Read a label CSV (either mode) back into a per-frame int array."""
+    """Read a label CSV (either mode) back into a per-frame int array.
+
+    Frames are >= 0 and phase ids >= -1 (-1 marks an ignored frame).
+    """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["frame", "phase_id"]:
-            raise NoteParseError(f"{path}: expected header 'frame,phase_id'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append((int(row[0]), int(row[1])))
-            except (ValueError, IndexError):
-                raise NoteParseError(f"{path}:{lineno}: malformed row {row!r}") from None
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[:2]] != ["frame", "phase_id"]:
+                raise NoteParseError(f"{path}: expected header 'frame,phase_id'")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    frame, phase = int(row[0]), int(row[1])
+                except (ValueError, IndexError):
+                    raise NoteParseError(f"{path}:{lineno}: malformed row {row!r}") from None
+                if frame < 0 or not -1 <= phase <= _MAX_PHASE_ID:
+                    raise NoteParseError(f"{path}:{lineno}: frame must be >= 0 and phase_id "
+                                         f"an int64 >= -1, got {row!r}")
+                rows.append((frame, phase))
+        except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
+            raise NoteParseError(f"{path}: {exc}") from None
     if not rows:
         raise NoteParseError(f"{path}: no label rows")
     frames = [f for f, _ in rows]

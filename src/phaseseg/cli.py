@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import resource
 import sys
@@ -91,6 +92,8 @@ def resolve_config(defaults: dict, args: argparse.Namespace) -> tuple[dict, dict
         value = resolved[key]
         if type(default) is int and type(value) is not int:
             raise ValueError(f"{key} must be an integer, got {value!r}")
+        if type(default) is float and type(value) not in (int, float):
+            raise ValueError(f"{key} must be a number, got {value!r}")
     unknown = set(file_cfg) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -163,6 +166,8 @@ def cmd_gen_synth(args) -> int:
 
     conf = None
     mix = float(cfg["sellar_closure_confusability"])
+    if not math.isfinite(mix):
+        raise ValueError(f"sellar_closure_confusability must be finite, got {mix}")
     if mix:
         conf = np.zeros((4, 4))
         conf[2, 3] = conf[3, 2] = mix
@@ -176,12 +181,14 @@ def cmd_gen_synth(args) -> int:
         include_all_phases=bool(cfg["include_all_phases"]),
         seed=int(cfg["seed"]),
     )
+    # every split is generated, and so checked, before any file is written
+    splits = [(split, synthgen.generate(scfg, int(count),
+                                        sequence_seed=int(cfg["seed"]) * 3 + 100 + offset))
+              for split, count, offset in (("train", cfg["n_train"], 0),
+                                           ("val", cfg["n_val"], 1),
+                                           ("test", cfg["n_test"], 2))]
     artifacts = []
-    for split, count, offset in (("train", cfg["n_train"], 0),
-                                 ("val", cfg["n_val"], 1),
-                                 ("test", cfg["n_test"], 2)):
-        sequences = synthgen.generate(scfg, int(count),
-                                      sequence_seed=int(cfg["seed"]) * 3 + 100 + offset)
+    for split, sequences in splits:
         artifacts += synthgen.save_dataset(sequences, out_dir / split)
     write_manifest(out_dir, "gen-synth", cfg, sources, [], artifacts, started)
     print(f"wrote {cfg['n_train']}/{cfg['n_val']}/{cfg['n_test']} sequences under {out_dir}")
@@ -286,7 +293,7 @@ EVAL_DEFAULTS = {
     "seed": 0,
     "post": "none",
     "threshold": 30,
-    "precision": "float64",
+    "precision": "float32",  # inference only; float64 on request
 }
 
 
@@ -344,7 +351,7 @@ SEGMENT_DEFAULTS = {
     "seed": 0,
     "post": "accumulator",
     "threshold": 30,
-    "precision": "float64",
+    "precision": "float32",  # inference only; float64 on request
 }
 
 
@@ -362,7 +369,7 @@ def cmd_segment(args) -> int:
     raw, final = predict(model, features, cfg["post"], int(cfg["threshold"]))
 
     csv_path = out_dir / "phases.csv"
-    annotate.write_label_csv(csv_path, final, expanded=True)
+    annotate.write_label_csv(csv_path, final)
     svg_path, ribbon_csv = evalmetrics.export_ribbon(raw, final, out_dir / "ribbon.svg")
     write_manifest(out_dir, "segment", cfg, sources, [model_path, feat_path],
                    [csv_path, svg_path, ribbon_csv], started)
@@ -385,9 +392,11 @@ NOTES_DEFAULTS = {
 def cmd_parse_notes(args) -> int:
     started = time.perf_counter()
     cfg, sources = resolve_config(NOTES_DEFAULTS, args)
+    fps = float(cfg["fps"])
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValueError(f"fps must be finite and > 0, got {fps}")
     notes_path = Path(args.notes)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     ontology = annotate.PhaseOntology.from_file(args.lexicon) if args.lexicon \
         else annotate.PhaseOntology()
@@ -396,20 +405,22 @@ def cmd_parse_notes(args) -> int:
     if not boundaries:
         print("no phases found in notes", file=sys.stderr)
         return EXIT_INPUT
+    # every frame index and the timeline are computed before any file is written
+    frames = [annotate.seconds_to_frame(seconds, fps) for seconds, _ in boundaries]
+    timeline = None
+    if int(cfg["frames"]) > 0:
+        timeline = annotate.build_timeline(boundaries, int(cfg["frames"]), fps, ontology)
 
-    artifacts = []
-    fps = float(cfg["fps"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     bounds_path = out_dir / "boundaries.csv"
     with open(bounds_path, "w", encoding="utf-8") as fh:
         fh.write("frame,phase_id\n")
-        for seconds, phase in boundaries:
-            fh.write(f"{annotate.seconds_to_frame(seconds, fps)},{phase}\n")
-    artifacts.append(bounds_path)
-
-    if int(cfg["frames"]) > 0:
-        timeline = annotate.build_timeline(boundaries, int(cfg["frames"]), fps, ontology)
+        for frame, (_, phase) in zip(frames, boundaries):
+            fh.write(f"{frame},{phase}\n")
+    artifacts = [bounds_path]
+    if timeline is not None:
         labels_path = out_dir / "labels.csv"
-        annotate.write_label_csv(labels_path, timeline, expanded=True)
+        annotate.write_label_csv(labels_path, timeline)
         artifacts.append(labels_path)
 
     write_manifest(out_dir, "parse-notes", cfg, sources, [notes_path], artifacts, started)
@@ -431,6 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value settings file")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", required=True, help="output directory")
+
+    def precision(p, defaults, what):
+        p.add_argument("--precision", choices=("float64", "float32"),
+                       help=f"{what} precision (default {defaults['precision']})")
 
     p = sub.add_parser("gen-synth", help="generate a synthetic dataset")
     common(p)
@@ -465,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers-prediction", type=int, dest="layers_prediction")
     p.add_argument("--layers-refinement", type=int, dest="layers_refinement")
     p.add_argument("--fuse-mode", choices=("sum", "concat"), dest="fuse_mode")
-    p.add_argument("--precision", choices=("float64", "float32"))
+    precision(p, TRAIN_DEFAULTS, "training and validation")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a dataset split")
@@ -474,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="split directory (seq_*.npy)")
     p.add_argument("--post", choices=("none", "accumulator"))
     p.add_argument("--threshold", type=int)
-    p.add_argument("--precision", choices=("float64", "float32"))
+    precision(p, EVAL_DEFAULTS, "inference")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("segment", help="segment one feature file")
@@ -484,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pre-extracted per-frame embeddings (.npy, T x d)")
     p.add_argument("--post", choices=("none", "accumulator"))
     p.add_argument("--threshold", type=int)
-    p.add_argument("--precision", choices=("float64", "float32"))
+    precision(p, SEGMENT_DEFAULTS, "inference")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("parse-notes", help="extract weak labels from operative notes")

@@ -189,30 +189,21 @@ def ntxent_loss(embeddings, cfg: ContrastiveConfig = ContrastiveConfig()):
     return loss, grad
 
 
-def smoothing_loss(probs, clamp: float | None = None):
+def smoothing_loss(probs):
     """Mean absolute frame-to-frame change of log-probabilities.
 
     (1 / (T*C)) * sum_{t>=2, c} |log p_{t,c} - log p_{t-1,c}|, with
     probabilities floored at PROB_FLOOR. A single-frame sequence has loss 0
-    by definition. `clamp` optionally truncates each per-entry change at a
-    ceiling (off by default, matching the untruncated formula). Returns
-    (loss, gradient w.r.t. logits).
+    by definition. Returns (loss, gradient w.r.t. logits).
     """
-    if clamp is not None and clamp <= 0:
-        raise ValueError(f"clamp must be positive, got {clamp}")
     t_len, n_classes = probs.shape
     if t_len < 2:
         return 0.0, np.zeros_like(probs)
     q = np.maximum(probs, PROB_FLOOR)
     diffs = np.log(q[1:]) - np.log(q[:-1])
     scale = 1.0 / (t_len * n_classes)
-    magnitudes = np.abs(diffs)
-    if clamp is None:
-        loss = float(magnitudes.sum() * scale)
-        signs = np.sign(diffs)
-    else:
-        loss = float(np.minimum(magnitudes, clamp).sum() * scale)
-        signs = np.where(magnitudes < clamp, np.sign(diffs), 0.0)
+    loss = float(np.abs(diffs).sum() * scale)
+    signs = np.sign(diffs)
 
     d_q = np.zeros_like(probs)
     d_q[1:] += signs / q[1:]

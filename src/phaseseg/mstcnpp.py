@@ -24,6 +24,7 @@ order; every weight and bias field is a writeable view into it, laid out by
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -233,7 +234,7 @@ def forward(model: Model, x, return_cache: bool = False):
     holds a few (T, channels) arrays whatever the depth.
     """
     cfg = model.config
-    x = as_matrix(x, "features")
+    x = as_matrix(x, "features", model.dtype)
     if x.shape[1] != cfg.in_dim:
         raise ShapeError(f"input has {x.shape[1]} channels, model expects {cfg.in_dim}")
     x = x.astype(model.dtype, copy=False)
@@ -355,12 +356,13 @@ def _param_count(cfg: StageConfig) -> int:
             + (cfg.stages - 1) * stage(c, cfg.layers_refinement))
 
 
-def model_from_bytes(buf: bytes, offset: int = 0, dtype=np.float64) -> tuple[Model, int]:
+def model_from_bytes(buf, offset: int = 0, dtype=np.float64) -> tuple[Model, int]:
     """Parse a serialized model; returns (model, offset past the model).
 
     The header alone fixes the parameter byte count, so a short buffer is
     rejected before any parameter is allocated. Bytes after the model are
-    left to the caller.
+    left to the caller. A float32 model parsed from a writeable buffer keeps
+    its parameters in that buffer.
     """
     if buf[offset:offset + 4] != MAGIC:
         raise ModelFormatError("not a model file: bad magic bytes")
@@ -385,7 +387,8 @@ def model_from_bytes(buf: bytes, offset: int = 0, dtype=np.float64) -> tuple[Mod
     if offset + 4 * count > len(buf):
         raise ModelFormatError(f"model file truncated: header describes {4 * count} "
                                f"parameter bytes, {len(buf) - offset} present")
-    flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset).astype(dtype)
+    flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
+    flat = flat.astype(dtype, copy=not flat.flags.writeable)
     return _bind(cfg, flat), offset + 4 * count
 
 
@@ -395,8 +398,10 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path, dtype=np.float64) -> Model:
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    """Read a model file; a float32 model keeps its parameters in the read buffer."""
+    with open(path, "rb") as fh:  # np.empty: the buffer is not zero-filled before the read
+        buf = memoryview(np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8))
+        buf = buf[:fh.readinto(buf)]
     model, offset = model_from_bytes(buf, dtype=dtype)
     if offset != len(buf):
         raise ModelFormatError(f"{len(buf) - offset} unexpected trailing bytes in model file")

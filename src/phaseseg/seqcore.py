@@ -24,13 +24,13 @@ class ShapeError(ValueError):
     """Operand shapes do not satisfy a layer contract."""
 
 
-def as_matrix(x, name: str = "input") -> np.ndarray:
-    """Coerce to a 2-D float array; bool and integer input becomes float64."""
+def as_matrix(x, name: str = "input", dtype=np.float64) -> np.ndarray:
+    """Coerce to a 2-D float array; bool and integer input becomes dtype."""
     arr = np.asarray(x)
     if arr.dtype.kind not in "biuf":  # complex, dates, strings, objects
         raise ValueError(f"{name} must be real numbers, got dtype {arr.dtype}")
     if arr.dtype.kind != "f":
-        arr = arr.astype(np.float64)
+        arr = arr.astype(dtype)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D (T, channels), got shape {arr.shape}")
     return arr

@@ -94,11 +94,15 @@ def _jitter_boundaries(rng, durations: list[int], fraction: float) -> list[int]:
     return [e - s for s, e in zip(starts, ends)]
 
 
+_FILE_MAX = float(np.finfo(np.float32).max)  # dataset files store float32
+
+
 def generate(cfg: SynthConfig, n_sequences: int,
              sequence_seed: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Generate (features (T, d) float64, labels (T,) int64) pairs.
 
-    Deterministic for (cfg, n_sequences, sequence_seed).
+    Deterministic for (cfg, n_sequences, sequence_seed). Raises ValueError
+    if a feature is non-finite or beyond the float32 range of a dataset file.
 
     Cluster centers always derive from cfg.seed, so splits drawn with
     different sequence_seed values share one feature geometry.
@@ -136,6 +140,10 @@ def generate(cfg: SynthConfig, n_sequences: int,
         if cfg.noise_sigma > 0:
             features = features + rng.normal(0.0, cfg.noise_sigma, size=features.shape)
 
+        if not np.abs(features).max() <= _FILE_MAX:  # NaN fails too
+            raise ValueError("features beyond the float32 range of a dataset file: lower "
+                             "noise_sigma or the confusability (sellar_closure_confusability)")
+
         if cfg.label_noise > 0 and len(phases) > 1:
             durations = _jitter_boundaries(rng, durations, cfg.label_noise)
         out.append((features, np.repeat(phases, durations).astype(np.int64)))
@@ -153,29 +161,33 @@ def save_dataset(sequences, directory) -> list[str]:
     for i, (features, labels) in enumerate(sequences):
         npy = directory / f"seq_{i:03d}.npy"
         np.save(npy, np.asarray(features, dtype=np.float32))
-        write_label_csv(directory / f"seq_{i:03d}.csv", labels, expanded=True)
+        write_label_csv(directory / f"seq_{i:03d}.csv", labels)
         written.append(str(npy))
     return written
 
 
 def load_features(path, dtype=np.float64) -> np.ndarray:
-    """Load a (T, d) feature file, checked before the cast to dtype.
+    """Load a (T, d) feature file as dtype; a file already in dtype is not copied.
 
-    Raises ShapeError unless the array is 2-D with T >= 1 and d >= 1, and
-    ValueError if the file is not a readable array of real numbers or any
-    entry is non-finite; every message names the file.
+    Bool and integer files are cast straight to dtype. Raises ShapeError
+    unless the array is 2-D with T >= 1 and d >= 1, and ValueError if the
+    file is not a readable array of real numbers or any entry is non-finite
+    in dtype (a float64 value beyond the float32 range counts as infinite);
+    every message names the file.
     """
     try:
-        features = as_matrix(np.load(path), "features")
+        features = as_matrix(np.load(path), "features", dtype)
     except ShapeError as exc:
         raise ShapeError(f"{path}: {exc}") from None
     except (ValueError, EOFError) as exc:  # EOFError: a zero-byte file
         raise ValueError(f"{path}: {exc}") from None
     if features.shape[0] < 1 or features.shape[1] < 1:
         raise ShapeError(f"{path}: features need T >= 1 and d >= 1, got {features.shape}")
+    with np.errstate(over="ignore"):  # overflow shows as inf, rejected below
+        features = features.astype(dtype, copy=False)
     if not np.all(np.isfinite(features)):
         raise ValueError(f"{path}: features contain non-finite entries")
-    return features.astype(dtype, copy=False)
+    return features
 
 
 def load_dataset(directory, dtype=np.float64) -> list[tuple[np.ndarray, np.ndarray]]:

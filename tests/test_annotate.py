@@ -66,6 +66,16 @@ class TestSecondsToFrame:
         with pytest.raises(ValueError):
             seconds_to_frame(5, 0)
 
+    @pytest.mark.parametrize("fps", [float("inf"), float("nan"), -1.0])
+    def test_rejects_nonfinite_fps(self, fps):
+        with pytest.raises(ValueError, match="fps must be finite"):
+            seconds_to_frame(5, fps)
+
+    def test_rejects_overflowing_frame(self):
+        # 1e308 fps is finite, but 10 s of it is not a frame index
+        with pytest.raises(ValueError, match="beyond any frame index"):
+            seconds_to_frame(10, 1e308)
+
 
 class TestOntology:
     def test_default_order(self):
@@ -204,14 +214,35 @@ class TestFileIO:
     def test_label_csv_expanded_round_trip(self, tmp_path):
         labels = np.array([-1, -1, 0, 0, 1, 2, 2])
         path = tmp_path / "labels.csv"
-        write_label_csv(path, labels, expanded=True)
+        write_label_csv(path, labels)
         np.testing.assert_array_equal(read_label_csv(path), labels)
 
     def test_label_csv_boundary_round_trip(self, tmp_path):
+        # boundary-mode files are read, not written: one row per boundary
         tl = build_timeline([(2, 0), (4, 1)], total_frames=7, fps=1.0)
         path = tmp_path / "labels.csv"
-        write_label_csv(path, tl, expanded=False)
+        path.write_text("frame,phase_id\n" + "".join(f"{f},{p}\n" for f, p in tl.boundaries),
+                        encoding="utf-8")
         np.testing.assert_array_equal(read_label_csv(path, total_frames=7), tl.labels)
+
+    @pytest.mark.parametrize("row", ["-1,0", "0,-2", f"0,{2**63}", f"0,{2**70}"])
+    def test_label_csv_rejects_out_of_range_rows(self, tmp_path, row):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"frame,phase_id\n{row}\n", encoding="utf-8")
+        with pytest.raises(NoteParseError, match=":2"):
+            read_label_csv(path, total_frames=3)
+
+    def test_label_csv_oversized_field_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("frame,phase_id\n0," + "1" * 200_000 + "\n", encoding="utf-8")
+        with pytest.raises(NoteParseError, match="labels.csv"):
+            read_label_csv(path)
+
+    def test_notes_nested_too_deeply_rejected(self, tmp_path):
+        path = tmp_path / "notes.jsonl"
+        path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(NoteParseError, match=":1"):
+            read_notes_file(path)
 
     def test_label_csv_header_required(self, tmp_path):
         path = tmp_path / "labels.csv"

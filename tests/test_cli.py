@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -141,7 +142,9 @@ class TestTrain:
     ("train", "lr = nan"), ("train", "lr = inf"), ("train", "weight_decay = nan"),
     ("train", "weight_decay = -5"), ("train", "gamma = nan"),
     ("train", "lambda_smooth = nan"), ("train", "lambda_smooth = -1"),
-    ("gen-synth", "noise_sigma = nan"),
+    ("gen-synth", "noise_sigma = nan"), ("gen-synth", "noise_sigma = 1e308"),
+    ("gen-synth", "sellar_closure_confusability = nan"),
+    ("gen-synth", "sellar_closure_confusability = inf"),
 ])
 def test_bad_float_setting_exits_2(workspace, tmp_path, monkeypatch, capsys, command, line):
     # rejected with the key named before any epoch runs or any sequence is written
@@ -170,6 +173,29 @@ def test_manifest_records_peak_rss(workspace, tmp_path, command):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
     assert manifest["peak_rss_mib"] > 0
+
+
+@pytest.mark.parametrize("command, precision", [
+    ("train", "float64"), ("eval", "float32"), ("segment", "float32")])
+def test_manifest_records_default_precision(workspace, tmp_path, command, precision):
+    out = workspace["run"] if command == "train" else tmp_path / command
+    if command != "train":
+        source = (["--data", str(workspace["data"] / "test")] if command == "eval" else
+                  ["--ssl-features", str(workspace["data"] / "test" / "seq_000.npy")])
+        assert main([command, "--model", str(workspace["model"]), "--out", str(out),
+                     *source]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["precision"] == precision
+    assert manifest["config_sources"]["precision"] == "default"
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "segment"])
+def test_precision_help_names_default(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    default = {"train": cli.TRAIN_DEFAULTS, "eval": cli.EVAL_DEFAULTS,
+               "segment": cli.SEGMENT_DEFAULTS}[command]["precision"]
+    assert f"(default {default})" in " ".join(capsys.readouterr().out.split())
 
 
 _CONFIG_DEFAULTS = [cli.GEN_DEFAULTS, cli.TRAIN_DEFAULTS, cli.EVAL_DEFAULTS,
@@ -319,6 +345,87 @@ class TestSegment:
                                       np.argmax(probs[-1], axis=1))
 
 
+INFER_FRAMES = 2000
+INFER_CFG = mstcnpp.StageConfig(in_dim=256, channels=64, n_classes=4, stages=2,
+                                layers_prediction=3, layers_refinement=3)
+
+
+@pytest.fixture(scope="module")
+def infer_inputs(tmp_path_factory):
+    """A float32 feature file and a model whose float32 sizes a test can add up."""
+    root = tmp_path_factory.mktemp("infer")
+    mstcnpp.save_model(mstcnpp.init(INFER_CFG, seed=0), root / "model.bin")
+    features = np.random.default_rng(0).normal(size=(INFER_FRAMES, INFER_CFG.in_dim))
+    np.save(root / "x.npy", features.astype(np.float32))
+    return root / "model.bin", root / "x.npy"
+
+
+def _segment_argv(infer_inputs, out, *extra):
+    model_path, feat_path = infer_inputs
+    return ["segment", "--model", str(model_path), "--ssl-features", str(feat_path),
+            "--out", str(out), "--threshold", "5", *extra]
+
+
+class TestFloat32Inference:
+    @pytest.mark.parametrize("extra", [[], ["--precision", "float64"]])
+    def test_segment_peak_memory_is_float32_sized(self, infer_inputs, tmp_path, extra):
+        # the parameters, the features and a few (T, F) activations, all float32:
+        # a 6.9 MB bound; the default peaks at 5.5 MB and float64 at 11.0 MB
+        activation = 4 * INFER_FRAMES * INFER_CFG.channels
+        bound = (4 * mstcnpp._param_count(INFER_CFG) + 4 * INFER_FRAMES * INFER_CFG.in_dim
+                 + 8 * activation)
+        tracemalloc.start()
+        try:
+            assert main(_segment_argv(infer_inputs, tmp_path / "seg", *extra)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if extra:  # forced float64 inference breaks the bound, so the bound can see it
+            assert peak > bound
+        else:
+            assert peak < bound
+
+    def test_default_segment_computes_in_float32(self, infer_inputs, tmp_path, monkeypatch):
+        # every array into and out of forward's primitives, and the argmax input
+        seen = []
+
+        def recording(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                out = fn(*args)
+                seen.extend((name, a.dtype) for a in (*args, out) if isinstance(a, np.ndarray))
+                return out
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("conv1x1", "dilated_conv1d", "relu", "softmax_rows"):
+            recording(mstcnpp, name)
+        recording(cli.accumulator, "argmax_decode")
+        assert main(_segment_argv(infer_inputs, tmp_path / "seg")) == 0
+        assert {name for name, _ in seen} == {"conv1x1", "dilated_conv1d", "relu",
+                                              "softmax_rows", "argmax_decode"}
+        assert {dtype for _, dtype in seen if dtype.kind == "f"} == {np.dtype(np.float32)}
+        assert ("argmax_decode", np.dtype(np.float32)) in seen
+
+    def test_segment_float64_equals_float64_oracle(self, infer_inputs, tmp_path):
+        # --precision float64 is the exact float64 path: same bytes as the
+        # writers fed by a float64 forward pass
+        model_path, feat_path = infer_inputs
+        out = tmp_path / "seg"
+        assert main(_segment_argv(infer_inputs, out, "--precision", "float64")) == 0
+        probs = mstcnpp.forward(mstcnpp.load_model(model_path, np.float64),
+                                synthgen.load_features(feat_path, np.float64))[-1]
+        raw = np.argmax(probs, axis=1)
+        final = cli.accumulator.smooth(raw, cli.accumulator.AccumulatorConfig(threshold=5))
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        write_label_csv(expected / "phases.csv", final)
+        cli.evalmetrics.export_ribbon(raw, final, expected / "ribbon.svg")
+        for name in ("phases.csv", "ribbon.csv", "ribbon.svg"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
 class TestMalformedFeatureFiles:
     """Feature files are checked where they are loaded: any bad one exits 2."""
 
@@ -453,6 +560,132 @@ def test_segment_fuzzed_model_files(fuzz_model, fuzz_features, fields, trailing)
         assert _segment_rc(blob, fuzz_features, tmp) in (0, 2)
 
 
+NOTE_WORDS = ["nasal", "Sphenoid", "sellar", "closure", "flap", "drill", "irrigation", "-"]
+
+
+def _lines_file(draw, lines: list[str], junk) -> bytes:
+    """The lines, joined; now and then one replaced by a `junk` line or a
+    run of raw bytes spliced in."""
+    lines = list(lines)
+    if lines and draw(st.integers(0, 2)) == 0:
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(junk)
+    blob = "\n".join(lines).encode("utf-8", "surrogatepass")
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + draw(st.binary(min_size=1, max_size=8)) + blob[at:]
+    return blob
+
+
+PHASE_WORDS = ["nasal", "Sphenoid", "sellar", "flap"]  # one keyword of each phase, in order
+
+
+@st.composite
+def notes_files(draw):
+    """Mostly well-formed notes that name phases in order, with odd lines mixed in."""
+    times = sorted(draw(st.lists(st.integers(0, 900), max_size=6)))
+    words = st.one_of(st.sampled_from(PHASE_WORDS), st.sampled_from(["irrigation", "-", ""]))
+    notes = sorted(draw(st.lists(words, min_size=len(times), max_size=len(times))),
+                   key=lambda w: PHASE_WORDS.index(w) if w in PHASE_WORDS else -1)
+    lines = [json.dumps({"t": f"{t // 3600:02d}:{t // 60 % 60:02d}:{t % 60:02d}", "note": w})
+             for t, w in zip(times, notes)]
+    timestamp = st.one_of(
+        st.builds("{:02d}:{:02d}:{:02d}".format, st.integers(0, 120), st.integers(0, 70),
+                  st.integers(0, 70)),
+        st.text(max_size=10), st.integers(), st.floats(), st.none())
+    note = st.one_of(st.lists(st.sampled_from(NOTE_WORDS), max_size=3).map(" ".join),
+                     st.text(max_size=12), st.integers())
+    json_value = st.recursive(st.none() | st.booleans() | st.floats() | st.integers()
+                              | st.text(max_size=6),
+                              lambda inner: st.lists(inner, max_size=3)
+                              | st.dictionaries(st.sampled_from(["t", "note", "x"]), inner,
+                                                max_size=3), max_leaves=6)
+    junk = st.one_of(st.fixed_dictionaries({"t": timestamp, "note": note}).map(json.dumps),
+                     json_value.map(json.dumps), st.text(max_size=20))
+    return _lines_file(draw, lines, junk)
+
+
+@st.composite
+def lexicon_files(draw):
+    """Mostly `phase: keyword, ...` lines, with odd names, keywords and lines."""
+    name = st.sampled_from(["nasal", "sphenoid", "sellar", "closure"])
+    keyword = st.sampled_from(NOTE_WORDS + ["adenoma", "dura"])
+    if draw(st.booleans()):  # odd names and keywords too
+        name, keyword = name | st.text(max_size=8), keyword | st.text(max_size=6)
+    keywords = st.lists(keyword, max_size=4).map(", ".join)
+    line = st.tuples(name, keywords).map(": ".join)
+    junk = st.one_of(st.text(max_size=16), st.sampled_from(["# comment", "", ":", "nasal:"]))
+    return _lines_file(draw, draw(st.lists(line, max_size=5)), junk)
+
+
+FUZZ_FPS = ["1", "0.5", "30", "1e-9", "1e308", "0", "-1", "inf", "nan"]
+FOUR_PHASE_NOTES = "".join(f'{{"t": "00:0{i}:00", "note": "{w}"}}\n' for i, w in
+                           enumerate(["nasal", "sphenoid", "sellar", "closure"]))
+
+
+def _parse_notes_rc(tmp, notes: bytes, lexicon: bytes | None, fps: str, frames: int) -> int:
+    notes_file, lexicon_file = Path(tmp) / "notes.jsonl", Path(tmp) / "lexicon.txt"
+    notes_file.write_bytes(notes)
+    argv = ["parse-notes", "--notes", str(notes_file), "--out", str(Path(tmp) / "o"),
+            "--fps", fps, "--frames", str(frames)]
+    if lexicon is not None:
+        lexicon_file.write_bytes(lexicon)
+        argv += ["--lexicon", str(lexicon_file)]
+    return main(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(notes=notes_files(), fps=st.sampled_from(FUZZ_FPS),
+       frames=st.sampled_from([0, 1, 400, 2000]))
+def test_parse_notes_fuzzed_notes_files(notes, fps, frames):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _parse_notes_rc(tmp, notes, None, fps, frames) in (0, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lexicon=lexicon_files(), frames=st.sampled_from([0, 400]))
+def test_parse_notes_fuzzed_lexicon_files(lexicon, frames):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _parse_notes_rc(tmp, FOUR_PHASE_NOTES.encode(), lexicon, "1", frames) in (0, 2)
+
+
+FUZZ_FRAMES = 6
+
+
+@st.composite
+def label_files(draw):
+    """Per-frame or per-boundary rows, mostly of in-range phase ids, with odd
+    cells, rows and headers mixed in."""
+    phase = st.integers(-1, 3)
+    if draw(st.booleans()):  # out-of-range ids too
+        phase = phase | st.integers(-3, 5) | st.sampled_from([2**63, 2**70, -2**63 - 1])
+    if draw(st.booleans()):
+        frames = range(draw(st.integers(0, FUZZ_FRAMES + 2)))
+    else:
+        frames = sorted(draw(st.sets(st.integers(-1, FUZZ_FRAMES + 1), max_size=4)))
+    rows = ["frame,phase_id"] + [f"{t},{draw(phase)}" for t in frames]
+    cell = st.one_of(st.integers(-3, 8).map(str), st.text(max_size=5),
+                     st.sampled_from([str(2**70), " 2", "1.0", "", "\u0663", '"', "1_0"]))
+    junk = st.one_of(st.lists(cell, max_size=3).map(",".join), st.text(max_size=14))
+    return _lines_file(draw, rows, junk)
+
+
+@pytest.fixture(scope="module")
+def fuzz_split(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzzsplit")
+    np.save(path / "seq_000.npy", np.random.default_rng(1).normal(size=(FUZZ_FRAMES, FUZZ_IN_DIM)))
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=label_files(), post=st.sampled_from(["none", "accumulator"]))
+def test_eval_fuzzed_label_files(fuzz_model, fuzz_split, labels, post):
+    (fuzz_split / "seq_000.csv").write_bytes(labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = main(["eval", "--model", str(fuzz_model), "--data", str(fuzz_split),
+                   "--out", tmp, "--post", post, "--threshold", "2"])
+    assert rc in (0, 2)
+
+
 class TestThreadsSetting:
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
     def test_invalid_value_exits_2(self, workspace, tmp_path, monkeypatch, capsys, value):
@@ -501,6 +734,20 @@ class TestParseNotes:
         rc = main(["parse-notes", "--notes", str(notes), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "no phases found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fps", ["inf", "nan", "0", "-1", "1e308", "fast"])
+    def test_bad_fps_exits_2_before_writing(self, tmp_path, capsys, fps):
+        # 1e308 is finite, but a note at 10 s has no frame index at that rate
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text('{"t": "00:00:10", "note": "nasal"}\n', encoding="utf-8")
+        cfg_file = tmp_path / "notes.cfg"
+        cfg_file.write_text(f"fps = {fps}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["parse-notes", "--notes", str(notes), "--out", str(out),
+                   "--config", str(cfg_file), "--frames", "100"])
+        assert rc == 2
+        assert "fps" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lexicon_override(self, tmp_path):
         lexicon = tmp_path / "lex.txt"

@@ -179,27 +179,6 @@ class TestSmoothing:
         fd = central_difference(lambda v: smoothing_loss(softmax_rows(v))[0], z)
         assert_grad_close(grad, fd)
 
-    def test_clamp_defaults_off_and_truncates(self, rng):
-        p = np.array([[0.98, 0.02], [0.02, 0.98], [0.02, 0.98]])
-        full, _ = smoothing_loss(p)
-        clamped, _ = smoothing_loss(p, clamp=1.0)
-        assert clamped < full
-        # each clamped entry contributes exactly the ceiling
-        assert abs(clamped - 2 * 1.0 / (3 * 2)) < 1e-12
-        loose, _ = smoothing_loss(p, clamp=1e9)
-        assert abs(loose - full) < 1e-12
-
-    def test_clamped_gradient_matches_fd(self, rng):
-        z = rng.normal(size=(6, 3))
-        _, grad = smoothing_loss(softmax_rows(z), clamp=0.5)
-        fd = central_difference(
-            lambda v: smoothing_loss(softmax_rows(v), clamp=0.5)[0], z)
-        assert_grad_close(grad, fd)
-
-    def test_clamp_must_be_positive(self, rng):
-        with pytest.raises(ValueError):
-            smoothing_loss(softmax_rows(rng.normal(size=(3, 2))), clamp=0.0)
-
 
 class TestTotalLoss:
     def _stages(self, rng, n_stages, t_len=6, n_classes=3):

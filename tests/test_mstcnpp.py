@@ -321,6 +321,24 @@ class TestSerialization:
             assert np.array_equal(pa, pb)
         assert model_to_bytes(once) == model_to_bytes(twice)
 
+    def test_float32_load_keeps_parameters_in_read_buffer(self, tmp_path):
+        cfg = StageConfig(in_dim=64, channels=32, n_classes=4, stages=2,
+                          layers_prediction=3, layers_refinement=3)
+        model = init(cfg, seed=2)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_model(path, dtype=np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * size  # one buffer; reading bytes and then copying takes two
+        assert loaded.flat.flags.writeable and loaded.flat.flags.aligned
+        np.testing.assert_array_equal(loaded.flat, model.flat.astype(np.float32))
+        assert model_to_bytes(loaded) == path.read_bytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
         save_model(init(TINY, seed=0), path)

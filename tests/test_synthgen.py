@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,26 @@ class TestLoadFeatures:
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match="x.npy"):
             load_features(path)
+
+    def test_float64_beyond_float32_range_rejected_at_float32(self, tmp_path):
+        path = self._saved(tmp_path, np.array([[1.0, 1e39]]))
+        assert load_features(path).dtype == np.float64
+        with pytest.raises(ValueError, match="x.npy.*non-finite"):
+            load_features(path, np.float32)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_])
+    def test_integer_and_bool_cast_without_float64_copy(self, tmp_path, dtype):
+        # the loaded file plus its float32 cast (measured: 1.0 of the float32
+        # size on top of the file); a float64 copy in between makes it 2.0 or more
+        arr = np.ones((1000, 64), dtype=dtype)
+        path = self._saved(tmp_path, arr)
+        tracemalloc.start()
+        try:
+            x = load_features(path, np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arr.nbytes + 1.5 * x.nbytes
 
     @pytest.mark.parametrize("dtype", [np.int64, np.bool_])
     def test_integer_and_bool_become_float(self, tmp_path, dtype):
