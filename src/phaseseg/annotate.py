@@ -10,7 +10,8 @@ File formats:
   lexicon  - lines of the form  phase_name: keyword1, keyword2
   labels   - CSV with header frame,phase_id; one row per frame (ignored
              frames carry phase_id -1), which is what write_label_csv
-             writes, or one row per boundary, which read_label_csv also reads
+             writes, or one row per boundary, which read_label_csv also reads;
+             consecutive boundary rows differ in phase_id
 """
 
 from __future__ import annotations
@@ -105,18 +106,6 @@ class PhaseOntology:
         return cls(lexicon=merged)
 
 
-@dataclass(frozen=True)
-class NoteRecord:
-    """Timestamped free-text surgeon note."""
-
-    timestamp: str
-    text: str
-
-    @property
-    def seconds(self) -> int:
-        return parse_timestamp(self.timestamp)
-
-
 _TS_RE = re.compile(r"^(\d{1,3}):(\d{2}):(\d{2})$")
 
 
@@ -153,7 +142,8 @@ def seconds_to_frame(seconds: float, fps: float) -> int:
 
 
 def extract_boundaries(notes, ontology: PhaseOntology = PhaseOntology()):
-    """Keyword-match notes to phases; returns sorted [(seconds, phase_id)].
+    """Keyword-match (HH:MM:SS, text) notes to phases; returns sorted
+    [(seconds, phase_id)].
 
     Notes matching no phase are ignored; consecutive duplicates collapse to
     the earliest timestamp; out-of-order phase mentions raise PhaseOrderError
@@ -161,15 +151,11 @@ def extract_boundaries(notes, ontology: PhaseOntology = PhaseOntology()):
     NoteConflictError.
     """
     matched = []
-    for note in notes:
-        if isinstance(note, NoteRecord):
-            ts, text = note.seconds, note.text
-        else:
-            ts, text = parse_timestamp(note[0]), note[1]
+    for timestamp, text in notes:
         phase = ontology.match(text)
         if phase is None:
             continue
-        matched.append((ts, phase))
+        matched.append((parse_timestamp(timestamp), phase))
     matched.sort(key=lambda pair: (pair[0], pair[1]))
 
     for (t1, p1), (t2, p2) in zip(matched, matched[1:]):
@@ -245,8 +231,9 @@ def build_timeline(boundaries, total_frames: int, fps: float,
 # file IO
 # ---------------------------------------------------------------------------
 
-def read_notes_file(path) -> list[NoteRecord]:
-    """Parse a JSON-lines notes file; errors carry the offending line number."""
+def read_notes_file(path) -> list[tuple[str, str]]:
+    """Parse a JSON-lines notes file into (timestamp, text) pairs; errors carry
+    the offending line number."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -261,21 +248,17 @@ def read_notes_file(path) -> list[NoteRecord]:
                 raise NoteParseError(f"{path}:{lineno}: JSON nested too deeply") from None
             if not isinstance(obj, dict) or "t" not in obj or "note" not in obj:
                 raise NoteParseError(f"{path}:{lineno}: expected {{\"t\": ..., \"note\": ...}}")
+            timestamp = str(obj["t"])
             try:
-                rec = NoteRecord(timestamp=str(obj["t"]), text=str(obj["note"]))
-                rec.seconds  # validate eagerly so the line number is known
+                parse_timestamp(timestamp)  # validate eagerly so the line number is known
             except NoteParseError as exc:
                 raise NoteParseError(f"{path}:{lineno}: {exc}") from None
-            records.append(rec)
+            records.append((timestamp, str(obj["note"])))
     return records
 
 
-def write_label_csv(path, timeline_or_labels) -> None:
-    """Write labels as frame,phase_id rows, one per frame."""
-    if isinstance(timeline_or_labels, LabelTimeline):
-        labels = timeline_or_labels.labels
-    else:
-        labels = np.asarray(timeline_or_labels, dtype=np.int64)
+def write_label_csv(path, labels: np.ndarray) -> None:
+    """Write a per-frame label array as frame,phase_id rows, one per frame."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "phase_id"])
@@ -289,7 +272,8 @@ _MAX_PHASE_ID = np.iinfo(np.int64).max
 def read_label_csv(path, total_frames: int | None = None) -> np.ndarray:
     """Read a label CSV (either mode) back into a per-frame int array.
 
-    Frames are >= 0 and phase ids >= -1 (-1 marks an ignored frame).
+    Frames are >= 0 and phase ids >= -1 (-1 marks an ignored frame); in
+    boundary mode, consecutive rows differ in phase_id.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -323,6 +307,14 @@ def read_label_csv(path, total_frames: int | None = None) -> np.ndarray:
         raise NoteParseError(f"{path}: boundary-mode CSV needs total_frames")
     if frames[-1] >= total_frames:
         raise NoteParseError(f"{path}: boundary frame {frames[-1]} beyond {total_frames} frames")
+    # a row that repeats its predecessor's phase is no boundary: most likely a
+    # per-frame file cut short, whose last phase would otherwise run to the end
+    for (_, prev), (frame, phase) in zip(rows, rows[1:]):
+        if phase == prev:
+            raise NoteParseError(
+                f"{path}: {len(rows)} rows for {total_frames} frames, and the row at "
+                f"frame {frame} repeats phase_id {phase}, so it is no boundary "
+                f"(a per-frame file cut short?)")
     labels = np.full(total_frames, -1, dtype=np.int64)
     for i, (frame, phase) in enumerate(rows):
         end = rows[i + 1][0] if i + 1 < len(rows) else total_frames

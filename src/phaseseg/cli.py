@@ -128,7 +128,6 @@ def write_manifest(out_dir: Path, command: str, config: dict, sources: dict,
         "argv": sys.argv[1:],
         "config": config,
         "config_sources": sources,
-        "seed": config.get("seed"),
         "input_hashes": _hash_inputs(inputs),
         "artifacts": [str(a) for a in artifacts],
         "wall_clock_s": round(time.perf_counter() - started, 3),
@@ -290,31 +289,38 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 EVAL_DEFAULTS = {
-    "seed": 0,
     "post": "none",
     "threshold": 30,
     "precision": "float32",  # inference only; float64 on request
 }
 
 
-def predict(model, x, post: str, threshold: int) -> tuple[np.ndarray, np.ndarray]:
-    """Final-stage argmax timeline (raw) and the timeline after `post` (final)."""
-    if post not in ("none", "accumulator"):
-        raise ValueError(f"post must be 'none' or 'accumulator', got {post!r}")
+def _inference_settings(cfg: dict):
+    """eval's and segment's settings, checked before any directory or model is
+    touched: (dtype, accumulator config, or None when post = none)."""
+    if cfg["post"] not in ("none", "accumulator"):
+        raise ValueError(f"post must be 'none' or 'accumulator', got {cfg['post']!r}")
+    smoother = accumulator.AccumulatorConfig(threshold=cfg["threshold"])  # threshold >= 1
+    return _dtype_of(cfg["precision"]), smoother if cfg["post"] == "accumulator" else None
+
+
+def predict(model, x, smoother) -> tuple[np.ndarray, np.ndarray]:
+    """Final-stage argmax timeline (raw) and, after the accumulator when
+    smoother is given, the final timeline."""
     raw = accumulator.argmax_decode(mstcnpp.forward(model, x)[-1])
-    if post == "none":
+    if smoother is None:
         return raw, raw
-    return raw, accumulator.smooth(raw, accumulator.AccumulatorConfig(threshold=threshold))
+    return raw, accumulator.smooth(raw, smoother)
 
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     cfg, sources = resolve_config(EVAL_DEFAULTS, args)
+    dtype, smoother = _inference_settings(cfg)
     model_path = Path(args.model)
     data_dir = Path(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dtype = _dtype_of(cfg["precision"])
 
     model = mstcnpp.load_model(model_path, dtype=dtype)
     dataset = synthgen.load_dataset(data_dir, dtype=dtype)
@@ -323,10 +329,10 @@ def cmd_eval(args) -> int:
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
     segment_counts = []
     for features, labels in dataset:
-        _, pred = predict(model, features, cfg["post"], int(cfg["threshold"]))
-        pooled += evalmetrics.confusion(labels, pred, n_classes).counts
+        _, pred = predict(model, features, smoother)
+        pooled += evalmetrics.confusion(labels, pred, n_classes)
         segment_counts.append(evalmetrics.segment_count(pred))
-    rep = evalmetrics.report(evalmetrics.ConfusionMatrix(pooled))
+    rep = evalmetrics.report(pooled)
 
     payload = rep.as_dict()
     payload["confusion"] = pooled.tolist()
@@ -348,7 +354,6 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 SEGMENT_DEFAULTS = {
-    "seed": 0,
     "post": "accumulator",
     "threshold": 30,
     "precision": "float32",  # inference only; float64 on request
@@ -358,15 +363,15 @@ SEGMENT_DEFAULTS = {
 def cmd_segment(args) -> int:
     started = time.perf_counter()
     cfg, sources = resolve_config(SEGMENT_DEFAULTS, args)
+    dtype, smoother = _inference_settings(cfg)
     model_path = Path(args.model)
     feat_path = Path(args.ssl_features)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dtype = _dtype_of(cfg["precision"])
 
     model = mstcnpp.load_model(model_path, dtype=dtype)
     features = synthgen.load_features(feat_path, dtype)
-    raw, final = predict(model, features, cfg["post"], int(cfg["threshold"]))
+    raw, final = predict(model, features, smoother)
 
     csv_path = out_dir / "phases.csv"
     annotate.write_label_csv(csv_path, final)
@@ -383,7 +388,6 @@ def cmd_segment(args) -> int:
 # ---------------------------------------------------------------------------
 
 NOTES_DEFAULTS = {
-    "seed": 0,
     "fps": 1.0,
     "frames": 0,   # 0 = boundaries only
 }
@@ -420,7 +424,7 @@ def cmd_parse_notes(args) -> int:
     artifacts = [bounds_path]
     if timeline is not None:
         labels_path = out_dir / "labels.csv"
-        annotate.write_label_csv(labels_path, timeline)
+        annotate.write_label_csv(labels_path, timeline.labels)
         artifacts.append(labels_path)
 
     write_manifest(out_dir, "parse-notes", cfg, sources, [notes_path], artifacts, started)
@@ -440,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key = value settings file")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", required=True, help="output directory")
 
     def precision(p, defaults, what):
@@ -449,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="generate a synthetic dataset")
     common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--dim", type=int)
     p.add_argument("--n-train", type=int, dest="n_train")
     p.add_argument("--n-val", type=int, dest="n_val")
@@ -462,6 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a dataset directory")
     common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--data", required=True, help="dataset dir with train/ and val/")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)

@@ -22,50 +22,21 @@ PHASE_PALETTE = ("#4C72B0", "#DD8452", "#55A868", "#C44E52",
 IGNORE_COLOR = "#D3D3D3"
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Nonnegative counts; rows are ground truth, columns are predictions."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.counts, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"confusion matrix must be square, got shape {arr.shape}")
-        if np.any(arr < 0):
-            raise ValueError("confusion matrix counts must be nonnegative")
-        object.__setattr__(self, "counts", arr)
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion(gt, pred, n_classes: int, ignore=None) -> ConfusionMatrix:
-    """Tally (ground truth, prediction) pairs over non-ignored frames.
-
-    Frames with gt < 0 or flagged in `ignore` are skipped.
+def confusion(gt, pred, n_classes: int) -> np.ndarray:
+    """(C, C) int64 counts of (ground truth, prediction) pairs; rows are ground
+    truth, columns predictions. Frames with gt < 0 are skipped.
     """
     gt = np.asarray(gt, dtype=np.int64)
     pred = np.asarray(pred, dtype=np.int64)
     if gt.shape != pred.shape:
         raise ValueError(f"length mismatch: gt has {gt.shape}, pred has {pred.shape}")
     mask = gt >= 0
-    if ignore is not None:
-        ignore = np.asarray(ignore, dtype=bool)
-        if ignore.shape != gt.shape:
-            raise ValueError(f"ignore mask shape {ignore.shape} does not match labels")
-        mask &= ~ignore
     g, p = gt[mask], pred[mask]
     if np.any(g >= n_classes) or np.any(p >= n_classes) or np.any(p < 0):
         raise ValueError(f"labels outside [0, {n_classes})")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (g, p), 1)
-    return ConfusionMatrix(counts)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -104,9 +75,9 @@ class MetricReport:
         }
 
 
-def report(cm: ConfusionMatrix) -> MetricReport:
-    """Precision, recall, F1 per class plus unweighted macro means and accuracy."""
-    counts = cm.counts if isinstance(cm, ConfusionMatrix) else ConfusionMatrix(cm).counts
+def report(counts: np.ndarray) -> MetricReport:
+    """Precision, recall, F1 per class plus unweighted macro means and accuracy,
+    from a confusion() counts array."""
     total = counts.sum()
     if total == 0:
         raise ValueError("empty confusion matrix: no evaluated frames")

@@ -24,19 +24,18 @@ PROB_FLOOR = 1e-12
 class FocalConfig:
     """Focusing parameter gamma and per-class weights alpha.
 
-    alpha may be None (uniform 1.0), a scalar, or a length-C vector with
-    entries in [0, 1]. gamma = 0 with uniform alpha reduces the loss to
-    plain cross-entropy.
+    alpha is None (uniform 1.0) or a length-C vector with entries in [0, 1].
+    gamma = 0 with uniform alpha reduces the loss to plain cross-entropy.
     """
 
     gamma: float = 2.0
-    alpha: np.ndarray | float | None = None
+    alpha: np.ndarray | None = None
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.alpha is not None:
-            a = np.atleast_1d(np.asarray(self.alpha, dtype=float))
+            a = np.asarray(self.alpha, dtype=float)
             if np.any(a < 0) or np.any(a > 1):
                 raise ValueError("alpha entries must lie in [0, 1]")
             object.__setattr__(self, "alpha", a)
@@ -44,12 +43,9 @@ class FocalConfig:
     def class_weights(self, n_classes: int) -> np.ndarray:
         if self.alpha is None:
             return np.ones(n_classes)
-        a = np.asarray(self.alpha, dtype=float)
-        if a.size == 1:
-            return np.full(n_classes, float(a.reshape(-1)[0]))
-        if a.shape != (n_classes,):
-            raise ShapeError(f"alpha must have {n_classes} entries, got shape {a.shape}")
-        return a
+        if self.alpha.shape != (n_classes,):
+            raise ShapeError(f"alpha must have {n_classes} entries, got shape {self.alpha.shape}")
+        return self.alpha
 
 
 def inverse_frequency_alpha(labels_per_sequence, n_classes: int) -> np.ndarray:
@@ -68,30 +64,20 @@ def inverse_frequency_alpha(labels_per_sequence, n_classes: int) -> np.ndarray:
     return inv / inv.max()
 
 
-def _counted_mask(labels: np.ndarray, n_classes: int, ignore) -> np.ndarray:
-    if np.any(labels >= n_classes):
-        bad = int(labels[labels >= n_classes][0])
-        raise ValueError(f"label {bad} out of range for {n_classes} classes")
-    mask = labels >= 0
-    if ignore is not None:
-        ignore = np.asarray(ignore, dtype=bool)
-        if ignore.shape != labels.shape:
-            raise ShapeError(f"ignore mask shape {ignore.shape} does not match labels {labels.shape}")
-        mask &= ~ignore
-    return mask
-
-
-def focal_loss(probs, labels, cfg: FocalConfig = FocalConfig(), ignore=None):
+def focal_loss(probs, labels, cfg: FocalConfig = FocalConfig()):
     """Mean focal loss -alpha_y (1 - p_y)^gamma log(p_y) over counted frames.
 
-    Frames with label < 0 or flagged in `ignore` are skipped. Returns
-    (loss, gradient w.r.t. logits); the gradient is zero on skipped frames.
+    Frames with label < 0 are skipped. Returns (loss, gradient w.r.t.
+    logits); the gradient is zero on skipped frames.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (probs.shape[0],):
         raise ShapeError(f"labels must have shape ({probs.shape[0]},), got {labels.shape}")
     n_classes = probs.shape[1]
-    mask = _counted_mask(labels, n_classes, ignore)
+    if np.any(labels >= n_classes):
+        bad = int(labels[labels >= n_classes][0])
+        raise ValueError(f"label {bad} out of range for {n_classes} classes")
+    mask = labels >= 0
     n_counted = int(mask.sum())
     if n_counted == 0:
         raise ValueError("no counted frames: every frame is ignored")
@@ -229,7 +215,7 @@ class LossBreakdown:
 
 
 def total_loss(stage_probs, labels, cfg: FocalConfig = FocalConfig(),
-               smoothing_weight: float = 0.15, ignore=None):
+               smoothing_weight: float = 0.15):
     """Sum of focal + weighted smoothing loss over all stages.
 
     Returns (LossBreakdown, per-stage gradients w.r.t. each stage's logits).
@@ -245,7 +231,7 @@ def total_loss(stage_probs, labels, cfg: FocalConfig = FocalConfig(),
 
     focals, smooths, grads = [], [], []
     for m in stage_probs:
-        f_val, f_grad = focal_loss(m, labels, cfg, ignore=ignore)
+        f_val, f_grad = focal_loss(m, labels, cfg)
         s_val, s_grad = smoothing_loss(m)
         focals.append(f_val)
         smooths.append(s_val)

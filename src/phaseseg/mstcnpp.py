@@ -38,6 +38,7 @@ from .seqcore import (
     dilated_conv1d,
     dilated_conv1d_backward,
     relu,
+    relu_backward,
     softmax_rows,
     softmax_rows_backward,
 )
@@ -268,7 +269,7 @@ def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_out, fuse_mode,
     fuse = conv1x1_backward(lc.post_relu, layer.w_fuse, g_out)
     grad.w_fuse[...] = fuse.d_weights
     grad.b_fuse[...] = fuse.d_bias
-    g_a = fuse.d_input * (lc.pre_relu > 0)
+    g_a = relu_backward(lc.pre_relu, fuse.d_input).d_input
     if fuse_mode == "sum":
         g_c1 = g_c2 = g_a
     else:

@@ -153,7 +153,7 @@ def test_criterion_2_loss_identities():
     rng = np.random.default_rng(5)
     p = softmax_rows(rng.normal(size=(20, 4)))
     labels = rng.integers(0, 4, size=20)
-    focal, _ = focal_loss(p, labels, FocalConfig(gamma=0.0, alpha=1.0))
+    focal, _ = focal_loss(p, labels, FocalConfig(gamma=0.0))
     ce = -float(np.mean(np.log(p[np.arange(20), labels])))
     assert abs(focal - ce) < 1e-9
 
@@ -210,9 +210,9 @@ def _train_eval(scfg, seed, gamma, smoothing_weight, n_test=6):
     seg_counts = []
     for x, y in test:
         pred = np.argmax(mstcnpp.forward(best, x)[-1], axis=1)
-        pooled += evalmetrics.confusion(y, pred, 4).counts
+        pooled += evalmetrics.confusion(y, pred, 4)
         seg_counts.append(evalmetrics.segment_count(pred))
-    rep = evalmetrics.report(evalmetrics.ConfusionMatrix(pooled))
+    rep = evalmetrics.report(pooled)
     return rep, float(np.mean(seg_counts))
 
 
@@ -311,7 +311,7 @@ def test_criterion_7_metrics_oracle():
         assert abs(rep.macro_f1 - np.mean(f1s)) < 1e-9
         assert abs(rep.accuracy - 100 * np.mean(gt == pred)) < 1e-9
 
-    rep = evalmetrics.report(evalmetrics.ConfusionMatrix(np.array([[2, 1], [0, 3]])))
+    rep = evalmetrics.report(np.array([[2, 1], [0, 3]]))
     assert abs(rep.precision[0] - 100.0) < 1e-9
     assert abs(rep.recall[0] - 200 / 3) < 1e-9
     assert abs(rep.f1[0] - 80.0) < 1e-9

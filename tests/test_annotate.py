@@ -7,7 +7,6 @@ from phaseseg.annotate import (
     LabelTimeline,
     NoteConflictError,
     NoteParseError,
-    NoteRecord,
     PhaseOntology,
     PhaseOrderError,
     build_timeline,
@@ -145,10 +144,6 @@ class TestExtractBoundaries:
         with pytest.raises(NoteConflictError):
             extract_boundaries(notes)
 
-    def test_accepts_note_records(self):
-        notes = [NoteRecord("00:00:10", "nasal entry")]
-        assert extract_boundaries(notes) == [(10, 0)]
-
 
 class TestBuildTimeline:
     def test_worked_interval_split(self):
@@ -196,7 +191,8 @@ class TestFileIO:
                         '{"t": "00:20:00", "note": "sphenoid ostium"}\n',
                         encoding="utf-8")
         notes = read_notes_file(path)
-        assert [n.seconds for n in notes] == [10, 1200]
+        assert notes == [("00:00:10", "nasal entry"), ("00:20:00", "sphenoid ostium")]
+        assert extract_boundaries(notes) == [(10, 0), (1200, 1)]
 
     def test_notes_error_carries_line_number(self, tmp_path):
         path = tmp_path / "notes.jsonl"
@@ -224,6 +220,24 @@ class TestFileIO:
         path.write_text("frame,phase_id\n" + "".join(f"{f},{p}\n" for f, p in tl.boundaries),
                         encoding="utf-8")
         np.testing.assert_array_equal(read_label_csv(path, total_frames=7), tl.labels)
+
+    @pytest.mark.parametrize("keep", [2, 5, 7])
+    def test_truncated_per_frame_csv_rejected(self, tmp_path, keep):
+        # a per-frame file cut short repeats a phase in consecutive rows,
+        # which no boundary-mode file does
+        labels = np.array([0, 0, 1, 1, 2, 3, 3, 3])
+        path = tmp_path / "labels.csv"
+        write_label_csv(path, labels)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:1 + keep]), encoding="utf-8")
+        with pytest.raises(NoteParseError, match="labels.csv.*repeats phase_id"):
+            read_label_csv(path, total_frames=8)
+
+    def test_boundary_csv_repeated_phase_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("frame,phase_id\n0,-1\n3,-1\n5,2\n", encoding="utf-8")
+        with pytest.raises(NoteParseError, match="frame 3 repeats phase_id -1"):
+            read_label_csv(path, total_frames=9)
 
     @pytest.mark.parametrize("row", ["-1,0", "0,-2", f"0,{2**63}", f"0,{2**70}"])
     def test_label_csv_rejects_out_of_range_rows(self, tmp_path, row):

@@ -65,6 +65,8 @@ class TestGenSynth:
         assert manifest["config"]["dim"] == 12
         assert manifest["config_sources"]["dim"] == "flag"
         assert manifest["config_sources"]["noise_sigma"] == "default"
+        # the seed is part of the resolved config; there is no top-level copy
+        assert manifest["config"]["seed"] == 5 and "seed" not in manifest
 
 
 class TestTrain:
@@ -161,15 +163,19 @@ def test_bad_float_setting_exits_2(workspace, tmp_path, monkeypatch, capsys, com
     assert not fit_calls and not list(out.rglob("*.npy"))
 
 
+def _inference_argv(workspace, command, out, *extra):
+    """eval on the test split or segment on its first sequence, with the shared model."""
+    source = (["--data", str(workspace["data"] / "test")] if command == "eval" else
+              ["--ssl-features", str(workspace["data"] / "test" / "seq_000.npy")])
+    return [command, "--model", str(workspace["model"]), "--out", str(out), *source, *extra]
+
+
 @pytest.mark.parametrize("command", ["gen-synth", "train", "eval", "segment"])
 def test_manifest_records_peak_rss(workspace, tmp_path, command):
     out = {"gen-synth": workspace["data"], "train": workspace["run"]}.get(command)
     if out is None:
         out = tmp_path / command
-        source = (["--data", str(workspace["data"] / "test")] if command == "eval" else
-                  ["--ssl-features", str(workspace["data"] / "test" / "seq_000.npy")])
-        assert main([command, "--model", str(workspace["model"]), "--out", str(out),
-                     *source]) == 0
+        assert main(_inference_argv(workspace, command, out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
     assert manifest["peak_rss_mib"] > 0
@@ -180,13 +186,58 @@ def test_manifest_records_peak_rss(workspace, tmp_path, command):
 def test_manifest_records_default_precision(workspace, tmp_path, command, precision):
     out = workspace["run"] if command == "train" else tmp_path / command
     if command != "train":
-        source = (["--data", str(workspace["data"] / "test")] if command == "eval" else
-                  ["--ssl-features", str(workspace["data"] / "test" / "seq_000.npy")])
-        assert main([command, "--model", str(workspace["model"]), "--out", str(out),
-                     *source]) == 0
+        assert main(_inference_argv(workspace, command, out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["precision"] == precision
     assert manifest["config_sources"]["precision"] == "default"
+
+
+@pytest.mark.parametrize("command", ["eval", "segment", "parse-notes"])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_seed_exists_only_on_gen_synth_and_train(workspace, tmp_path, capsys, command, how):
+    # nothing in these commands draws a random number, so neither the flag nor
+    # the config key exists; both exit 2 before the output directory is made
+    out = tmp_path / "out"
+    if command == "parse-notes":
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text('{"t": "00:00:10", "note": "nasal"}\n', encoding="utf-8")
+        argv = ["parse-notes", "--notes", str(notes), "--out", str(out)]
+    else:
+        argv = _inference_argv(workspace, command, out)
+    if how == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "0"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+    else:
+        cfg_file = tmp_path / "seed.cfg"
+        cfg_file.write_text("seed = 0\n", encoding="utf-8")
+        assert main([*argv, "--config", str(cfg_file)]) == 2
+        assert "unknown config keys: ['seed']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "segment"])
+@pytest.mark.parametrize("flags, line, key", [
+    (["--threshold", "0"], None, "threshold"),
+    (["--post", "none", "--threshold", "-3"], None, "threshold"),
+    ([], "post = bogus", "post"),
+    ([], "threshold = 0", "threshold"),
+    ([], "precision = float16", "precision"),
+])
+def test_bad_inference_setting_exits_2_before_any_work(workspace, tmp_path, monkeypatch,
+                                                       capsys, command, flags, line, key):
+    calls = []
+    for name in ("load_model", "forward"):
+        monkeypatch.setattr(mstcnpp, name, lambda *args, name=name, **kw: calls.append(name))
+    if line is not None:
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(line + "\n", encoding="utf-8")
+        flags = [*flags, "--config", str(cfg_file)]
+    out = tmp_path / "out"
+    assert main(_inference_argv(workspace, command, out, *flags)) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists() and not calls
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "segment"])
@@ -280,6 +331,20 @@ class TestEval:
         assert rc == 0
         payload = json.loads((out / "report.json").read_text())
         assert payload["post"] == "accumulator"
+
+    def test_truncated_label_csv_exits_2(self, workspace, tmp_path, capsys):
+        # a per-frame label file cut short is not read as a boundary file
+        split = tmp_path / "split"
+        shutil.copytree(workspace["data"] / "test", split)
+        csv_path = split / "seq_000.csv"
+        lines = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:len(lines) // 2]), encoding="utf-8")
+        out = tmp_path / "eval"
+        rc = main(["eval", "--model", str(workspace["model"]), "--data", str(split),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "seq_000.csv" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_bad_model_path_exits_2(self, workspace, tmp_path):
         rc = main(["eval", "--model", str(tmp_path / "missing.bin"),

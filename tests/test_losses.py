@@ -28,6 +28,11 @@ class TestFocalConfig:
         with pytest.raises(ValueError):
             FocalConfig(alpha=np.array([0.5, 1.2]))
 
+    def test_rejects_scalar_alpha(self):
+        # alpha is None or one weight per class; there is no scalar form
+        with pytest.raises(ShapeError):
+            focal_loss(np.array([[0.5, 0.5]]), np.array([0]), FocalConfig(alpha=1.0))
+
     def test_inverse_frequency_alpha_scales_to_one(self):
         labels = [np.array([0, 0, 0, 0, 0, 0, 1, 1, 2])]
         alpha = inverse_frequency_alpha(labels, 3)
@@ -51,7 +56,7 @@ class TestFocalLoss:
 
     def test_half_probability_worked_value(self):
         val, _ = focal_loss(np.array([[0.5, 0.5]]), np.array([0]),
-                            FocalConfig(gamma=2.0, alpha=1.0))
+                            FocalConfig(gamma=2.0))
         assert abs(val - 0.25 * math.log(2)) < 1e-12
 
     def test_label_out_of_range(self):
@@ -66,7 +71,7 @@ class TestFocalLoss:
         p = softmax_rows(rng.normal(size=(6, 3)))
         labels = rng.integers(0, 3, size=6)
         ignore = np.array([False, True, False, True, False, False])
-        val, grad = focal_loss(p, labels, FocalConfig(), ignore=ignore)
+        val, grad = focal_loss(p, np.where(ignore, -1, labels), FocalConfig())
         val_manual, _ = focal_loss(p[~ignore], labels[~ignore], FocalConfig())
         assert abs(val - val_manual) < 1e-12
         assert not grad[ignore].any()
