@@ -11,12 +11,14 @@ Subcommands cover the full workflow on synthetic or pre-extracted features:
 Every command resolves its settings as CLI flag > config file > default,
 writes a manifest.json recording the resolved configuration, input hashes
 and artifacts, and uses stable exit codes: 0 success, 2 input/validation
-error, 3 numeric failure. PHASESEG_THREADS caps internal parallelism.
+error, 3 numeric failure. PHASESEG_THREADS bounds the threads that compute
+at once; results do not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -121,16 +123,42 @@ def _hash_inputs(paths) -> dict:
     return hashes
 
 
+class PhaseTimer:
+    """Seconds spent per named phase of a command; `with timer("load"): ...`
+    adds the block's duration to that phase."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+
+    @contextlib.contextmanager
+    def __call__(self, phase: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[phase] = self.seconds.get(phase, 0.0) + time.perf_counter() - start
+
+
 def write_manifest(out_dir: Path, command: str, config: dict, sources: dict,
-                   inputs, artifacts, started: float) -> Path:
+                   inputs, artifacts, started: float, timer: PhaseTimer | None = None) -> Path:
+    """Write manifest.json; with a timer, its phases plus "hash" (hashing the
+    inputs) go under phase_s. Times are in microseconds' precision, so the
+    phases never sum past wall_clock_s."""
+    timer = timer or PhaseTimer()
+    with timer("hash"):
+        input_hashes = _hash_inputs(inputs)
     manifest = {
         "command": command,
         "argv": sys.argv[1:],
         "config": config,
         "config_sources": sources,
-        "input_hashes": _hash_inputs(inputs),
+        "environment": {"threads": _threads(),
+                        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+                        "numpy": np.__version__},
+        "input_hashes": input_hashes,
         "artifacts": [str(a) for a in artifacts],
-        "wall_clock_s": round(time.perf_counter() - started, 3),
+        "phase_s": {phase: round(s, 6) for phase, s in timer.seconds.items()},
+        "wall_clock_s": round(time.perf_counter() - started, 6),
         # the process's high-water mark so far (Linux reports ru_maxrss in KiB)
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
@@ -231,7 +259,6 @@ def cmd_train(args) -> int:
     cfg, sources = resolve_config(TRAIN_DEFAULTS, args)
     data_dir = Path(args.data)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dtype = _dtype_of(cfg["precision"])
 
     train_set = synthgen.load_dataset(data_dir / "train", dtype=dtype)
@@ -268,8 +295,8 @@ def cmd_train(args) -> int:
         gamma=gamma,
         alpha_mode=alpha_mode,
     )
-    best_model, report = trainer.fit(model, train_set, val_set, train_cfg,
-                                     max_workers=_threads())
+    out_dir.mkdir(parents=True, exist_ok=True)  # the inputs loaded: a bad one leaves no directory
+    best_model, report = trainer.fit(model, train_set, val_set, train_cfg, threads=_threads())
 
     model_path = out_dir / "model.bin"
     mstcnpp.save_model(best_model, model_path)
@@ -304,13 +331,14 @@ def _inference_settings(cfg: dict):
     return _dtype_of(cfg["precision"]), smoother if cfg["post"] == "accumulator" else None
 
 
-def predict(model, x, smoother) -> tuple[np.ndarray, np.ndarray]:
+def predict(model, x, smoother, threads: int, timer: PhaseTimer) -> tuple[np.ndarray, np.ndarray]:
     """Final-stage argmax timeline (raw) and, after the accumulator when
-    smoother is given, the final timeline."""
-    raw = accumulator.argmax_decode(mstcnpp.forward(model, x)[-1])
-    if smoother is None:
-        return raw, raw
-    return raw, accumulator.smooth(raw, smoother)
+    smoother is given, the final timeline; times the "forward" and "post" phases."""
+    with timer("forward"):
+        probs = mstcnpp.forward(model, x, threads=threads)[-1]
+    with timer("post"):
+        raw = accumulator.argmax_decode(probs)
+        return raw, raw if smoother is None else accumulator.smooth(raw, smoother)
 
 
 def cmd_eval(args) -> int:
@@ -320,31 +348,36 @@ def cmd_eval(args) -> int:
     model_path = Path(args.model)
     data_dir = Path(args.data)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    threads, timer = _threads(), PhaseTimer()
 
-    model = mstcnpp.load_model(model_path, dtype=dtype)
-    dataset = synthgen.load_dataset(data_dir, dtype=dtype)
+    with timer("load"):
+        model = mstcnpp.load_model(model_path, dtype=dtype)
+        dataset = synthgen.load_dataset(data_dir, dtype=dtype)
     n_classes = model.config.n_classes
 
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
     segment_counts = []
     for features, labels in dataset:
-        _, pred = predict(model, features, smoother)
-        pooled += evalmetrics.confusion(labels, pred, n_classes)
-        segment_counts.append(evalmetrics.segment_count(pred))
-    rep = evalmetrics.report(pooled)
+        _, pred = predict(model, features, smoother, threads, timer)
+        with timer("post"):
+            pooled += evalmetrics.confusion(labels, pred, n_classes)
+            segment_counts.append(evalmetrics.segment_count(pred))
+    with timer("post"):
+        rep = evalmetrics.report(pooled)
 
     payload = rep.as_dict()
     payload["confusion"] = pooled.tolist()
     payload["segment_counts"] = segment_counts
     payload["post"] = cfg["post"]
-    json_path = out_dir / "report.json"
-    json_path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     table = evalmetrics.format_report(rep)
-    txt_path = out_dir / "report.txt"
-    txt_path.write_text(table + "\n", encoding="utf-8")
+    with timer("write"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        json_path = out_dir / "report.json"
+        json_path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        txt_path = out_dir / "report.txt"
+        txt_path.write_text(table + "\n", encoding="utf-8")
     write_manifest(out_dir, "eval", cfg, sources, [model_path, data_dir],
-                   [json_path, txt_path], started)
+                   [json_path, txt_path], started, timer)
     print(table)
     return EXIT_OK
 
@@ -367,17 +400,20 @@ def cmd_segment(args) -> int:
     model_path = Path(args.model)
     feat_path = Path(args.ssl_features)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    timer = PhaseTimer()
 
-    model = mstcnpp.load_model(model_path, dtype=dtype)
-    features = synthgen.load_features(feat_path, dtype)
-    raw, final = predict(model, features, smoother)
+    with timer("load"):
+        model = mstcnpp.load_model(model_path, dtype=dtype)
+        features = synthgen.load_features(feat_path, dtype)
+    raw, final = predict(model, features, smoother, _threads(), timer)
 
-    csv_path = out_dir / "phases.csv"
-    annotate.write_label_csv(csv_path, final)
-    svg_path, ribbon_csv = evalmetrics.export_ribbon(raw, final, out_dir / "ribbon.svg")
+    with timer("write"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        csv_path = out_dir / "phases.csv"
+        annotate.write_label_csv(csv_path, final)
+        svg_path, ribbon_csv = evalmetrics.export_ribbon(raw, final, out_dir / "ribbon.svg")
     write_manifest(out_dir, "segment", cfg, sources, [model_path, feat_path],
-                   [csv_path, svg_path, ribbon_csv], started)
+                   [csv_path, svg_path, ribbon_csv], started, timer)
     print(f"phase timeline: {csv_path} ({final.size} frames, "
           f"{evalmetrics.segment_count(final)} segments)")
     return EXIT_OK

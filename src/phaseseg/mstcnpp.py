@@ -26,11 +26,13 @@ from __future__ import annotations
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .seqcore import (
+    _MIN_GEMM_ROWS,
     ShapeError,
     as_matrix,
     conv1x1,
@@ -39,8 +41,10 @@ from .seqcore import (
     dilated_conv1d_backward,
     relu,
     relu_backward,
+    rows_round_alike,
     softmax_rows,
     softmax_rows_backward,
+    workspace_rows,
 )
 
 KERNEL_SIZE = 3
@@ -194,7 +198,7 @@ def clone(model: Model) -> Model:
 @dataclass
 class _LayerCache:
     h_in: np.ndarray
-    pre_relu: np.ndarray
+    pre_relu: np.ndarray  # the same array as post_relu: ReLU runs in place
     post_relu: np.ndarray
 
 
@@ -211,28 +215,81 @@ class ForwardCache:
     stage_caches: list[_StageCache] = field(default_factory=list)
 
 
-def _layer_forward(layer: DualDilatedLayer, h: np.ndarray, fuse_mode: str):
-    # fusion and residual add run in place on fresh arrays; IEEE addition is
+# Row blocks of a layer run on separate threads only when each block holds at
+# least this much work, counted as frames x channels^2 (one tap's multiply-adds).
+# Measured on a 2-core x86 VM with one BLAS thread, one sum-fused layer in
+# 2 blocks against 1: float64 took 1.05x as long at T x F^2 = 2e6 and 0.77x
+# at 3e6; float32 1.05-1.11x at 4e6 and 0.85x at 6e6; both 2.1x at the
+# synth-bench shape (T=173, F=64, 7e5) and 0.5x at T=1350, F=256.
+_MIN_BLOCK_WORK = 2_500_000
+
+
+def _row_blocks(t_len: int, channels: int, threads: int) -> list[tuple[int, int]]:
+    """Cut [0, T) into at most threads contiguous row blocks, each with at
+    least _MIN_BLOCK_WORK of work and _MIN_GEMM_ROWS rows; one block when T
+    is too short for two, or when rows of a channels-wide product do not
+    round alike wherever they are computed."""
+    if not rows_round_alike(channels):
+        return [(0, t_len)]
+    n = max(1, min(threads, t_len * channels * channels // _MIN_BLOCK_WORK,
+                   t_len // _MIN_GEMM_ROWS))
+    return [(t_len * i // n, t_len * (i + 1) // n) for i in range(n)]
+
+
+def _run_blocks(pool, blocks, workspaces, kernel, *args):
+    """kernel(*args, rows, workspace) for every block: the first on this
+    thread, the others on pool; returns when all are done."""
+    jobs = [pool.submit(kernel, *args, rows, ws) for rows, ws in zip(blocks[1:], workspaces[1:])]
+    kernel(*args, blocks[0], workspaces[0])
+    for job in jobs:
+        job.result()
+
+
+def _project_rows(stage: Stage, x, h, rows, ws):
+    lo, hi = rows
+    conv1x1(x, stage.proj_w, stage.proj_b, h[lo:hi], rows, ws[0])
+
+
+def _layer_rows(layer: DualDilatedLayer, h, a, out, fuse_mode: str, rows, ws):
+    """Rows [lo, hi) of one layer into the layer's full-length fusion a and
+    output out; reads only h and, for the fuse conv, rows [lo, hi) of a."""
+    # the fusion and the residual add run in place; IEEE addition is
     # commutative, so the bits equal those of c1 + c2 and h + fuse
-    a = dilated_conv1d(h, layer.w_d1, layer.b_d1, layer.dilation_low)
-    c2 = dilated_conv1d(h, layer.w_d2, layer.b_d2, layer.dilation_high)
+    lo, hi = rows
+    tap, c2 = ws
+    f = h.shape[1]
     if fuse_mode == "sum":
-        a += c2
+        dilated_conv1d(h, layer.w_d1, layer.b_d1, layer.dilation_low, a[lo:hi], rows, tap)
+        dilated_conv1d(h, layer.w_d2, layer.b_d2, layer.dilation_high, c2[:hi - lo], rows, tap)
+        a[lo:hi] += c2[:hi - lo]
     else:
-        a = np.hstack([a, c2])
-    del c2
-    r = relu(a)
-    out = conv1x1(r, layer.w_fuse, layer.b_fuse)
-    out += h
-    return out, _LayerCache(h_in=h, pre_relu=a, post_relu=r)
+        dilated_conv1d(h, layer.w_d1, layer.b_d1, layer.dilation_low, a[lo:hi, :f], rows, tap)
+        dilated_conv1d(h, layer.w_d2, layer.b_d2, layer.dilation_high, a[lo:hi, f:], rows, tap)
+    relu(a[lo:hi], a[lo:hi])
+    conv1x1(a, layer.w_fuse, layer.b_fuse, out[lo:hi], rows, tap)
+    out[lo:hi] += h[lo:hi]
 
 
-def forward(model: Model, x, return_cache: bool = False):
+def _layer_forward(layer: DualDilatedLayer, h: np.ndarray, fuse_mode: str,
+                   blocks, workspaces, pool):
+    t_len, f = h.shape
+    a = np.empty((t_len, f if fuse_mode == "sum" else 2 * f), dtype=h.dtype)
+    out = np.empty_like(h)
+    _run_blocks(pool, blocks, workspaces, _layer_rows, layer, h, a, out, fuse_mode)
+    return out, _LayerCache(h_in=h, pre_relu=a, post_relu=a)
+
+
+def forward(model: Model, x, return_cache: bool = False, threads: int = 1):
     """Run all stages; returns the list of per-stage probability matrices.
 
     With return_cache=True also returns the activations backward() needs.
     Without it no activation outlives the layer that reads it, so memory
     holds a few (T, channels) arrays whatever the depth.
+
+    threads bounds the threads that compute at once: the input projection
+    and each layer are cut into that many row blocks when the sequence is
+    long enough (see _row_blocks). The result is bit-identical for every
+    thread count.
     """
     cfg = model.config
     x = as_matrix(x, "features", model.dtype)
@@ -240,24 +297,38 @@ def forward(model: Model, x, return_cache: bool = False):
         raise ShapeError(f"input has {x.shape[1]} channels, model expects {cfg.in_dim}")
     x = x.astype(model.dtype, copy=False)
 
+    t_len, f = x.shape[0], cfg.channels
+    blocks = _row_blocks(t_len, f, threads)
+    longest = max(hi - lo for lo, hi in blocks)
+    # one tap (and short-range) workspace and one c2 per block, for the whole
+    # forward: allocating them per layer churns the heap of every thread
+    workspaces = [(np.empty((workspace_rows(t_len, longest, f), f), dtype=model.dtype),
+                   np.empty((longest, f), dtype=model.dtype) if cfg.fuse_mode == "sum" else None)
+                  for _ in blocks]
+    pool = ThreadPoolExecutor(len(blocks) - 1) if len(blocks) > 1 else None
     cache = ForwardCache()
     stage_probs = []
     current = x
-    for stage in model.stages:
-        h = conv1x1(current, stage.proj_w, stage.proj_b)
-        layer_caches = []
-        for layer in stage.layers:
-            h, lc = _layer_forward(layer, h, cfg.fuse_mode)
+    try:
+        for stage in model.stages:
+            h = np.empty((t_len, f), dtype=model.dtype)
+            _run_blocks(pool, blocks, workspaces, _project_rows, stage, current, h)
+            layer_caches = []
+            for layer in stage.layers:
+                h, lc = _layer_forward(layer, h, cfg.fuse_mode, blocks, workspaces, pool)
+                if return_cache:
+                    layer_caches.append(lc)
+                del lc  # otherwise this layer's activations live through the next layer
+            logits = conv1x1(h, stage.head_w, stage.head_b)
+            probs = softmax_rows(logits)
             if return_cache:
-                layer_caches.append(lc)
-            del lc  # otherwise this layer's activations live through the next layer
-        logits = conv1x1(h, stage.head_w, stage.head_b)
-        probs = softmax_rows(logits)
-        if return_cache:
-            cache.stage_caches.append(_StageCache(
-                stage_input=current, layer_caches=layer_caches, final_h=h, probs=probs))
-        stage_probs.append(probs)
-        current = probs
+                cache.stage_caches.append(_StageCache(
+                    stage_input=current, layer_caches=layer_caches, final_h=h, probs=probs))
+            stage_probs.append(probs)
+            current = probs
+    finally:
+        if pool is not None:
+            pool.shutdown()
     if return_cache:
         return stage_probs, cache
     return stage_probs

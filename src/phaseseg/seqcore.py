@@ -76,13 +76,83 @@ def _check_dconv_args(x, weights, bias, dilation):
 _MIN_GEMM_ROWS = 64
 
 
-def dilated_conv1d(x, weights, bias, dilation: int) -> np.ndarray:
+# A tap's product is computed and added in chunks of at most this many rows,
+# so its workspace stays small (1 MiB at F=256, float32) whatever T is. At the
+# paper shape (T=5400, F=256, float32, 2 row blocks on a 2-core x86 VM) a
+# segment call peaked at 180 MiB against 184 MiB with whole-block products,
+# at the same speed; 512 rows gave 179 MiB and ran 5-10% slower.
+_TAP_CHUNK = 1024
+
+
+def rows_round_alike(cout: int) -> bool:
+    """Whether a row of a product with cout output columns gets the same bits
+    in a product of any other row span (at least _MIN_GEMM_ROWS rows).
+
+    Measured with OpenBLAS on x86-64 (AVX-512), one and two BLAS threads,
+    float32 and float64, products of up to 1500 rows: it held at every
+    multiple of 8 from 64 to 512 columns, and failed at 16 (with 32 inputs),
+    100, 130, 250, 255 and 257. Only widths where it held are cut into row
+    chunks here or row blocks in mstcnpp.forward; every other width runs the
+    products it always ran.
+    """
+    return cout % 8 == 0 and cout >= 64
+
+
+def _chunk_rows(t_len: int, cout: int) -> int:
+    return _TAP_CHUNK if rows_round_alike(cout) else t_len
+
+
+def workspace_rows(t_len: int, n_rows: int, cout: int) -> int:
+    """Rows of a work array that serves a dilated_conv1d or conv1x1 call
+    over n_rows of T output rows with cout output columns."""
+    return min(t_len, max(min(n_rows, _chunk_rows(t_len, cout)), _MIN_GEMM_ROWS))
+
+
+def _row_range(t_len: int, rows) -> tuple[int, int]:
+    lo, hi = (0, t_len) if rows is None else rows
+    if not 0 <= lo < hi <= t_len:
+        raise ValueError(f"row range [{lo}, {hi}) is not inside [0, {t_len})")
+    return lo, hi
+
+
+def _window(lo: int, hi: int, t_len: int) -> tuple[int, int]:
+    """(start, rows) of the rows of x a product over rows [lo, hi) multiplies:
+    [lo, hi) itself, widened to _MIN_GEMM_ROWS rows (or all of x) when shorter."""
+    rows = min(t_len, max(hi - lo, _MIN_GEMM_ROWS))
+    return min(lo, t_len - rows), rows
+
+
+def _workspace(work, rows: int, cols: int, dtype) -> np.ndarray:
+    if work is None:
+        return np.empty((rows, cols), dtype=dtype)
+    if work.shape[0] < rows or work.shape[1] != cols or work.dtype != dtype:
+        raise ShapeError(f"workspace {work.shape} {work.dtype} cannot hold ({rows}, {cols}) {dtype}")
+    return work
+
+
+def _destination(out, rows: int, cols: int, dtype) -> np.ndarray:
+    if out is None:
+        return np.empty((rows, cols), dtype=dtype)
+    if out.shape != (rows, cols) or out.dtype != dtype:
+        raise ShapeError(f"output {out.shape} {out.dtype} is not ({rows}, {cols}) {dtype}")
+    return out
+
+
+def dilated_conv1d(x, weights, bias, dilation: int, out=None, rows=None,
+                   work=None) -> np.ndarray:
     """Same-length dilated 1-D convolution over the time axis.
 
     out[t, co] = bias[co] + sum_{ci,j} weights[co, ci, j] * x[t + (j - (k-1)/2) * dilation, ci]
     with zero padding outside [0, T). No padded copy is built: each tap adds
     its product into the rows where it reads inside [0, T), in the order
     bias, tap 0, tap 1, ..., so the result is bit-equal to the padded form.
+
+    rows = (lo, hi) computes only output rows [lo, hi) (default: all T) into
+    out, an array of shape (hi - lo, Cout), allocated when not given. Each
+    tap's product goes through work, an array of at least
+    workspace_rows(T, hi - lo, Cout) rows and Cout columns, allocated when not
+    given. Every row is bit-equal to that row of the full call when
+    rows_round_alike(Cout).
     """
     x = np.ascontiguousarray(x)
     weights = np.asarray(weights, dtype=x.dtype)
@@ -90,17 +160,20 @@ def dilated_conv1d(x, weights, bias, dilation: int) -> np.ndarray:
     cout, _, k = _check_dconv_args(x, weights, bias, int(dilation))
     dilation = int(dilation)
     t_len = x.shape[0]
-    out = np.empty((t_len, cout), dtype=x.dtype)
+    lo, hi = _row_range(t_len, rows)
+    out = _destination(out, hi - lo, cout, x.dtype)
+    work = _workspace(work, workspace_rows(t_len, hi - lo, cout), cout, x.dtype)
+    chunk = _chunk_rows(t_len, cout)
     out[...] = bias
     for j in range(k):
         shift = (j - (k - 1) // 2) * dilation
-        lo, hi = max(0, -shift), min(t_len, t_len - shift)
-        if lo >= hi:
-            continue  # the tap reads only padding
-        rows = min(t_len, max(hi - lo, _MIN_GEMM_ROWS))
-        start = min(lo + shift, t_len - rows)
-        prod = x[start:start + rows] @ weights[:, :, j].T
-        out[lo:hi] += prod[lo + shift - start:hi + shift - start]
+        # output rows of [lo, hi) where this tap reads inside [0, T)
+        t_lo, t_hi = max(lo, -shift), min(hi, t_len - shift)
+        for c_lo in range(t_lo, t_hi, chunk):  # nothing when the tap reads only padding
+            c_hi = min(c_lo + chunk, t_hi)
+            start, n = _window(c_lo + shift, c_hi + shift, t_len)
+            np.matmul(x[start:start + n], weights[:, :, j].T, out=work[:n])
+            out[c_lo - lo:c_hi - lo] += work[c_lo + shift - start:c_hi + shift - start]
     return out
 
 
@@ -130,8 +203,12 @@ def dilated_conv1d_backward(x, weights, dilation: int, grad_out) -> LayerGrad:
 # 1x1 convolution (per-frame affine map)
 # ---------------------------------------------------------------------------
 
-def conv1x1(x, weights, bias) -> np.ndarray:
-    """Per-frame affine map: out[t] = weights @ x[t] + bias."""
+def conv1x1(x, weights, bias, out=None, rows=None, work=None) -> np.ndarray:
+    """Per-frame affine map: out[t] = weights @ x[t] + bias.
+
+    rows, out and work mean what they mean for dilated_conv1d; work is used
+    only when [lo, hi) is shorter than a product must be.
+    """
     weights = np.asarray(weights, dtype=x.dtype)
     bias = np.asarray(bias, dtype=x.dtype)
     if weights.ndim != 2:
@@ -140,7 +217,18 @@ def conv1x1(x, weights, bias) -> np.ndarray:
         raise ShapeError(f"input has {x.shape[1]} channels but weights expect {weights.shape[1]}")
     if bias.shape != (weights.shape[0],):
         raise ShapeError(f"bias must have shape ({weights.shape[0]},), got {bias.shape}")
-    return x @ weights.T + bias
+    t_len, cout = x.shape[0], weights.shape[0]
+    lo, hi = _row_range(t_len, rows)
+    out = _destination(out, hi - lo, cout, x.dtype)
+    start, n = _window(lo, hi, t_len)
+    if n == hi - lo:
+        np.matmul(x[lo:hi], weights.T, out=out)
+    else:
+        work = _workspace(work, n, cout, x.dtype)
+        np.matmul(x[start:start + n], weights.T, out=work[:n])
+        out[...] = work[lo - start:hi - start]
+    out += bias
+    return out
 
 
 def conv1x1_backward(x, weights, grad_out) -> LayerGrad:
@@ -160,8 +248,9 @@ def conv1x1_backward(x, weights, grad_out) -> LayerGrad:
 # ReLU
 # ---------------------------------------------------------------------------
 
-def relu(x) -> np.ndarray:
-    return np.maximum(np.asarray(x), 0)
+def relu(x, out=None) -> np.ndarray:
+    """max(x, 0); out=x rectifies in place."""
+    return np.maximum(np.asarray(x), 0, out=out)
 
 
 def relu_backward(x, grad_out) -> LayerGrad:

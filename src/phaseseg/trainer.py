@@ -165,21 +165,25 @@ def sample_epoch(dataset, mode: str, seed: int, n_classes: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def evaluate(model, dataset, focal_cfg: FocalConfig, smoothing_weight: float,
-             max_workers: int = 1):
+             threads: int = 1):
     """Mean per-sequence total loss and pooled frame accuracy.
 
-    The reduction order is the dataset order regardless of worker count.
+    Up to threads sequences run at once, each forward on threads // that many
+    threads, so at most threads compute at once. The reduction order is the
+    dataset order regardless of thread count.
     """
+    workers = max(1, min(threads, len(dataset)))
+
     def one(item):
         features, labels = item
-        probs = mstcnpp.forward(model, features)
+        probs = mstcnpp.forward(model, features, threads=threads // workers)
         breakdown, _ = total_loss(probs, labels, focal_cfg, smoothing_weight)
         pred = np.argmax(probs[-1], axis=1)
         counted = labels >= 0
         return breakdown.total, int((pred[counted] == labels[counted]).sum()), int(counted.sum())
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, dataset))
     else:
         results = [one(item) for item in dataset]
@@ -222,8 +226,11 @@ class TrainReport:
         }
 
 
-def fit(model, train_set, val_set, cfg: TrainConfig, max_workers: int = 1):
+def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
     """Train up to cfg.epochs with early stopping on rising validation loss.
+
+    threads bounds the threads that compute at once in forward passes and
+    validation; the result does not depend on it.
 
     Returns (best_model, report) where best_model is the checkpoint with the
     lowest validation loss. Raises DivergenceError (report attached) on a
@@ -271,7 +278,8 @@ def fit(model, train_set, val_set, cfg: TrainConfig, max_workers: int = 1):
         for pos, idx in enumerate(order):
             features, labels = train_set[idx]
             try:
-                probs, cache = mstcnpp.forward(model, features, return_cache=True)
+                probs, cache = mstcnpp.forward(model, features, return_cache=True,
+                                               threads=threads)
                 breakdown, stage_grads = total_loss(probs, labels, focal_cfg,
                                                     cfg.smoothing_weight)
             except ValueError as exc:  # inputs were validated: this is numeric blowup
@@ -310,7 +318,7 @@ def fit(model, train_set, val_set, cfg: TrainConfig, max_workers: int = 1):
 
         try:
             val_loss, val_acc = evaluate(model, val_set, focal_cfg,
-                                         cfg.smoothing_weight, max_workers=max_workers)
+                                         cfg.smoothing_weight, threads=threads)
         except ValueError as exc:
             report.diverged = True
             raise DivergenceError(

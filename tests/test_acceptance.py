@@ -145,6 +145,63 @@ def test_criterion_1_gradient_suite():
                f"(worst {worst:.2e}) in {elapsed:.1f}s")
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_criterion_1_gradients_in_row_blocks(threads):
+    # the full-model oracle at a length where forward cuts each layer into two
+    # row blocks, on sampled entries of every parameter block. Over 1300
+    # frames a step of h would move some pre-ReLU value across 0, where the
+    # loss has a kink and a central difference is no oracle; biases of +-3
+    # hold every pre-ReLU value far from 0 (half the channels on, half off),
+    # and the test checks that no step changes a ReLU mask.
+    started = time.perf_counter()
+    rng = np.random.default_rng(12)
+    cfg = mstcnpp.StageConfig(in_dim=3, channels=64, n_classes=3, stages=2,
+                              layers_prediction=2, layers_refinement=2)
+    t_len = 1300
+    assert len(mstcnpp._row_blocks(t_len, cfg.channels, 2)) == 2
+    model = mstcnpp.init(cfg, seed=5)
+    for stage in model.stages:
+        for layer in stage.layers:
+            for bias in (layer.b_d1, layer.b_d2):
+                bias[0::2], bias[1::2] = 3.0, -3.0
+    x = rng.normal(size=(t_len, cfg.in_dim))
+    labels = np.repeat(np.arange(3), -(-t_len // 3))[:t_len]
+    fcfg = FocalConfig(gamma=2.0)
+
+    def loss_and_masks():
+        probs, cache = mstcnpp.forward(model, x, return_cache=True, threads=threads)
+        masks = [lc.post_relu > 0 for sc in cache.stage_caches for lc in sc.layer_caches]
+        return total_loss(probs, labels, fcfg, 0.15), masks
+
+    probs, cache = mstcnpp.forward(model, x, return_cache=True, threads=threads)
+    _, stage_grads = total_loss(probs, labels, fcfg, 0.15)
+    analytic = dict(mstcnpp.named_parameters(mstcnpp.backward(model, cache, stage_grads)))
+    del probs, cache
+    masks = loss_and_masks()[1]
+    assert all(0 < m.mean() < 1 for m in masks)  # the ReLUs pass some values and zero others
+    h = 1e-5
+    worst = 0.0
+    for name, p in mstcnpp.named_parameters(model):
+        flat = p.reshape(-1)
+        picks = rng.choice(flat.size, size=min(3, flat.size), replace=False)
+        fd = np.zeros(picks.size)
+        for n, i in enumerate(picks):
+            orig = flat[i]
+            flat[i] = orig + h
+            (lp, _), masks_p = loss_and_masks()
+            flat[i] = orig - h
+            (lm, _), masks_m = loss_and_masks()
+            flat[i] = orig
+            assert all(np.array_equal(a, b) and np.array_equal(a, c)
+                       for a, b, c in zip(masks, masks_p, masks_m)), (name, i)
+            fd[n] = (lp.total - lm.total) / (2 * h)
+        worst = max(worst, max_rel_err(analytic[name].reshape(-1)[picks], fd))
+    elapsed = time.perf_counter() - started
+    assert worst < GRAD_TOL, f"worst relative error {worst:.3g}"
+    _report(1, f"T={t_len} model gradients on {threads} thread(s) within {GRAD_TOL} "
+               f"of central differences (worst {worst:.2e}) in {elapsed:.1f}s")
+
+
 # ---------------------------------------------------------------------------
 # 2. loss identities
 # ---------------------------------------------------------------------------

@@ -192,6 +192,55 @@ def test_manifest_records_default_precision(workspace, tmp_path, command, precis
     assert manifest["config_sources"]["precision"] == "default"
 
 
+@pytest.mark.parametrize("command", ["eval", "segment"])
+def test_manifest_records_environment_and_phase_times(workspace, tmp_path, monkeypatch,
+                                                      command):
+    monkeypatch.setenv("PHASESEG_THREADS", "3")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    out = tmp_path / command
+    assert main(_inference_argv(workspace, command, out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["environment"] == {"threads": 3, "openblas_num_threads": "1",
+                                       "numpy": np.__version__}
+    phases = manifest["phase_s"]
+    assert set(phases) == {"load", "forward", "post", "write", "hash"}
+    assert all(seconds >= 0 for seconds in phases.values())
+    assert sum(phases.values()) <= manifest["wall_clock_s"]
+    # every command records its environment and the time it spent hashing inputs
+    trained = json.loads((workspace["run"] / "manifest.json").read_text())
+    assert set(trained["environment"]) == {"threads", "openblas_num_threads", "numpy"}
+    assert set(trained["phase_s"]) == {"hash"}
+    assert trained["phase_s"]["hash"] <= trained["wall_clock_s"]
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("segment", "model"), ("segment", "features"), ("eval", "model"), ("eval", "features"),
+    ("eval", "labels"), ("train", "features"), ("train", "labels")])
+def test_bad_input_exits_2_without_output_dir(workspace, tmp_path, capsys, command, bad):
+    # every input is read before --out is created, so a bad one leaves nothing behind
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    model = tmp_path / "model.bin"
+    shutil.copy(workspace["model"], model)
+    split = data / ("train" if command == "train" else "test")
+    target = {"model": model, "features": split / "seq_000.npy",
+              "labels": split / "seq_000.csv"}[bad]
+    if bad == "labels":  # cut at a line end: a per-frame file cut short is rejected
+        lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+        target.write_text("".join(lines[:len(lines) // 2]), encoding="utf-8")
+    else:
+        blob = target.read_bytes()
+        target.write_bytes(blob[:len(blob) // 2])
+    out = tmp_path / "out"
+    argv = {"segment": ["segment", "--model", model, "--ssl-features", split / "seq_000.npy"],
+            "eval": ["eval", "--model", model, "--data", split],
+            "train": ["train", "--data", data, *TRAIN_FLAGS]}[command]
+    assert main([*map(str, argv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "truncated" in err if bad == "model" else target.name in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "segment", "parse-notes"])
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_seed_exists_only_on_gen_synth_and_train(workspace, tmp_path, capsys, command, how):
@@ -432,8 +481,8 @@ def _segment_argv(infer_inputs, out, *extra):
 
 
 class TestFloat32Inference:
-    @pytest.mark.parametrize("extra", [[], ["--precision", "float64"]])
-    def test_segment_peak_memory_is_float32_sized(self, infer_inputs, tmp_path, extra):
+    @staticmethod
+    def _check_peak_memory(infer_inputs, tmp_path, extra):
         # the parameters, the features and a few (T, F) activations, all float32:
         # a 6.9 MB bound; the default peaks at 5.5 MB and float64 at 11.0 MB
         activation = 4 * INFER_FRAMES * INFER_CFG.channels
@@ -449,6 +498,27 @@ class TestFloat32Inference:
             assert peak > bound
         else:
             assert peak < bound
+
+    @pytest.mark.parametrize("extra", [[], ["--precision", "float64"]])
+    def test_segment_peak_memory_is_float32_sized(self, infer_inputs, tmp_path, extra):
+        self._check_peak_memory(infer_inputs, tmp_path, extra)
+
+    @pytest.mark.parametrize("extra", [[], ["--precision", "float64"]])
+    def test_segment_peak_memory_bound_holds_in_row_blocks(self, infer_inputs, tmp_path,
+                                                           monkeypatch, extra):
+        # the same bound with the layers cut into two row blocks on two threads
+        assert len(mstcnpp._row_blocks(INFER_FRAMES, INFER_CFG.channels, 2)) == 2
+        monkeypatch.setenv("PHASESEG_THREADS", "2")
+        self._check_peak_memory(infer_inputs, tmp_path, extra)
+
+    def test_segment_outputs_equal_for_threads_1_and_3(self, infer_inputs, tmp_path,
+                                                       monkeypatch):
+        assert len(mstcnpp._row_blocks(INFER_FRAMES, INFER_CFG.channels, 3)) == 3
+        for threads in ("1", "3"):
+            monkeypatch.setenv("PHASESEG_THREADS", threads)
+            assert main(_segment_argv(infer_inputs, tmp_path / threads)) == 0
+        for name in ("phases.csv", "ribbon.csv", "ribbon.svg"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
     def test_default_segment_computes_in_float32(self, infer_inputs, tmp_path, monkeypatch):
         # every array into and out of forward's primitives, and the argmax input

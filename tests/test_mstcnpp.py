@@ -1,9 +1,13 @@
 import math
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseseg import mstcnpp, seqcore
 from phaseseg.losses import FocalConfig, total_loss
@@ -206,8 +210,157 @@ class TestInferenceMemory:
         activation = 2000 * 16 * 8
         shallow = self._peak_bytes(2, return_cache=True)
         deep = self._peak_bytes(12, return_cache=True)
-        # three cached arrays per layer, 2 stages x 10 extra layers
-        assert deep > shallow + 50 * activation, (shallow, deep)
+        # two cached arrays per layer (h_in, and pre_relu that is post_relu),
+        # 2 stages x 10 extra layers: 40 activations
+        assert deep > shallow + 35 * activation, (shallow, deep)
+
+
+def _gate_frames(channels: int, blocks: int = 2) -> int:
+    """The fewest frames for which forward cuts its layers into this many blocks."""
+    return -(-blocks * mstcnpp._MIN_BLOCK_WORK // channels**2)
+
+
+def _shortest_tap_range(blocks, t_len, dilations) -> int:
+    """Fewest rows a tap of these dilations reads inside [0, T) within one block."""
+    lengths = [min(hi, t_len - s) - max(lo, -s)
+               for lo, hi in blocks for d in dilations for s in (-d, d)]
+    return min(n for n in lengths if n > 0)
+
+
+class TestRowBlocks:
+    """Layers cut into row blocks over threads give the bits of one block."""
+
+    @staticmethod
+    def _run(t_len, fuse_mode, dtype, threads):
+        # stage 1's dilations reach 512; the refinement stage is kept short
+        cfg = StageConfig(in_dim=6, channels=72, n_classes=4, stages=2,
+                          layers_prediction=10, layers_refinement=2, fuse_mode=fuse_mode)
+        model = init(cfg, seed=4, dtype=dtype)
+        rng = np.random.default_rng(t_len)
+        x = rng.normal(size=(t_len, 6))
+        labels = np.repeat(np.arange(4), -(-t_len // 4))[:t_len]
+        plain = forward(model, x, threads=threads)
+        probs, cache = forward(model, x, return_cache=True, threads=threads)
+        _, stage_grads = total_loss(probs, labels, FocalConfig(gamma=2.0), 0.15)
+        return plain, probs, mstcnpp.backward(model, cache, stage_grads).flat
+
+    def test_gate_and_block_shapes(self):
+        t_gate = _gate_frames(72)
+        assert len(mstcnpp._row_blocks(t_gate - 1, 72, 2)) == 1
+        assert mstcnpp._row_blocks(t_gate, 72, 2) == [(0, t_gate // 2), (t_gate // 2, t_gate)]
+        assert len(mstcnpp._row_blocks(1600, 72, 3)) == 3
+        # the synth-bench shape stays in one block whatever the thread count
+        assert len(mstcnpp._row_blocks(173, 64, 64)) == 1
+        # a block never has fewer rows than a product needs
+        assert len(mstcnpp._row_blocks(100, 4096, 8)) == 1
+        # widths whose rows do not round alike in every product stay in one block
+        for channels in (16, 100, 250, 257):
+            assert not seqcore.rows_round_alike(channels)
+            assert mstcnpp._row_blocks(100_000, channels, 2) == [(0, 100_000)]
+        assert all(seqcore.rows_round_alike(c) for c in (64, 72, 256, 512))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("fuse_mode", ["sum", "concat"])
+    @pytest.mark.parametrize("t_len", ["gate", 1600])
+    def test_probs_and_grads_equal_for_threads_1_2_3(self, fuse_mode, dtype, t_len):
+        # "gate": the shortest sequence with two blocks; at T=1600 three
+        # threads cut three blocks and dilation 512 reads fewer than
+        # _MIN_GEMM_ROWS rows inside the first block
+        t_len = _gate_frames(72) if t_len == "gate" else t_len
+        blocks = mstcnpp._row_blocks(t_len, 72, 3)
+        assert len(blocks) == (2 if t_len == _gate_frames(72) else 3)
+        if t_len == 1600:
+            assert _shortest_tap_range(blocks, t_len, [512]) < seqcore._MIN_GEMM_ROWS
+        serial, serial_cached, serial_grad = self._run(t_len, fuse_mode, dtype, 1)
+        for a, b in zip(serial, serial_cached):
+            assert np.array_equal(a, b)
+        for threads in (2, 3):
+            plain, cached, grad = self._run(t_len, fuse_mode, dtype, threads)
+            for a, b, c in zip(serial, plain, cached):
+                assert a.dtype == dtype
+                assert np.array_equal(a, b) and np.array_equal(a, c), threads
+            assert np.array_equal(serial_grad, grad), threads
+
+    @given(st.sampled_from([(40, 8), (150, 64), (300, 64)]), st.sampled_from(["sum", "concat"]),
+           st.sampled_from([np.float64, np.float32]), st.integers(0, 9), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_layer_blocks_in_any_order_equal_one_block(self, shape, fuse_mode, dtype,
+                                                       layer_index, data):
+        # any cut of [0, T) into blocks of at least _MIN_GEMM_ROWS rows (or
+        # all of T), run in any order into shared arrays
+        t_len, f = shape
+        cfg = StageConfig(in_dim=3, channels=f, n_classes=3, stages=1, layers_prediction=10,
+                          layers_refinement=1, fuse_mode=fuse_mode)
+        layer = init(cfg, seed=layer_index, dtype=dtype).stages[0].layers[layer_index]
+        h = np.random.default_rng(layer_index).normal(size=(t_len, f)).astype(dtype)
+        step = min(t_len, seqcore._MIN_GEMM_ROWS)
+        cuts = sorted(data.draw(st.sets(st.integers(1, t_len // step - 1), max_size=4))
+                      if t_len // step > 1 else [])
+        edges = [0, *(c * step for c in cuts), t_len]
+        blocks = list(zip(edges[:-1], edges[1:]))
+        order = data.draw(st.permutations(range(len(blocks))))
+
+        def run(blocks):
+            ws = (np.empty((t_len, f), dtype), np.empty((t_len, f), dtype))
+            a = np.empty((t_len, f if fuse_mode == "sum" else 2 * f), dtype)
+            out = np.empty_like(h)
+            for rows in blocks:
+                mstcnpp._layer_rows(layer, h, a, out, fuse_mode, rows, ws)
+            return a, out
+
+        want_a, want_out = run([(0, t_len)])
+        got_a, got_out = run([blocks[i] for i in order])
+        assert np.array_equal(got_a, want_a) and np.array_equal(got_out, want_out)
+
+    def test_more_threads_than_cores_under_fast_switching(self):
+        # four blocks on a 2-core host, with the interpreter switching threads
+        # every microsecond: the blocks share only disjoint rows of a and out
+        t_len = _gate_frames(72, blocks=4)
+        assert len(mstcnpp._row_blocks(t_len, 72, 4)) == 4
+        serial = self._run(t_len, "sum", np.float64, 1)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: result.append(self._run(t_len, "sum", np.float64, 4)))
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and result
+        for a, b in zip(serial[1], result[0][1]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(serial[2], result[0][2])
+
+    def test_synth_bench_shape_starts_no_thread(self, monkeypatch, rng):
+        seen = []
+        conv = mstcnpp.dilated_conv1d
+
+        def counting(*args):
+            seen.append(threading.active_count())
+            return conv(*args)
+
+        monkeypatch.setattr(mstcnpp, "dilated_conv1d", counting)
+        cfg = StageConfig(in_dim=64, channels=64, n_classes=4, stages=2,
+                          layers_prediction=8, layers_refinement=8)
+        model = init(cfg, seed=0)
+        before = threading.active_count()
+        for return_cache in (False, True):
+            forward(model, rng.normal(size=(173, 64)), return_cache, threads=2)
+        assert set(seen) == {before}
+        # the same probe sees the worker above the gate
+        seen.clear()
+        forward(model, rng.normal(size=(_gate_frames(64), 64)), threads=2)
+        assert max(seen) == before + 1
+        assert threading.active_count() == before
+
+    def test_cache_holds_relu_once(self, rng):
+        _, cache = forward(init(TINY, seed=0), rng.normal(size=(6, 5)), return_cache=True)
+        for sc in cache.stage_caches:
+            for lc in sc.layer_caches:
+                assert lc.pre_relu is lc.post_relu
+                assert (lc.post_relu >= 0).all()
 
 
 class TestBackward:

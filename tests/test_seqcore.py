@@ -78,8 +78,9 @@ def padded_dilated_conv1d(x, weights, bias, dilation):
 
 class TestPadlessDilatedConv:
     # (T, channels): the wider shapes put short tap ranges (dilation T-1)
-    # into the sizes where BLAS switches to its small-product kernels
-    SHAPES = [(1, 3), (2, 3), (7, 5), (40, 16), (173, 64), (300, 256)]
+    # into the sizes where BLAS switches to its small-product kernels; at
+    # T=1100 a tap's product is added in two chunks
+    SHAPES = [(1, 3), (2, 3), (7, 5), (40, 16), (173, 64), (300, 256), (1100, 64)]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -93,6 +94,65 @@ class TestPadlessDilatedConv:
                 want = padded_dilated_conv1d(x, w, b, dilation)
                 assert got.dtype == dtype
                 assert np.array_equal(got, want), (t_len, f, k, dilation)
+
+
+@st.composite
+def row_range_cases(draw):
+    """A conv operand set and a row range [lo, hi) of its output: T below
+    _MIN_GEMM_ROWS (every product spans all of x) or a width whose rows
+    round alike in any product."""
+    t_len, f = draw(st.sampled_from([(1, 3), (7, 5), (40, 16), (173, 64), (300, 64),
+                                          (300, 256), (2100, 64)]))
+    lo = draw(st.integers(0, t_len - 1))
+    hi = draw(st.integers(lo + 1, t_len))
+    return (t_len, f, lo, hi, draw(st.sampled_from([1, 3])), draw(st.integers(1, 2 * t_len)),
+            draw(st.sampled_from([np.float64, np.float32])), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestRowRange:
+    """A row range of a primitive is bit-equal to those rows of the full call."""
+
+    @given(row_range_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_dilated_conv_rows_equal_full_call(self, case):
+        t_len, f, lo, hi, k, dilation, dtype, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(t_len, f)).astype(dtype)
+        w = rng.normal(size=(f, f, k)).astype(dtype)
+        b = rng.normal(size=f).astype(dtype)
+        out = np.full((hi - lo, f), np.nan, dtype=dtype)
+        work = np.full((t_len, f), np.nan, dtype=dtype)
+        got = dilated_conv1d(x, w, b, dilation, out, (lo, hi), work)
+        assert got is out
+        assert np.array_equal(got, dilated_conv1d(x, w, b, dilation)[lo:hi])
+
+    @given(row_range_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_conv1x1_rows_equal_full_call(self, case):
+        t_len, f, lo, hi, _, _, dtype, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(t_len, f)).astype(dtype)
+        w = rng.normal(size=(2 * f, f)).astype(dtype)
+        b = rng.normal(size=2 * f).astype(dtype)
+        got = conv1x1(x, w, b, np.empty((hi - lo, 2 * f), dtype), (lo, hi),
+                      np.empty((t_len, 2 * f), dtype))
+        assert np.array_equal(got, conv1x1(x, w, b)[lo:hi])
+
+    def test_bad_range_or_buffers_rejected(self, rng):
+        x, w, b = rng.normal(size=(10, 2)), rng.normal(size=(3, 2, 3)), np.zeros(3)
+        for rows in ((5, 5), (-1, 4), (3, 11)):
+            with pytest.raises(ValueError, match="row range"):
+                dilated_conv1d(x, w, b, 1, None, rows)
+        with pytest.raises(ShapeError, match="output"):
+            dilated_conv1d(x, w, b, 1, np.empty((4, 3)), (0, 5))
+        with pytest.raises(ShapeError, match="workspace"):
+            dilated_conv1d(x, w, b, 1, None, (0, 5), np.empty((4, 3)))
+
+    def test_relu_in_place(self, rng):
+        x = rng.normal(size=(6, 3))
+        want = relu(x)
+        assert relu(x, x) is x
+        assert np.array_equal(x, want)
 
 
 class TestConv1x1:

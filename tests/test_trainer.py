@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -193,12 +194,12 @@ class TestFit:
         loss, _ = evaluate(best, val, fc, cfg.smoothing_weight)
         assert abs(loss - min(losses)) < 1e-12
 
-    def test_peak_memory_holds_one_step(self, rng):
+    @staticmethod
+    def _check_peak_memory(rng, t_len, channels, threads):
         # traced live set while training: the best snapshot, AdamW's m and v and
         # one gradient (4 P; the parameters predate the trace) plus one forward
         # cache C. The slack of 16 (T, F) arrays covers backward's temporaries;
         # holding the previous step's cache and gradient as well adds C + P.
-        t_len, channels = 400, 32
         mcfg = mstcnpp.StageConfig(in_dim=16, channels=channels, n_classes=4, stages=2,
                                    layers_prediction=4, layers_refinement=4)
         labels = np.repeat(np.arange(4), t_len // 4)
@@ -215,11 +216,20 @@ class TestFit:
         bound = 4 * model.flat.nbytes + sum(arrays.values()) + 16 * t_len * channels * 8
         tracemalloc.start()
         try:
-            fit(model, train, val, TrainConfig(epochs=3, learning_rate=1e-3, patience=3))
+            fit(model, train, val, TrainConfig(epochs=3, learning_rate=1e-3, patience=3),
+                threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound, f"traced peak {peak} B >= bound {bound} B"
+
+    def test_peak_memory_holds_one_step(self, rng):
+        self._check_peak_memory(rng, 400, 32, threads=1)
+
+    def test_peak_memory_bound_holds_in_row_blocks(self, rng):
+        # the same bound with every forward cut into two row blocks on two threads
+        assert len(mstcnpp._row_blocks(1300, 64, 2)) == 2
+        self._check_peak_memory(rng, 1300, 64, threads=2)
 
     @pytest.mark.parametrize("batch_size", [1, 2])
     def test_step_buffers_die_before_next_forward(self, monkeypatch, batch_size):
@@ -229,12 +239,12 @@ class TestFit:
         forward, backward = mstcnpp.forward, mstcnpp.backward
         caches, grads = [], []
 
-        def watched_forward(model, x, return_cache=False):
+        def watched_forward(model, x, return_cache=False, threads=1):
             assert all(ref() is None for ref in caches), "an earlier forward cache is live"
             live = [ref for ref in grads if ref() is not None]
             assert len(live) <= (0 if len(grads) % batch_size == 0 else 1), \
                 "an earlier gradient is live"
-            out = forward(model, x, return_cache)
+            out = forward(model, x, return_cache, threads)
             if return_cache:
                 caches.append(weakref.ref(out[1]))
             return out
@@ -317,6 +327,29 @@ class TestFit:
         val = make_split(4, sequence_seed=101)
         model = mstcnpp.init(TINY, seed=0)
         fc = FocalConfig(gamma=2.0)
-        serial = evaluate(model, val, fc, 0.15, max_workers=1)
-        threaded = evaluate(model, val, fc, 0.15, max_workers=4)
+        serial = evaluate(model, val, fc, 0.15, threads=1)
+        threaded = evaluate(model, val, fc, 0.15, threads=4)
         assert serial == threaded
+
+    @pytest.mark.parametrize("n_sequences, extra_threads", [(1, 1), (2, 2), (3, 2)])
+    def test_validation_threads_do_not_multiply(self, rng, monkeypatch, n_sequences,
+                                                extra_threads):
+        # two threads: one long sequence is cut into two row blocks (one
+        # worker), several run side by side with one block each (two workers)
+        seen = []
+        conv = mstcnpp.dilated_conv1d
+
+        def counting(*args):
+            seen.append(threading.active_count())
+            return conv(*args)
+
+        monkeypatch.setattr(mstcnpp, "dilated_conv1d", counting)
+        cfg = mstcnpp.StageConfig(in_dim=8, channels=64, n_classes=4, stages=1,
+                                  layers_prediction=2, layers_refinement=1)
+        t_len = 1300
+        assert len(mstcnpp._row_blocks(t_len, 64, 2)) == 2
+        labels = np.repeat(np.arange(4), t_len // 4)
+        val = [(rng.normal(size=(t_len, 8)), labels) for _ in range(n_sequences)]
+        before = threading.active_count()
+        evaluate(mstcnpp.init(cfg, seed=0), val, FocalConfig(gamma=2.0), 0.15, threads=2)
+        assert max(seen) == before + extra_threads
