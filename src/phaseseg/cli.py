@@ -260,9 +260,11 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data)
     out_dir = Path(args.out)
     dtype = _dtype_of(cfg["precision"])
+    timer = PhaseTimer()
 
-    train_set = synthgen.load_dataset(data_dir / "train", dtype=dtype)
-    val_set = synthgen.load_dataset(data_dir / "val", dtype=dtype)
+    with timer("load"):
+        train_set = synthgen.load_dataset(data_dir / "train", dtype=dtype)
+        val_set = synthgen.load_dataset(data_dir / "val", dtype=dtype)
 
     if cfg["loss"] == "bce":
         gamma = 0.0
@@ -296,14 +298,17 @@ def cmd_train(args) -> int:
         alpha_mode=alpha_mode,
     )
     out_dir.mkdir(parents=True, exist_ok=True)  # the inputs loaded: a bad one leaves no directory
-    best_model, report = trainer.fit(model, train_set, val_set, train_cfg, threads=_threads())
+    with timer("fit"):
+        best_model, report = trainer.fit(model, train_set, val_set, train_cfg,
+                                         threads=_threads())
 
-    model_path = out_dir / "model.bin"
-    mstcnpp.save_model(best_model, model_path)
-    report_path = out_dir / "train_report.json"
-    report_path.write_text(json.dumps(report.as_dict(), indent=2), encoding="utf-8")
+    with timer("save"):
+        model_path = out_dir / "model.bin"
+        mstcnpp.save_model(best_model, model_path)
+        report_path = out_dir / "train_report.json"
+        report_path.write_text(json.dumps(report.as_dict(), indent=2), encoding="utf-8")
     write_manifest(out_dir, "train", cfg, sources, [data_dir],
-                   [model_path, report_path], started)
+                   [model_path, report_path], started, timer)
     last = report.epochs[-1]
     print(f"stopped at epoch {report.stop_epoch} (best {report.best_epoch}); "
           f"val loss {last.val_loss:.4f}, val acc {100 * last.val_accuracy:.2f}%")

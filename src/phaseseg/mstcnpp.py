@@ -23,6 +23,9 @@ order; every weight and bias field is a writeable view into it, laid out by
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import functools
 import math
 import os
 import struct
@@ -39,11 +42,13 @@ from .seqcore import (
     conv1x1_backward,
     dilated_conv1d,
     dilated_conv1d_backward,
+    one_blas_thread,
     relu,
     relu_backward,
     rows_round_alike,
     softmax_rows,
     softmax_rows_backward,
+    transposed_kernel,
     workspace_rows,
 )
 
@@ -236,13 +241,52 @@ def _row_blocks(t_len: int, channels: int, threads: int) -> list[tuple[int, int]
     return [(t_len * i // n, t_len * (i + 1) // n) for i in range(n)]
 
 
-def _run_blocks(pool, blocks, workspaces, kernel, *args):
-    """kernel(*args, rows, workspace) for every block: the first on this
-    thread, the others on pool; returns when all are done."""
-    jobs = [pool.submit(kernel, *args, rows, ws) for rows, ws in zip(blocks[1:], workspaces[1:])]
-    kernel(*args, blocks[0], workspaces[0])
-    for job in jobs:
-        job.result()
+@contextlib.contextmanager
+def thread_pool(threads: int):
+    """The helpers of run_jobs when up to threads threads compute at once:
+    a pool of threads - 1 workers, or None for one thread. numpy's BLAS is
+    held to one thread while the pool is open."""
+    if threads <= 1:
+        yield None
+        return
+    with one_blas_thread, ThreadPoolExecutor(threads - 1) as pool:
+        yield pool
+
+
+def run_jobs(pool, jobs) -> None:
+    """Call every job (a zero-argument callable) once, on this thread and on
+    pool's workers: each thread takes the next job in list order when it is
+    free. Returns when all are done; a job's exception is raised here."""
+    todo = collections.deque(jobs)
+
+    def drain():
+        while True:
+            try:
+                job = todo.popleft()  # atomic: no two threads take one job
+            except IndexError:
+                return
+            job()
+
+    # a drain per job beyond the first: the surplus ones find nothing left
+    helpers = [] if pool is None else [pool.submit(drain) for _ in range(len(todo) - 1)]
+    drain()
+    for helper in helpers:
+        helper.result()
+
+
+def _block_jobs(blocks, workspaces, kernel, *args):
+    """One job per row block: kernel(*args, rows, workspace)."""
+    return [functools.partial(kernel, *args, rows, ws) for rows, ws in zip(blocks, workspaces)]
+
+
+def _block_workspaces(blocks, t_len: int, f: int, dtype, n_rows: int):
+    """Per block: a tap (and short-range) workspace and n_rows arrays of the
+    longest block's rows, f columns each. They live for a whole forward or
+    backward: allocating them per layer churns the heap of every thread."""
+    longest = max(hi - lo for lo, hi in blocks)
+    return [(np.empty((workspace_rows(t_len, longest, f), f), dtype=dtype),
+             *(np.empty((longest, f), dtype=dtype) for _ in range(n_rows)))
+            for _ in blocks]
 
 
 def _project_rows(stage: Stage, x, h, rows, ws):
@@ -275,7 +319,7 @@ def _layer_forward(layer: DualDilatedLayer, h: np.ndarray, fuse_mode: str,
     t_len, f = h.shape
     a = np.empty((t_len, f if fuse_mode == "sum" else 2 * f), dtype=h.dtype)
     out = np.empty_like(h)
-    _run_blocks(pool, blocks, workspaces, _layer_rows, layer, h, a, out, fuse_mode)
+    run_jobs(pool, _block_jobs(blocks, workspaces, _layer_rows, layer, h, a, out, fuse_mode))
     return out, _LayerCache(h_in=h, pre_relu=a, post_relu=a)
 
 
@@ -299,20 +343,14 @@ def forward(model: Model, x, return_cache: bool = False, threads: int = 1):
 
     t_len, f = x.shape[0], cfg.channels
     blocks = _row_blocks(t_len, f, threads)
-    longest = max(hi - lo for lo, hi in blocks)
-    # one tap (and short-range) workspace and one c2 per block, for the whole
-    # forward: allocating them per layer churns the heap of every thread
-    workspaces = [(np.empty((workspace_rows(t_len, longest, f), f), dtype=model.dtype),
-                   np.empty((longest, f), dtype=model.dtype) if cfg.fuse_mode == "sum" else None)
-                  for _ in blocks]
-    pool = ThreadPoolExecutor(len(blocks) - 1) if len(blocks) > 1 else None
+    workspaces = _block_workspaces(blocks, t_len, f, model.dtype, 1)
     cache = ForwardCache()
     stage_probs = []
     current = x
-    try:
+    with thread_pool(len(blocks)) as pool:
         for stage in model.stages:
             h = np.empty((t_len, f), dtype=model.dtype)
-            _run_blocks(pool, blocks, workspaces, _project_rows, stage, current, h)
+            run_jobs(pool, _block_jobs(blocks, workspaces, _project_rows, stage, current, h))
             layer_caches = []
             for layer in stage.layers:
                 h, lc = _layer_forward(layer, h, cfg.fuse_mode, blocks, workspaces, pool)
@@ -326,42 +364,92 @@ def forward(model: Model, x, return_cache: bool = False, threads: int = 1):
                     stage_input=current, layer_caches=layer_caches, final_h=h, probs=probs))
             stage_probs.append(probs)
             current = probs
-    finally:
-        if pool is not None:
-            pool.shutdown()
     if return_cache:
         return stage_probs, cache
     return stage_probs
 
 
-def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_out, fuse_mode,
-                    grad: DualDilatedLayer):
-    g_h = g_out.copy()  # residual path
-    fuse = conv1x1_backward(lc.post_relu, layer.w_fuse, g_out)
-    grad.w_fuse[...] = fuse.d_weights
+def _fusion_grad_rows(w_fuse_t, g_out, a, g_a, rows, ws):
+    """Rows [lo, hi) of the gradient at the fusion, (g_out @ w_fuse) where
+    the fusion a is positive, into g_a; w_fuse_t is w_fuse.T, C-contiguous
+    when the product is to be laid out as forward's."""
+    lo, hi = rows
+    np.matmul(g_out[lo:hi], w_fuse_t.T, out=g_a[lo:hi])
+    relu_backward(a[lo:hi], g_a[lo:hi], out=g_a[lo:hi])
+
+
+def _input_grad_rows(layer: DualDilatedLayer, g_c1, g_c2, kernels, g_h, rows, ws):
+    """Rows [lo, hi) of the layer's input gradient, g_h + (dx1 + dx2), into
+    g_h in place, where g_h holds the gradient at the layer's output and dx1,
+    dx2 are the input gradients of the two dilated convs (kernels: their
+    transposed_kernel)."""
+    lo, hi = rows
+    tap, dx1, dx2 = ws[0], ws[1][:hi - lo], ws[2][:hi - lo]
+    zero = np.zeros(g_h.shape[1], dtype=g_h.dtype)
+    dilated_conv1d(g_c1, kernels[0], zero, layer.dilation_low, dx1, rows, tap)
+    dilated_conv1d(g_c2, kernels[1], zero, layer.dilation_high, dx2, rows, tap)
+    dx1 += dx2
+    g_h[lo:hi] += dx1
+
+
+# The parameter-gradient jobs write their products straight into the gradient
+# Model. Products made as temporaries and copied in left train-paper's peak
+# memory 1.3-2 MiB higher (glibc, 2 threads), at the first AdamW step after
+# backward: memory freed on a helper thread stays in that thread's arena.
+
+def _fuse_params_grad(layer: DualDilatedLayer, a, g_out, grad: DualDilatedLayer):
+    fuse = conv1x1_backward(a, layer.w_fuse, g_out, d_input=False, out_weights=grad.w_fuse)
     grad.b_fuse[...] = fuse.d_bias
-    g_a = relu_backward(lc.pre_relu, fuse.d_input).d_input
+
+
+def _conv_params_grad(h, w, dilation, g_c, grad_w, grad_b):
+    conv = dilated_conv1d_backward(h, w, dilation, g_c, d_input=False, out_weights=grad_w)
+    grad_b[...] = conv.d_bias
+
+
+def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
+                    grad: DualDilatedLayer, g_a, blocks, workspaces, pool, like_forward):
+    """Gradients of one layer, given g_h, the gradient at its output, which
+    becomes the gradient at its input in place.
+
+    Two passes of jobs: the fusion gradient g_a in row blocks alongside the
+    fuse conv's parameter gradients, then the input gradient in row blocks
+    alongside each dilated conv's parameter gradients. A parameter gradient
+    is one whole job, so no thread count changes its bits. like_forward lays
+    the row-block products out as forward's (see transposed_kernel).
+    """
+    w_fuse_t = np.ascontiguousarray(layer.w_fuse.T) if like_forward else layer.w_fuse.T
+    run_jobs(pool, [functools.partial(_fuse_params_grad, layer, lc.post_relu, g_h, grad),
+                    *_block_jobs(blocks, workspaces, _fusion_grad_rows, w_fuse_t, g_h,
+                                 lc.pre_relu, g_a)])
     if fuse_mode == "sum":
         g_c1 = g_c2 = g_a
-    else:
-        f = layer.b_d1.shape[0]
-        g_c1, g_c2 = g_a[:, :f], g_a[:, f:]
-    b1 = dilated_conv1d_backward(lc.h_in, layer.w_d1, layer.dilation_low, g_c1)
-    b2 = dilated_conv1d_backward(lc.h_in, layer.w_d2, layer.dilation_high, g_c2)
-    grad.w_d1[...] = b1.d_weights
-    grad.b_d1[...] = b1.d_bias
-    grad.w_d2[...] = b2.d_weights
-    grad.b_d2[...] = b2.d_bias
-    g_h += b1.d_input + b2.d_input
-    return g_h
+    else:  # contiguous once here, not once per block in dilated_conv1d
+        f = g_h.shape[1]
+        g_c1, g_c2 = np.ascontiguousarray(g_a[:, :f]), np.ascontiguousarray(g_a[:, f:])
+    run_jobs(pool, [
+        functools.partial(_conv_params_grad, lc.h_in, layer.w_d1, layer.dilation_low, g_c1,
+                          grad.w_d1, grad.b_d1),
+        functools.partial(_conv_params_grad, lc.h_in, layer.w_d2, layer.dilation_high, g_c2,
+                          grad.w_d2, grad.b_d2),
+        *_block_jobs(blocks, workspaces, _input_grad_rows, layer, g_c1, g_c2,
+                     (transposed_kernel(layer.w_d1, like_forward),
+                      transposed_kernel(layer.w_d2, like_forward)), g_h)])
 
 
-def backward(model: Model, cache: ForwardCache, stage_logit_grads) -> Model:
+def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int = 1) -> Model:
     """Full-model gradients given each stage's direct dL/dlogits.
 
     Gradients flow backward through the probability handoff: the loss applied
     to stage s also reaches every earlier stage via the refinement inputs.
     Returns a gradient Model with the parameter layout of model.
+
+    threads bounds the threads that compute at once, over the row blocks
+    forward uses; the gradients are bit-identical for every thread count.
+    numpy's BLAS runs on one thread throughout, since a multi-threaded
+    OpenBLAS rounds a product summed over T (every parameter gradient is
+    one) differently by its own thread count. The threads BLAS gives up go
+    to the row blocks: backward runs on max(threads, BLAS's count) threads.
     """
     if cache is None or not cache.stage_caches:
         raise ValueError("forward cache missing: run forward(..., return_cache=True)")
@@ -371,31 +459,44 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads) -> Model:
 
     cfg = model.config
     grads = _bind(cfg, np.zeros_like(model.flat))
+    t_len, f = cache.stage_caches[0].final_h.shape
+    # the fusion gradient of the layer in hand; every layer refills it
+    g_a = np.empty((t_len, f if cfg.fuse_mode == "sum" else 2 * f), dtype=model.dtype)
     g_probs_next = None  # gradient arriving at this stage's output probabilities
-    for s in range(n_stages - 1, -1, -1):
-        stage, grad = model.stages[s], grads.stages[s]
-        sc = cache.stage_caches[s]
+    # Where some thread count would cut these rows into blocks, every product
+    # of a row block is laid out as forward's, whose rows round alike in any
+    # block. Where none would, the one block keeps numpy's own layout, which
+    # is faster for the small products of such shapes.
+    like_forward = len(_row_blocks(t_len, f, t_len)) > 1
+    with one_blas_thread as blas_threads:
+        blocks = _row_blocks(t_len, f, max(threads, blas_threads))
+        workspaces = _block_workspaces(blocks, t_len, f, model.dtype, 2)
+        with thread_pool(len(blocks)) as pool:
+            for s in range(n_stages - 1, -1, -1):
+                stage, grad = model.stages[s], grads.stages[s]
+                sc = cache.stage_caches[s]
 
-        g_logits = np.asarray(stage_logit_grads[s], dtype=model.dtype)
-        if g_logits.shape != sc.probs.shape:
-            raise ShapeError(f"stage {s + 1} gradient shape {g_logits.shape} "
-                             f"does not match logits {sc.probs.shape}")
-        if g_probs_next is not None:
-            g_logits = g_logits + softmax_rows_backward(sc.probs, g_probs_next).d_input
+                g_logits = np.asarray(stage_logit_grads[s], dtype=model.dtype)
+                if g_logits.shape != sc.probs.shape:
+                    raise ShapeError(f"stage {s + 1} gradient shape {g_logits.shape} "
+                                     f"does not match logits {sc.probs.shape}")
+                if g_probs_next is not None:
+                    g_logits = g_logits + softmax_rows_backward(sc.probs, g_probs_next).d_input
 
-        head = conv1x1_backward(sc.final_h, stage.head_w, g_logits)
-        grad.head_w[...] = head.d_weights
-        grad.head_b[...] = head.d_bias
+                head = conv1x1_backward(sc.final_h, stage.head_w, g_logits)
+                grad.head_w[...] = head.d_weights
+                grad.head_b[...] = head.d_bias
 
-        g_h = head.d_input
-        for l in range(len(stage.layers) - 1, -1, -1):
-            g_h = _layer_backward(stage.layers[l], sc.layer_caches[l], g_h,
-                                  cfg.fuse_mode, grad.layers[l])
+                g_h = head.d_input  # a fresh array, so the layers may update it in place
+                for l in range(len(stage.layers) - 1, -1, -1):
+                    _layer_backward(stage.layers[l], sc.layer_caches[l], g_h, cfg.fuse_mode,
+                                    grad.layers[l], g_a, blocks, workspaces, pool, like_forward)
 
-        proj = conv1x1_backward(sc.stage_input, stage.proj_w, g_h)
-        grad.proj_w[...] = proj.d_weights
-        grad.proj_b[...] = proj.d_bias
-        g_probs_next = proj.d_input if s > 0 else None
+                # stage 1's input is the features: nothing reads their gradient
+                proj = conv1x1_backward(sc.stage_input, stage.proj_w, g_h, d_input=s > 0)
+                grad.proj_w[...] = proj.d_weights
+                grad.proj_b[...] = proj.d_bias
+                g_probs_next = proj.d_input
     return grads
 
 

@@ -15,7 +15,11 @@ zero padding of (k-1)/2 * dilation frames per side.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -44,7 +48,7 @@ class LayerGrad:
     primitives without the corresponding parameter.
     """
 
-    d_input: np.ndarray
+    d_input: np.ndarray | None  # None when the caller asked for parameter gradients only
     d_weights: np.ndarray | None = None
     d_bias: np.ndarray | None = None
 
@@ -98,6 +102,58 @@ def rows_round_alike(cout: int) -> bool:
     return cout % 8 == 0 and cout >= 64
 
 
+@functools.cache
+def openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, through
+    ctypes, or None when this numpy carries no such library."""
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                        *root.glob(".dylibs/*openblas*")]):
+        try:  # the library numpy already loaded: CDLL returns the same handle
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """`with one_blas_thread as n:` holds numpy's OpenBLAS to one thread while
+    row blocks are the parallelism; otherwise each block's product would
+    start BLAS threads of its own and oversubscribe the cores. n is the
+    count it took away (1 when unknown). The count in force when the first
+    holder entered is restored when the last one leaves, so regions may nest
+    and overlap across threads. Without openblas_threads() it does nothing."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._api = self._restore = None
+
+    def __enter__(self) -> int:
+        with self._lock:
+            if self._holders == 0:
+                self._api = openblas_threads()
+                if self._api is not None:
+                    self._restore = self._api[0]()
+                    self._api[1](1)
+            self._holders += 1
+            return self._restore if self._api is not None else 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._api is not None:
+                self._api[1](self._restore)
+
+
+one_blas_thread = _OneBlasThread()
+
+
 def _chunk_rows(t_len: int, cout: int) -> int:
     return _TAP_CHUNK if rows_round_alike(cout) else t_len
 
@@ -145,7 +201,10 @@ def dilated_conv1d(x, weights, bias, dilation: int, out=None, rows=None,
     out[t, co] = bias[co] + sum_{ci,j} weights[co, ci, j] * x[t + (j - (k-1)/2) * dilation, ci]
     with zero padding outside [0, T). No padded copy is built: each tap adds
     its product into the rows where it reads inside [0, T), in the order
-    bias, tap 0, tap 1, ..., so the result is bit-equal to the padded form.
+    bias, tap 0, tap 1, .... The result is bit-equal to the padded form when
+    rows_round_alike(Cout) holds or T < _MIN_GEMM_ROWS (every product then
+    spans all of x); at other widths, such as 250, the two can differ in the
+    last bits, though each stays the same from run to run.
 
     rows = (lo, hi) computes only output rows [lo, hi) (default: all T) into
     out, an array of shape (hi - lo, Cout), allocated when not given. Each
@@ -177,8 +236,37 @@ def dilated_conv1d(x, weights, bias, dilation: int, out=None, rows=None,
     return out
 
 
-def dilated_conv1d_backward(x, weights, dilation: int, grad_out) -> LayerGrad:
-    """Analytic gradients of dilated_conv1d w.r.t. input, kernel and bias."""
+def transposed_kernel(weights, contiguous: bool = True) -> np.ndarray:
+    """The (Cin, Cout, k) kernel whose dilated_conv1d with zero bias maps
+    dL/d(output) to dL/d(input): channels swapped, taps reversed.
+
+    Tap j of weights carries output row t from input row t + shift_j, so the
+    input gradient at row s gathers grad_out[s - shift_j] @ weights[:, :, j],
+    which is a dilated convolution of grad_out with tap j at shift -shift_j.
+
+    contiguous=True copies each tap into a C-contiguous (Cin, Cout) matrix,
+    so dilated_conv1d hands BLAS the transposed operand it hands it in
+    forward, and the rows of a product round alike wherever rows_round_alike
+    says. contiguous=False returns a view, whose taps numpy multiplies in the
+    other layout: faster for small products (T=173, F=64: 24 against 32 us a
+    tap), but its rows do not round alike at some widths (float32, 72).
+    """
+    view = weights.transpose(1, 0, 2)[:, :, ::-1]
+    return np.ascontiguousarray(view.transpose(2, 0, 1)).transpose(1, 2, 0) if contiguous else view
+
+
+def dilated_conv1d_backward(x, weights, dilation: int, grad_out,
+                            d_input: bool = True, out_weights=None) -> LayerGrad:
+    """Analytic gradients of dilated_conv1d w.r.t. input, kernel and bias.
+
+    No padded copy is built. Tap j's kernel gradient multiplies only the rows
+    where the tap reads inside [0, T), as one product whatever the caller's
+    threads: grad_out[valid].T @ x[valid + shift_j]. It is written into
+    out_weights, an array of the kernel's shape, when given. The input
+    gradient is the convolution of grad_out with transposed_kernel(weights);
+    d_input=False skips it (d_input is None) for callers that compute it in
+    row blocks.
+    """
     weights = np.asarray(weights, dtype=x.dtype)
     grad_out = np.asarray(grad_out, dtype=x.dtype)
     cout, cin, k = weights.shape
@@ -186,16 +274,21 @@ def dilated_conv1d_backward(x, weights, dilation: int, grad_out) -> LayerGrad:
     t_len = x.shape[0]
     if grad_out.shape != (t_len, cout):
         raise ShapeError(f"upstream gradient must be ({t_len}, {cout}), got {grad_out.shape}")
-    pad = (k - 1) // 2 * dilation
-    xp = np.zeros((t_len + 2 * pad, cin), dtype=x.dtype)
-    xp[pad:pad + t_len] = x
-    d_w = np.empty_like(weights)
-    d_xp = np.zeros_like(xp)
+    d_w = np.empty_like(weights) if out_weights is None else out_weights
+    if d_w.shape != weights.shape or d_w.dtype != x.dtype:
+        raise ShapeError(f"kernel gradient {d_w.shape} {d_w.dtype} is not "
+                         f"{weights.shape} {x.dtype}")
     for j in range(k):
-        window = slice(j * dilation, j * dilation + t_len)
-        d_w[:, :, j] = grad_out.T @ xp[window]
-        d_xp[window] += grad_out @ weights[:, :, j]
-    d_x = d_xp[pad:pad + t_len] if pad else d_xp
+        shift = (j - (k - 1) // 2) * dilation
+        t_lo, t_hi = max(0, -shift), min(t_len, t_len - shift)
+        if t_lo < t_hi:
+            np.matmul(grad_out[t_lo:t_hi].T, x[t_lo + shift:t_hi + shift], out=d_w[:, :, j])
+        else:  # the tap reads only padding
+            d_w[:, :, j] = 0.0
+    d_x = None
+    if d_input:
+        d_x = dilated_conv1d(grad_out, transposed_kernel(weights),
+                             np.zeros(cin, dtype=x.dtype), dilation)
     return LayerGrad(d_input=d_x, d_weights=d_w, d_bias=grad_out.sum(axis=0))
 
 
@@ -231,15 +324,18 @@ def conv1x1(x, weights, bias, out=None, rows=None, work=None) -> np.ndarray:
     return out
 
 
-def conv1x1_backward(x, weights, grad_out) -> LayerGrad:
-    """Analytic gradients of conv1x1 w.r.t. input, weights and bias."""
+def conv1x1_backward(x, weights, grad_out, d_input: bool = True,
+                     out_weights=None) -> LayerGrad:
+    """Analytic gradients of conv1x1 w.r.t. input, weights and bias;
+    d_input=False skips the input gradient (d_input is None), and the
+    weight gradient is written into out_weights when given."""
     weights = np.asarray(weights, dtype=x.dtype)
     grad_out = np.asarray(grad_out, dtype=x.dtype)
     if grad_out.shape != (x.shape[0], weights.shape[0]):
         raise ShapeError(f"upstream gradient shape {grad_out.shape} does not match output")
     return LayerGrad(
-        d_input=grad_out @ weights,
-        d_weights=grad_out.T @ x,
+        d_input=grad_out @ weights if d_input else None,
+        d_weights=np.matmul(grad_out.T, x, out=out_weights),
         d_bias=grad_out.sum(axis=0),
     )
 
@@ -253,9 +349,10 @@ def relu(x, out=None) -> np.ndarray:
     return np.maximum(np.asarray(x), 0, out=out)
 
 
-def relu_backward(x, grad_out) -> LayerGrad:
+def relu_backward(x, grad_out, out=None) -> LayerGrad:
+    """grad_out where x > 0, else 0; out=grad_out masks in place."""
     x = np.asarray(x)
-    return LayerGrad(d_input=np.asarray(grad_out) * (x > 0))
+    return LayerGrad(d_input=np.multiply(np.asarray(grad_out), x > 0, out=out))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ runs produce bit-identical parameters.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import mstcnpp
 from .losses import FocalConfig, inverse_frequency_alpha, total_loss
+from .seqcore import one_blas_thread
 
 _SAMPLING_MODES = ("uniform", "class-balanced")
 _ALPHA_MODES = ("uniform", "inverse-frequency")
@@ -89,10 +91,12 @@ class AdamWState:
 
 def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamWState, lr: float,
                weight_decay: float = 0.0, beta1: float = 0.9, beta2: float = 0.999,
-               eps: float = 1e-8) -> AdamWState:
+               eps: float = 1e-8, threads: int = 1) -> AdamWState:
     """One decoupled-weight-decay Adam update of the flat array params, in place.
 
-    grads is a flat array of the same size; the moments start at zero.
+    grads is a flat array of the same size; the moments start at zero. The
+    update is elementwise, so the slices are cut into up to threads ranges
+    that run at once, with the same bits for every thread count.
     """
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
@@ -100,16 +104,25 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamWState, lr: flo
     t = state.step
     bias1 = 1.0 - beta1**t
     bias2 = 1.0 - beta2**t
-    for lo in range(0, params.size, _ADAMW_CHUNK):
-        part = slice(lo, lo + _ADAMW_CHUNK)
-        p, g, m, v = params[part], grads[part], state.m[part], state.v[part]
-        if weight_decay:
-            p *= 1.0 - lr * weight_decay
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        p -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+    def update(start, stop):
+        for lo in range(start, stop, _ADAMW_CHUNK):
+            part = slice(lo, lo + _ADAMW_CHUNK)
+            p, g, m, v = params[part], grads[part], state.m[part], state.v[part]
+            if weight_decay:
+                p *= 1.0 - lr * weight_decay
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * np.square(g)
+            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+    slices = -(-params.size // _ADAMW_CHUNK)
+    parts = max(1, min(threads, slices))
+    edges = [_ADAMW_CHUNK * (slices * i // parts) for i in range(parts + 1)]
+    with mstcnpp.thread_pool(parts) as pool:
+        mstcnpp.run_jobs(pool, [functools.partial(update, lo, hi)
+                                for lo, hi in zip(edges, edges[1:])])
     return state
 
 
@@ -183,7 +196,7 @@ def evaluate(model, dataset, focal_cfg: FocalConfig, smoothing_weight: float,
         return breakdown.total, int((pred[counted] == labels[counted]).sum()), int(counted.sum())
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, dataset))
     else:
         results = [one(item) for item in dataset]
@@ -229,8 +242,8 @@ class TrainReport:
 def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
     """Train up to cfg.epochs with early stopping on rising validation loss.
 
-    threads bounds the threads that compute at once in forward passes and
-    validation; the result does not depend on it.
+    threads bounds the threads that compute at once in forward and backward
+    passes, the AdamW update and validation; the result does not depend on it.
 
     Returns (best_model, report) where best_model is the checkpoint with the
     lowest validation loss. Raises DivergenceError (report attached) on a
@@ -294,7 +307,7 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
             smooth_sum += sum(breakdown.per_stage_smooth)
             total_sum += breakdown.total
 
-            grads = mstcnpp.backward(model, cache, stage_grads)
+            grads = mstcnpp.backward(model, cache, stage_grads, threads=threads)
             # free this step's forward cache and gradient now, not when the
             # next step rebinds the names: otherwise two of each are live
             del probs, cache, stage_grads
@@ -313,7 +326,8 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
                     report.diverged = True
                     raise DivergenceError(f"non-finite gradient in parameter block {bad!r}",
                                           report)
-                adamw_step(model.flat, pending.flat, state, lr, cfg.weight_decay)
+                adamw_step(model.flat, pending.flat, state, lr, cfg.weight_decay,
+                           threads=threads)
                 pending, pending_n = None, 0
 
         try:

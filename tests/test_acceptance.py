@@ -147,8 +147,8 @@ def test_criterion_1_gradient_suite():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_criterion_1_gradients_in_row_blocks(threads):
-    # the full-model oracle at a length where forward cuts each layer into two
-    # row blocks, on sampled entries of every parameter block. Over 1300
+    # the full-model oracle at a length where forward and backward cut each
+    # layer into two row blocks, on sampled entries of every parameter block. Over 1300
     # frames a step of h would move some pre-ReLU value across 0, where the
     # loss has a kink and a central difference is no oracle; biases of +-3
     # hold every pre-ReLU value far from 0 (half the channels on, half off),
@@ -175,7 +175,8 @@ def test_criterion_1_gradients_in_row_blocks(threads):
 
     probs, cache = mstcnpp.forward(model, x, return_cache=True, threads=threads)
     _, stage_grads = total_loss(probs, labels, fcfg, 0.15)
-    analytic = dict(mstcnpp.named_parameters(mstcnpp.backward(model, cache, stage_grads)))
+    analytic = dict(mstcnpp.named_parameters(
+        mstcnpp.backward(model, cache, stage_grads, threads=threads)))
     del probs, cache
     masks = loss_and_masks()[1]
     assert all(0 < m.mean() < 1 for m in masks)  # the ReLUs pass some values and zero others

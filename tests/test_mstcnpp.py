@@ -231,9 +231,9 @@ class TestRowBlocks:
     """Layers cut into row blocks over threads give the bits of one block."""
 
     @staticmethod
-    def _run(t_len, fuse_mode, dtype, threads):
+    def _run(t_len, fuse_mode, dtype, threads, channels=72):
         # stage 1's dilations reach 512; the refinement stage is kept short
-        cfg = StageConfig(in_dim=6, channels=72, n_classes=4, stages=2,
+        cfg = StageConfig(in_dim=6, channels=channels, n_classes=4, stages=2,
                           layers_prediction=10, layers_refinement=2, fuse_mode=fuse_mode)
         model = init(cfg, seed=4, dtype=dtype)
         rng = np.random.default_rng(t_len)
@@ -242,7 +242,7 @@ class TestRowBlocks:
         plain = forward(model, x, threads=threads)
         probs, cache = forward(model, x, return_cache=True, threads=threads)
         _, stage_grads = total_loss(probs, labels, FocalConfig(gamma=2.0), 0.15)
-        return plain, probs, mstcnpp.backward(model, cache, stage_grads).flat
+        return plain, probs, mstcnpp.backward(model, cache, stage_grads, threads=threads).flat
 
     def test_gate_and_block_shapes(self):
         t_gate = _gate_frames(72)
@@ -263,23 +263,25 @@ class TestRowBlocks:
     @pytest.mark.parametrize("fuse_mode", ["sum", "concat"])
     @pytest.mark.parametrize("t_len", ["gate", 1600])
     def test_probs_and_grads_equal_for_threads_1_2_3(self, fuse_mode, dtype, t_len):
-        # "gate": the shortest sequence with two blocks; at T=1600 three
-        # threads cut three blocks and dilation 512 reads fewer than
-        # _MIN_GEMM_ROWS rows inside the first block
-        t_len = _gate_frames(72) if t_len == "gate" else t_len
-        blocks = mstcnpp._row_blocks(t_len, 72, 3)
-        assert len(blocks) == (2 if t_len == _gate_frames(72) else 3)
-        if t_len == 1600:
-            assert _shortest_tap_range(blocks, t_len, [512]) < seqcore._MIN_GEMM_ROWS
-        serial, serial_cached, serial_grad = self._run(t_len, fuse_mode, dtype, 1)
-        for a, b in zip(serial, serial_cached):
-            assert np.array_equal(a, b)
-        for threads in (2, 3):
-            plain, cached, grad = self._run(t_len, fuse_mode, dtype, threads)
-            for a, b, c in zip(serial, plain, cached):
-                assert a.dtype == dtype
-                assert np.array_equal(a, b) and np.array_equal(a, c), threads
-            assert np.array_equal(serial_grad, grad), threads
+        # "gate": the shortest sequence with two blocks, at widths 72 and 128;
+        # at T=1600 three threads cut three blocks and dilation 512 reads
+        # fewer than _MIN_GEMM_ROWS rows inside the first block. Backward runs
+        # on the same blocks and threads as forward.
+        for channels in (72, 128) if t_len == "gate" else (72,):
+            n = _gate_frames(channels) if t_len == "gate" else t_len
+            blocks = mstcnpp._row_blocks(n, channels, 3)
+            assert len(blocks) == (2 if t_len == "gate" else 3)
+            if t_len == 1600:
+                assert _shortest_tap_range(blocks, n, [512]) < seqcore._MIN_GEMM_ROWS
+            serial, serial_cached, serial_grad = self._run(n, fuse_mode, dtype, 1, channels)
+            for a, b in zip(serial, serial_cached):
+                assert np.array_equal(a, b)
+            for threads in (2, 3):
+                plain, cached, grad = self._run(n, fuse_mode, dtype, threads, channels)
+                for a, b, c in zip(serial, plain, cached):
+                    assert a.dtype == dtype
+                    assert np.array_equal(a, b) and np.array_equal(a, c), (channels, threads)
+                assert np.array_equal(serial_grad, grad), (channels, threads)
 
     @given(st.sampled_from([(40, 8), (150, 64), (300, 64)]), st.sampled_from(["sum", "concat"]),
            st.sampled_from([np.float64, np.float32]), st.integers(0, 9), st.data())
@@ -364,8 +366,8 @@ class TestRowBlocks:
 
 
 class TestBackward:
-    def _loss_grads(self, model, x, labels):
-        probs, cache = forward(model, x, return_cache=True)
+    def _loss_grads(self, model, x, labels, threads=1):
+        probs, cache = forward(model, x, return_cache=True, threads=threads)
         bd, grads = total_loss(probs, labels, FocalConfig(gamma=2.0), 0.15)
         return bd.total, cache, grads
 
@@ -426,6 +428,112 @@ class TestBackward:
                 fd = (lp - lm) / (2 * h)
                 an = analytic[name].reshape(-1)[i]
                 assert_grad_close(np.array([an]), np.array([fd]))
+
+
+    def test_concat_fusion_gradients_reach_convs_contiguous(self, rng, monkeypatch):
+        # the two halves of a concat fusion's gradient are made contiguous once
+        # per layer, so no row block's dilated_conv1d copies its input
+        contiguous = []
+        conv = mstcnpp.dilated_conv1d
+
+        def recording(x, *args):
+            contiguous.append(x.flags.c_contiguous)
+            return conv(x, *args)
+
+        cfg = StageConfig(in_dim=5, channels=64, n_classes=3, stages=1,
+                          layers_prediction=3, layers_refinement=1, fuse_mode="concat")
+        t_len = _gate_frames(64)
+        model = init(cfg, seed=0)
+        _, cache, stage_grads = self._loss_grads(model, rng.normal(size=(t_len, 5)),
+                                                 rng.integers(0, 3, size=t_len), 2)
+        monkeypatch.setattr(mstcnpp, "dilated_conv1d", recording)
+        mstcnpp.backward(model, cache, stage_grads, threads=2)
+        assert len(contiguous) == 3 * 2 * 2 and all(contiguous)
+
+
+class TestBlasThreads:
+    """numpy's BLAS runs on one thread while row blocks run, and gets its
+    thread count back after."""
+
+    @staticmethod
+    def _fake_blas(monkeypatch, count=4):
+        state = {"threads": count, "set": []}
+
+        def set_threads(n):
+            state["set"].append(n)
+            state["threads"] = n
+
+        monkeypatch.setattr(seqcore, "openblas_threads",
+                            lambda: (lambda: state["threads"], set_threads))
+        return state
+
+    def test_capped_while_blocks_run(self, rng, monkeypatch):
+        state = self._fake_blas(monkeypatch)
+        seen = []
+        conv = mstcnpp.dilated_conv1d
+        before = threading.active_count()
+
+        def recording(*args):
+            seen.append(state["threads"])
+            workers.append(threading.active_count() - before)
+            return conv(*args)
+
+        monkeypatch.setattr(mstcnpp, "dilated_conv1d", recording)
+        cfg = StageConfig(in_dim=5, channels=64, n_classes=3, stages=1,
+                          layers_prediction=2, layers_refinement=1)
+        model = init(cfg, seed=0)
+        x = rng.normal(size=(_gate_frames(64), 5))
+        for threads in (2, 1):
+            state["set"].clear()
+            seen.clear()
+            workers = []
+            probs, cache = forward(model, x, return_cache=True, threads=threads)
+            # one block keeps BLAS's threads in forward, whose products round
+            # alike for any BLAS thread count
+            assert state["set"] == ([1, 4] if threads > 1 else [])
+            assert set(seen) == ({1} if threads > 1 else {4})
+            assert max(workers) == (1 if threads > 1 else 0)
+            # backward always runs on one BLAS thread, as its sums over T do
+            # not round alike, and hands the threads BLAS gave up to its blocks
+            seen.clear()
+            workers = []
+            mstcnpp.backward(model, cache, [np.ones_like(p) for p in probs], threads=threads)
+            assert state["set"][-2:] == [1, 4] and set(seen) == {1}
+            assert max(workers) == 1
+            assert state["threads"] == 4
+
+    def test_nested_regions_restore_once(self, monkeypatch):
+        state = self._fake_blas(monkeypatch, count=3)
+        with pytest.raises(RuntimeError):
+            with seqcore.one_blas_thread:
+                with seqcore.one_blas_thread:
+                    assert state["threads"] == 1
+                assert state["threads"] == 1
+                raise RuntimeError("a failing block")
+        assert state["threads"] == 3 and state["set"] == [1, 3]
+
+    def test_without_openblas_backward_keeps_its_threads(self, rng, monkeypatch):
+        # no BLAS count to take over: threads=1 stays on one thread
+        monkeypatch.setattr(seqcore, "openblas_threads", lambda: None)
+        with seqcore.one_blas_thread as taken:
+            assert taken == 1
+        monkeypatch.setattr(mstcnpp, "ThreadPoolExecutor", None)  # any pool would fail
+        cfg = StageConfig(in_dim=5, channels=64, n_classes=3, stages=1,
+                          layers_prediction=2, layers_refinement=1)
+        model = init(cfg, seed=0)
+        probs, cache = forward(model, rng.normal(size=(_gate_frames(64), 5)),
+                               return_cache=True)
+        mstcnpp.backward(model, cache, [np.ones_like(p) for p in probs])
+
+    def test_numpys_openblas_capped_and_restored(self):
+        api = seqcore.openblas_threads()
+        if api is None:
+            pytest.skip("this numpy carries no scipy-openblas library")
+        get, _ = api
+        before = get()
+        with seqcore.one_blas_thread:
+            assert get() == 1
+        assert get() == before
 
 
 class TestInit:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseseg import seqcore
 from phaseseg.seqcore import (
     ShapeError,
     conv1x1,
@@ -76,11 +77,46 @@ def padded_dilated_conv1d(x, weights, bias, dilation):
     return out
 
 
+def padded_dilated_conv1d_backward(x, weights, dilation, grad_out):
+    """(d_x, d_w, d_b) through a zero-padded copy of x, kept as a reference:
+    every tap's kernel gradient sums over all T rows, padding included, and
+    the taps add into d_x last to first, the order of the padless form. Each
+    tap's d_x product hands BLAS a transposed C-contiguous operand, as the
+    padless form does (BLAS rounds the other layout differently)."""
+    t_len, k = x.shape[0], weights.shape[2]
+    pad = (k - 1) // 2 * dilation
+    xp = np.zeros((t_len + 2 * pad, x.shape[1]), dtype=x.dtype)
+    xp[pad:pad + t_len] = x
+    d_w = np.empty_like(weights)
+    d_xp = np.zeros_like(xp)
+    for j in reversed(range(k)):
+        window = slice(j * dilation, j * dilation + t_len)
+        d_w[:, :, j] = grad_out.T @ xp[window]
+        d_xp[window] += grad_out @ np.ascontiguousarray(weights[:, :, j].T).T
+    return d_xp[pad:pad + t_len], d_w, grad_out.sum(axis=0)
+
+
+def _bit_equal_or_close(got, want, exact: bool):
+    """Equal bits when exact, else equal within a relative 1e-12 (float64)
+    or 1e-5 (float32) of the largest entry."""
+    if exact:
+        return np.array_equal(got, want)
+    tol = 1e-12 if got.dtype == np.float64 else 1e-5
+    return np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
 class TestPadlessDilatedConv:
     # (T, channels): the wider shapes put short tap ranges (dilation T-1)
     # into the sizes where BLAS switches to its small-product kernels; at
-    # T=1100 a tap's product is added in two chunks
-    SHAPES = [(1, 3), (2, 3), (7, 5), (40, 16), (173, 64), (300, 256), (1100, 64)]
+    # T=1100 a tap's product is added in two
+    # chunks. Width 250 fails rows_round_alike: there the padless form is
+    # only close to the padded one.
+    SHAPES = [(1, 3), (2, 3), (7, 5), (40, 16), (173, 64), (300, 256), (1100, 64), (300, 250)]
+
+    @staticmethod
+    def _exact(t_len, f):
+        """Whether padless and padded products round every row alike."""
+        return seqcore.rows_round_alike(f) or t_len < seqcore._MIN_GEMM_ROWS
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -93,7 +129,40 @@ class TestPadlessDilatedConv:
                 got = dilated_conv1d(x, w, b, dilation)
                 want = padded_dilated_conv1d(x, w, b, dilation)
                 assert got.dtype == dtype
-                assert np.array_equal(got, want), (t_len, f, k, dilation)
+                assert _bit_equal_or_close(got, want, self._exact(t_len, f)), \
+                    (t_len, f, k, dilation)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_backward_matches_padded_reference(self, rng, k, dtype):
+        # d_x has the padded form's bits where its rows round alike; d_w sums
+        # over the valid rows only, so it is close, not equal. A grad_out that
+        # is a column slice of a wider array (concat fusion) gives the same.
+        for t_len, f in self.SHAPES:
+            x = rng.normal(size=(t_len, f)).astype(dtype)
+            w = rng.normal(size=(f, f, k)).astype(dtype)
+            wide = rng.normal(size=(t_len, 2 * f)).astype(dtype)
+            g = np.ascontiguousarray(wide[:, :f])
+            for dilation in sorted({1, 2, max(1, t_len - 1), t_len, 2 * t_len}):
+                got = dilated_conv1d_backward(x, w, dilation, g)
+                want_x, want_w, want_b = padded_dilated_conv1d_backward(x, w, dilation, g)
+                assert got.d_input.dtype == got.d_weights.dtype == dtype
+                assert _bit_equal_or_close(got.d_input, want_x, self._exact(t_len, f)), \
+                    (t_len, f, k, dilation)
+                assert _bit_equal_or_close(got.d_weights, want_w, False), \
+                    (t_len, f, k, dilation)
+                assert np.array_equal(got.d_bias, want_b)
+                sliced = dilated_conv1d_backward(x, w, dilation, wide[:, :f])
+                for a, b in ((sliced.d_input, got.d_input), (sliced.d_weights, got.d_weights),
+                             (sliced.d_bias, got.d_bias)):
+                    assert np.array_equal(a, b)
+                dest = np.full_like(w, np.nan)
+                params_only = dilated_conv1d_backward(x, w, dilation, g, d_input=False,
+                                                      out_weights=dest)
+                assert params_only.d_input is None and params_only.d_weights is dest
+                assert np.array_equal(dest, got.d_weights)
+        with pytest.raises(ShapeError):
+            dilated_conv1d_backward(x, w, 1, g, out_weights=np.empty((f, f, k + 2), dtype))
 
 
 @st.composite
@@ -263,6 +332,10 @@ class TestBackward:
             lambda v: float((conv1x1(v, w, b) * g).sum()), x))
         assert_grad_close(lg.d_weights, central_difference(
             lambda v: float((conv1x1(x, v, b) * g).sum()), w))
+        dest = np.full_like(w, np.nan)
+        params_only = conv1x1_backward(x, w, g, d_input=False, out_weights=dest)
+        assert params_only.d_input is None and params_only.d_weights is dest
+        assert np.array_equal(dest, lg.d_weights) and np.array_equal(params_only.d_bias, lg.d_bias)
 
     def test_relu_grad_matches_fd(self, rng):
         x = rng.normal(size=(6, 3)) + 0.05  # keep clear of the kink

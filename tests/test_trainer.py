@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from phaseseg import mstcnpp, synthgen, trainer
+from phaseseg import mstcnpp, seqcore, synthgen, trainer
 from phaseseg.losses import FocalConfig, total_loss
 from phaseseg.trainer import (
     AdamWState,
@@ -68,22 +68,24 @@ class TestAdamW:
         np.testing.assert_allclose(params, [w], rtol=1e-12)
 
     def test_chunked_update_matches_whole_array(self, rng):
-        # longer than one slice and not a multiple of it
+        # longer than one slice and not a multiple of it; threads cut the
+        # three slices into up to three ranges updated at once
         size = 2 * trainer._ADAMW_CHUNK + 123
-        params, state = rng.normal(size=size), AdamWState()
-        ref_p, ref_m, ref_v = params.copy(), np.zeros(size), np.zeros(size)
+        start, grads = rng.normal(size=size), rng.normal(size=(3, size))
         lr, wd, b1, b2, eps = 1e-3, 0.01, 0.9, 0.999, 1e-8
-        for t in (1, 2, 3):
-            g = rng.normal(size=size)
-            adamw_step(params, g, state, lr=lr, weight_decay=wd)
-            ref_p *= 1.0 - lr * wd
-            ref_m *= b1
-            ref_m += (1.0 - b1) * g
-            ref_v *= b2
-            ref_v += (1.0 - b2) * np.square(g)
-            ref_p -= lr * (ref_m / (1.0 - b1**t)) / (np.sqrt(ref_v / (1.0 - b2**t)) + eps)
-            assert np.array_equal(params, ref_p)
-            assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
+        for threads in (1, 2, 3, 8):
+            params, state = start.copy(), AdamWState()
+            ref_p, ref_m, ref_v = start.copy(), np.zeros(size), np.zeros(size)
+            for t, g in enumerate(grads, start=1):
+                adamw_step(params, g, state, lr=lr, weight_decay=wd, threads=threads)
+                ref_p *= 1.0 - lr * wd
+                ref_m *= b1
+                ref_m += (1.0 - b1) * g
+                ref_v *= b2
+                ref_v += (1.0 - b2) * np.square(g)
+                ref_p -= lr * (ref_m / (1.0 - b1**t)) / (np.sqrt(ref_v / (1.0 - b2**t)) + eps)
+                assert np.array_equal(params, ref_p), threads
+                assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
 
 
 class TestCosine:
@@ -182,6 +184,22 @@ class TestFit:
                                     mstcnpp.named_parameters(m2)):
             assert np.array_equal(p1, p2)
 
+    def test_threads_give_identical_training(self, rng):
+        # forward, backward and AdamW cut into blocks and slices on 1-3 threads
+        mcfg = mstcnpp.StageConfig(in_dim=8, channels=64, n_classes=4, stages=2,
+                                   layers_prediction=3, layers_refinement=2)
+        t_len = 1900
+        assert len(mstcnpp._row_blocks(t_len, 64, 3)) == 3
+        labels = np.repeat(np.arange(4), t_len // 4)
+        train = [(rng.normal(size=(t_len, 8)) + labels[:, None], labels) for _ in range(2)]
+        val = [(rng.normal(size=(t_len, 8)) + labels[:, None], labels)]
+        cfg = TrainConfig(epochs=2, learning_rate=1e-3, seed=1)
+        runs = [fit(mstcnpp.init(mcfg, seed=1), train, val, cfg, threads=threads)
+                for threads in (1, 2, 3)]
+        for model, report in runs[1:]:
+            assert report.as_dict() == runs[0][1].as_dict()
+            assert np.array_equal(model.flat, runs[0][0].flat)
+
     def test_best_checkpoint_has_minimum_val_loss(self):
         train = make_split(3, sequence_seed=100)
         val = make_split(1, sequence_seed=101)
@@ -249,8 +267,8 @@ class TestFit:
                 caches.append(weakref.ref(out[1]))
             return out
 
-        def watched_backward(*args):
-            out = backward(*args)
+        def watched_backward(model, cache, stage_grads, threads=1):
+            out = backward(model, cache, stage_grads, threads)
             grads.append(weakref.ref(out))
             return out
 
@@ -279,8 +297,8 @@ class TestFit:
         before = model.flat.copy()
         backward = mstcnpp.backward
 
-        def poisoned(*args):
-            grads = backward(*args)
+        def poisoned(model, cache, stage_grads, threads=1):
+            grads = backward(model, cache, stage_grads, threads)
             grads.stages[1].head_w[0, 0] = np.nan
             return grads
 
@@ -330,6 +348,19 @@ class TestFit:
         serial = evaluate(model, val, fc, 0.15, threads=1)
         threaded = evaluate(model, val, fc, 0.15, threads=4)
         assert serial == threaded
+
+    def test_validation_side_by_side_holds_blas_to_one_thread(self, monkeypatch):
+        state = {"threads": 4, "set": []}
+
+        def set_threads(n):
+            state["set"].append(n)
+            state["threads"] = n
+
+        monkeypatch.setattr(seqcore, "openblas_threads",
+                            lambda: (lambda: state["threads"], set_threads))
+        evaluate(mstcnpp.init(TINY, seed=0), make_split(2, sequence_seed=101),
+                 FocalConfig(gamma=2.0), 0.15, threads=2)
+        assert state["set"] == [1, 4]
 
     @pytest.mark.parametrize("n_sequences, extra_threads", [(1, 1), (2, 2), (3, 2)])
     def test_validation_threads_do_not_multiply(self, rng, monkeypatch, n_sequences,
