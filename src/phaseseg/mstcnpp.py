@@ -371,8 +371,8 @@ def forward(model: Model, x, return_cache: bool = False, threads: int = 1):
 
 def _fusion_grad_rows(w_fuse_t, g_out, a, g_a, rows, ws):
     """Rows [lo, hi) of the gradient at the fusion, (g_out @ w_fuse) where
-    the fusion a is positive, into g_a; w_fuse_t is w_fuse.T, C-contiguous
-    when the product is to be laid out as forward's."""
+    the fusion a is positive, into g_a; w_fuse_t is w_fuse.T made
+    C-contiguous, so the product is laid out as forward's."""
     lo, hi = rows
     np.matmul(g_out[lo:hi], w_fuse_t.T, out=g_a[lo:hi])
     relu_backward(a[lo:hi], g_a[lo:hi], out=g_a[lo:hi])
@@ -408,17 +408,16 @@ def _conv_params_grad(h, w, dilation, g_c, grad_w, grad_b):
 
 
 def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
-                    grad: DualDilatedLayer, g_a, blocks, workspaces, pool, like_forward):
+                    grad: DualDilatedLayer, g_a, blocks, workspaces, pool):
     """Gradients of one layer, given g_h, the gradient at its output, which
     becomes the gradient at its input in place.
 
     Two passes of jobs: the fusion gradient g_a in row blocks alongside the
     fuse conv's parameter gradients, then the input gradient in row blocks
     alongside each dilated conv's parameter gradients. A parameter gradient
-    is one whole job, so no thread count changes its bits. like_forward lays
-    the row-block products out as forward's (see transposed_kernel).
+    is one whole job, so no thread count changes its bits.
     """
-    w_fuse_t = np.ascontiguousarray(layer.w_fuse.T) if like_forward else layer.w_fuse.T
+    w_fuse_t = np.ascontiguousarray(layer.w_fuse.T)
     run_jobs(pool, [functools.partial(_fuse_params_grad, layer, lc.post_relu, g_h, grad),
                     *_block_jobs(blocks, workspaces, _fusion_grad_rows, w_fuse_t, g_h,
                                  lc.pre_relu, g_a)])
@@ -433,8 +432,7 @@ def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
         functools.partial(_conv_params_grad, lc.h_in, layer.w_d2, layer.dilation_high, g_c2,
                           grad.w_d2, grad.b_d2),
         *_block_jobs(blocks, workspaces, _input_grad_rows, layer, g_c1, g_c2,
-                     (transposed_kernel(layer.w_d1, like_forward),
-                      transposed_kernel(layer.w_d2, like_forward)), g_h)])
+                     (transposed_kernel(layer.w_d1), transposed_kernel(layer.w_d2)), g_h)])
 
 
 def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int = 1) -> Model:
@@ -446,10 +444,9 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int 
 
     threads bounds the threads that compute at once, over the row blocks
     forward uses; the gradients are bit-identical for every thread count.
-    numpy's BLAS runs on one thread throughout, since a multi-threaded
-    OpenBLAS rounds a product summed over T (every parameter gradient is
-    one) differently by its own thread count. The threads BLAS gives up go
-    to the row blocks: backward runs on max(threads, BLAS's count) threads.
+    numpy's BLAS runs on one thread throughout, even with threads=1, since
+    a multi-threaded OpenBLAS rounds a product summed over T (every
+    parameter gradient is one) differently by its own thread count.
     """
     if cache is None or not cache.stage_caches:
         raise ValueError("forward cache missing: run forward(..., return_cache=True)")
@@ -463,13 +460,8 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int 
     # the fusion gradient of the layer in hand; every layer refills it
     g_a = np.empty((t_len, f if cfg.fuse_mode == "sum" else 2 * f), dtype=model.dtype)
     g_probs_next = None  # gradient arriving at this stage's output probabilities
-    # Where some thread count would cut these rows into blocks, every product
-    # of a row block is laid out as forward's, whose rows round alike in any
-    # block. Where none would, the one block keeps numpy's own layout, which
-    # is faster for the small products of such shapes.
-    like_forward = len(_row_blocks(t_len, f, t_len)) > 1
-    with one_blas_thread as blas_threads:
-        blocks = _row_blocks(t_len, f, max(threads, blas_threads))
+    with one_blas_thread:
+        blocks = _row_blocks(t_len, f, threads)
         workspaces = _block_workspaces(blocks, t_len, f, model.dtype, 2)
         with thread_pool(len(blocks)) as pool:
             for s in range(n_stages - 1, -1, -1):
@@ -490,7 +482,7 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int 
                 g_h = head.d_input  # a fresh array, so the layers may update it in place
                 for l in range(len(stage.layers) - 1, -1, -1):
                     _layer_backward(stage.layers[l], sc.layer_caches[l], g_h, cfg.fuse_mode,
-                                    grad.layers[l], g_a, blocks, workspaces, pool, like_forward)
+                                    grad.layers[l], g_a, blocks, workspaces, pool)
 
                 # stage 1's input is the features: nothing reads their gradient
                 proj = conv1x1_backward(sc.stage_input, stage.proj_w, g_h, d_input=s > 0)

@@ -122,19 +122,20 @@ def openblas_threads():
 
 
 class _OneBlasThread:
-    """`with one_blas_thread as n:` holds numpy's OpenBLAS to one thread while
-    row blocks are the parallelism; otherwise each block's product would
-    start BLAS threads of its own and oversubscribe the cores. n is the
-    count it took away (1 when unknown). The count in force when the first
-    holder entered is restored when the last one leaves, so regions may nest
-    and overlap across threads. Without openblas_threads() it does nothing."""
+    """`with one_blas_thread:` holds numpy's OpenBLAS to one thread, where
+    row blocks are the parallelism (otherwise each block's product would
+    start BLAS threads of its own and oversubscribe the cores) or where a
+    product's bits must not depend on BLAS's thread count. The count in
+    force when the first holder entered is restored when the last one
+    leaves, so regions may nest and overlap across threads. Without
+    openblas_threads() it does nothing."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._holders = 0
         self._api = self._restore = None
 
-    def __enter__(self) -> int:
+    def __enter__(self):
         with self._lock:
             if self._holders == 0:
                 self._api = openblas_threads()
@@ -142,7 +143,6 @@ class _OneBlasThread:
                     self._restore = self._api[0]()
                     self._api[1](1)
             self._holders += 1
-            return self._restore if self._api is not None else 1
 
     def __exit__(self, *exc):
         with self._lock:
@@ -236,7 +236,7 @@ def dilated_conv1d(x, weights, bias, dilation: int, out=None, rows=None,
     return out
 
 
-def transposed_kernel(weights, contiguous: bool = True) -> np.ndarray:
+def transposed_kernel(weights) -> np.ndarray:
     """The (Cin, Cout, k) kernel whose dilated_conv1d with zero bias maps
     dL/d(output) to dL/d(input): channels swapped, taps reversed.
 
@@ -244,15 +244,14 @@ def transposed_kernel(weights, contiguous: bool = True) -> np.ndarray:
     input gradient at row s gathers grad_out[s - shift_j] @ weights[:, :, j],
     which is a dilated convolution of grad_out with tap j at shift -shift_j.
 
-    contiguous=True copies each tap into a C-contiguous (Cin, Cout) matrix,
-    so dilated_conv1d hands BLAS the transposed operand it hands it in
-    forward, and the rows of a product round alike wherever rows_round_alike
-    says. contiguous=False returns a view, whose taps numpy multiplies in the
-    other layout: faster for small products (T=173, F=64: 24 against 32 us a
-    tap), but its rows do not round alike at some widths (float32, 72).
+    Each tap is copied into a C-contiguous (Cin, Cout) matrix, so
+    dilated_conv1d hands BLAS the transposed operand it hands it in forward,
+    and the rows of a product round alike wherever rows_round_alike says (a
+    view of weights would be multiplied in the other layout, whose rows do
+    not round alike at some widths, such as 72 in float32).
     """
     view = weights.transpose(1, 0, 2)[:, :, ::-1]
-    return np.ascontiguousarray(view.transpose(2, 0, 1)).transpose(1, 2, 0) if contiguous else view
+    return np.ascontiguousarray(view.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 def dilated_conv1d_backward(x, weights, dilation: int, grad_out,
