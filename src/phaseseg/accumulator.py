@@ -5,7 +5,7 @@ the prediction stream with a counter: it opens when a frame predicts the
 phase directly following the current one, increments on consecutive such
 frames, resets on anything else, and commits the transition once the counter
 reaches the configured threshold. Committed output therefore never regresses
-and (with skipping disabled) only advances one phase at a time.
+and only advances one phase at a time.
 """
 
 from __future__ import annotations
@@ -17,17 +17,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class AccumulatorConfig:
-    """threshold: consecutive supporting frames required to commit a transition.
-
-    retroactive=True relabels back to the first frame of the committing run,
-    minimizing boundary lag. allow_skip permits transitions to any later
-    phase (for incomplete procedures); off by default, which also guarantees
-    unit-step output.
-    """
+    """threshold: consecutive supporting frames required to commit a transition."""
 
     threshold: int = 30
-    allow_skip: bool = False
-    retroactive: bool = True
 
     def __post_init__(self):
         if self.threshold < 1:
@@ -57,29 +49,17 @@ def smooth(predictions, cfg: AccumulatorConfig = AccumulatorConfig()) -> np.ndar
 
     out = np.empty_like(preds)
     current = _initial_phase(preds, cfg.threshold)
-    count = 0
-    run_start = 0
-    candidate = -1  # phase the open counter is accumulating toward
+    count = 0  # consecutive frames, up to t, that predict current + 1
     for t, p in enumerate(preds):
-        supports = (p == current + 1) if not cfg.allow_skip else (p > current)
-        if supports and (count == 0 or p == candidate):
-            if count == 0:
-                run_start = t
-                candidate = int(p)
+        if p == current + 1:
             count += 1
             if count >= cfg.threshold:
-                current = candidate
-                if cfg.retroactive:
-                    out[run_start:t] = current
+                current += 1
+                # relabel back to the run's first frame: no boundary lag
+                out[t - count + 1:t] = current
                 count = 0
-                candidate = -1
         else:
             count = 0
-            candidate = -1
-            if supports:  # a different forward phase restarts the counter
-                run_start = t
-                candidate = int(p)
-                count = 1
         out[t] = current
     return out
 

@@ -11,8 +11,9 @@ Subcommands cover the full workflow on synthetic or pre-extracted features:
 Every command resolves its settings as CLI flag > config file > default,
 writes a manifest.json recording the resolved configuration, input hashes
 and artifacts, and uses stable exit codes: 0 success, 2 input/validation
-error, 3 numeric failure. PHASESEG_THREADS bounds the threads that compute
-at once; results do not depend on it.
+error, 3 numeric failure. Every command computes on PHASESEG_THREADS threads
+(default: the usable cores), with numpy's BLAS held to one thread inside
+each forward, backward and AdamW step; results depend on neither count.
 """
 
 from __future__ import annotations
@@ -38,7 +39,12 @@ EXIT_NUMERIC = 3
 
 
 def _threads() -> int:
-    raw = os.environ.get("PHASESEG_THREADS", "1")
+    raw = os.environ.get("PHASESEG_THREADS")
+    if raw is None:  # the usable cores
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity API on this platform
+            return os.cpu_count() or 1
     try:
         threads = int(raw)
     except ValueError:
@@ -139,6 +145,16 @@ class PhaseTimer:
             self.seconds[phase] = self.seconds.get(phase, 0.0) + time.perf_counter() - start
 
 
+def _blas() -> dict | None:
+    """Name and version of the BLAS numpy was built with, or None where this
+    numpy cannot report it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):  # an older show_config takes no mode argument
+        return None
+
+
 def write_manifest(out_dir: Path, command: str, config: dict, sources: dict,
                    inputs, artifacts, started: float, timer: PhaseTimer | None = None) -> Path:
     """Write manifest.json; with a timer, its phases plus "hash" (hashing the
@@ -154,7 +170,8 @@ def write_manifest(out_dir: Path, command: str, config: dict, sources: dict,
         "config_sources": sources,
         "environment": {"threads": _threads(),
                         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-                        "numpy": np.__version__},
+                        "numpy": np.__version__,
+                        "blas": _blas()},
         "input_hashes": input_hashes,
         "artifacts": [str(a) for a in artifacts],
         "phase_s": {phase: round(s, 6) for phase, s in timer.seconds.items()},
@@ -189,7 +206,6 @@ def cmd_gen_synth(args) -> int:
     started = time.perf_counter()
     cfg, sources = resolve_config(GEN_DEFAULTS, args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     conf = None
     mix = float(cfg["sellar_closure_confusability"])
@@ -214,6 +230,7 @@ def cmd_gen_synth(args) -> int:
               for split, count, offset in (("train", cfg["n_train"], 0),
                                            ("val", cfg["n_val"], 1),
                                            ("test", cfg["n_test"], 2))]
+    out_dir.mkdir(parents=True, exist_ok=True)  # settings checked: a bad one leaves no directory
     artifacts = []
     for split, sequences in splits:
         artifacts += synthgen.save_dataset(sequences, out_dir / split)

@@ -245,11 +245,10 @@ def _row_blocks(t_len: int, channels: int, threads: int) -> list[tuple[int, int]
 def thread_pool(threads: int):
     """The helpers of run_jobs when up to threads threads compute at once:
     a pool of threads - 1 workers, or None for one thread. numpy's BLAS is
-    held to one thread while the pool is open."""
-    if threads <= 1:
-        yield None
-        return
-    with one_blas_thread, ThreadPoolExecutor(threads - 1) as pool:
+    held to one thread while it is open, at every thread count, so no
+    product's bits depend on BLAS's own thread count."""
+    with one_blas_thread, (ThreadPoolExecutor(threads - 1) if threads > 1
+                           else contextlib.nullcontext()) as pool:
         yield pool
 
 
@@ -444,9 +443,6 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int 
 
     threads bounds the threads that compute at once, over the row blocks
     forward uses; the gradients are bit-identical for every thread count.
-    numpy's BLAS runs on one thread throughout, even with threads=1, since
-    a multi-threaded OpenBLAS rounds a product summed over T (every
-    parameter gradient is one) differently by its own thread count.
     """
     if cache is None or not cache.stage_caches:
         raise ValueError("forward cache missing: run forward(..., return_cache=True)")
@@ -460,35 +456,34 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int 
     # the fusion gradient of the layer in hand; every layer refills it
     g_a = np.empty((t_len, f if cfg.fuse_mode == "sum" else 2 * f), dtype=model.dtype)
     g_probs_next = None  # gradient arriving at this stage's output probabilities
-    with one_blas_thread:
-        blocks = _row_blocks(t_len, f, threads)
-        workspaces = _block_workspaces(blocks, t_len, f, model.dtype, 2)
-        with thread_pool(len(blocks)) as pool:
-            for s in range(n_stages - 1, -1, -1):
-                stage, grad = model.stages[s], grads.stages[s]
-                sc = cache.stage_caches[s]
+    blocks = _row_blocks(t_len, f, threads)
+    workspaces = _block_workspaces(blocks, t_len, f, model.dtype, 2)
+    with thread_pool(len(blocks)) as pool:
+        for s in range(n_stages - 1, -1, -1):
+            stage, grad = model.stages[s], grads.stages[s]
+            sc = cache.stage_caches[s]
 
-                g_logits = np.asarray(stage_logit_grads[s], dtype=model.dtype)
-                if g_logits.shape != sc.probs.shape:
-                    raise ShapeError(f"stage {s + 1} gradient shape {g_logits.shape} "
-                                     f"does not match logits {sc.probs.shape}")
-                if g_probs_next is not None:
-                    g_logits = g_logits + softmax_rows_backward(sc.probs, g_probs_next).d_input
+            g_logits = np.asarray(stage_logit_grads[s], dtype=model.dtype)
+            if g_logits.shape != sc.probs.shape:
+                raise ShapeError(f"stage {s + 1} gradient shape {g_logits.shape} "
+                                 f"does not match logits {sc.probs.shape}")
+            if g_probs_next is not None:
+                g_logits = g_logits + softmax_rows_backward(sc.probs, g_probs_next).d_input
 
-                head = conv1x1_backward(sc.final_h, stage.head_w, g_logits)
-                grad.head_w[...] = head.d_weights
-                grad.head_b[...] = head.d_bias
+            head = conv1x1_backward(sc.final_h, stage.head_w, g_logits)
+            grad.head_w[...] = head.d_weights
+            grad.head_b[...] = head.d_bias
 
-                g_h = head.d_input  # a fresh array, so the layers may update it in place
-                for l in range(len(stage.layers) - 1, -1, -1):
-                    _layer_backward(stage.layers[l], sc.layer_caches[l], g_h, cfg.fuse_mode,
-                                    grad.layers[l], g_a, blocks, workspaces, pool)
+            g_h = head.d_input  # a fresh array, so the layers may update it in place
+            for l in range(len(stage.layers) - 1, -1, -1):
+                _layer_backward(stage.layers[l], sc.layer_caches[l], g_h, cfg.fuse_mode,
+                                grad.layers[l], g_a, blocks, workspaces, pool)
 
-                # stage 1's input is the features: nothing reads their gradient
-                proj = conv1x1_backward(sc.stage_input, stage.proj_w, g_h, d_input=s > 0)
-                grad.proj_w[...] = proj.d_weights
-                grad.proj_b[...] = proj.d_bias
-                g_probs_next = proj.d_input
+            # stage 1's input is the features: nothing reads their gradient
+            proj = conv1x1_backward(sc.stage_input, stage.proj_w, g_h, d_input=s > 0)
+            grad.proj_w[...] = proj.d_weights
+            grad.proj_b[...] = proj.d_bias
+            g_probs_next = proj.d_input
     return grads
 
 

@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mstcnpp
 from .losses import FocalConfig, inverse_frequency_alpha, total_loss
-from .seqcore import one_blas_thread
 
 _SAMPLING_MODES = ("uniform", "class-balanced")
 _ALPHA_MODES = ("uniform", "inverse-frequency")
@@ -81,6 +79,9 @@ class TrainConfig:
 # 2^12 to 2^18, about twice as fast as one whole-array pass)
 _ADAMW_CHUNK = 1 << 14
 
+# Adam's moment decay rates and denominator guard (Kingma and Ba's defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamWState:
@@ -90,8 +91,7 @@ class AdamWState:
 
 
 def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamWState, lr: float,
-               weight_decay: float = 0.0, beta1: float = 0.9, beta2: float = 0.999,
-               eps: float = 1e-8, threads: int = 1) -> AdamWState:
+               weight_decay: float = 0.0, threads: int = 1) -> AdamWState:
     """One decoupled-weight-decay Adam update of the flat array params, in place.
 
     grads is a flat array of the same size; the moments start at zero. The
@@ -102,8 +102,8 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamWState, lr: flo
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     state.step += 1
     t = state.step
-    bias1 = 1.0 - beta1**t
-    bias2 = 1.0 - beta2**t
+    bias1 = 1.0 - _BETA1**t
+    bias2 = 1.0 - _BETA2**t
 
     def update(start, stop):
         for lo in range(start, stop, _ADAMW_CHUNK):
@@ -111,11 +111,11 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamWState, lr: flo
             p, g, m, v = params[part], grads[part], state.m[part], state.v[part]
             if weight_decay:
                 p *= 1.0 - lr * weight_decay
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * np.square(g)
-            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * np.square(g)
+            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + _EPS)
 
     slices = -(-params.size // _ADAMW_CHUNK)
     parts = max(1, min(threads, slices))
@@ -179,30 +179,17 @@ def sample_epoch(dataset, mode: str, seed: int, n_classes: int) -> list[int]:
 
 def evaluate(model, dataset, focal_cfg: FocalConfig, smoothing_weight: float,
              threads: int = 1):
-    """Mean per-sequence total loss and pooled frame accuracy.
-
-    Up to threads sequences run at once, each forward on threads // that many
-    threads, so at most threads compute at once. The reduction order is the
-    dataset order regardless of thread count.
-    """
-    workers = max(1, min(threads, len(dataset)))
-
-    def one(item):
-        features, labels = item
-        probs = mstcnpp.forward(model, features, threads=threads // workers)
+    """Mean per-sequence total loss and pooled frame accuracy, over the
+    sequences in dataset order, each forward on threads threads."""
+    losses, correct, counted = [], 0, 0
+    for features, labels in dataset:
+        probs = mstcnpp.forward(model, features, threads=threads)
         breakdown, _ = total_loss(probs, labels, focal_cfg, smoothing_weight)
         pred = np.argmax(probs[-1], axis=1)
-        counted = labels >= 0
-        return breakdown.total, int((pred[counted] == labels[counted]).sum()), int(counted.sum())
-
-    if workers > 1:
-        with one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, dataset))
-    else:
-        results = [one(item) for item in dataset]
-    losses = [r[0] for r in results]
-    correct = sum(r[1] for r in results)
-    counted = sum(r[2] for r in results)
+        kept = labels >= 0
+        losses.append(breakdown.total)
+        correct += int((pred[kept] == labels[kept]).sum())
+        counted += int(kept.sum())
     return float(np.mean(losses)), (correct / counted if counted else 0.0)
 
 
@@ -243,7 +230,7 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
     """Train up to cfg.epochs with early stopping on rising validation loss.
 
     threads bounds the threads that compute at once in forward and backward
-    passes, the AdamW update and validation; the result does not depend on it.
+    passes and the AdamW update; the result does not depend on it.
 
     Returns (best_model, report) where best_model is the checkpoint with the
     lowest validation loss. Raises DivergenceError (report attached) on a

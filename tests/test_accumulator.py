@@ -44,18 +44,6 @@ class TestSmooth:
         out = smooth(preds, AccumulatorConfig(threshold=3))
         np.testing.assert_array_equal(out, np.ones(5))
 
-    def test_allow_skip_commits_jumps(self):
-        preds = np.array([0, 0, 0, 2, 2, 2, 2])
-        cfg = AccumulatorConfig(threshold=3, allow_skip=True)
-        out = smooth(preds, cfg)
-        np.testing.assert_array_equal(out, [0, 0, 0, 2, 2, 2, 2])
-
-    def test_non_retroactive_labels_from_commit_frame(self):
-        preds = np.array([0, 0, 1, 1, 1, 1])
-        cfg = AccumulatorConfig(threshold=3, retroactive=False)
-        out = smooth(preds, cfg)
-        np.testing.assert_array_equal(out, [0, 0, 0, 0, 1, 1])
-
     def test_agreement_on_clean_monotone_input(self):
         preds = np.array([0] * 5 + [1] * 4 + [2] * 6 + [3] * 4)
         out = smooth(preds, AccumulatorConfig(threshold=4))

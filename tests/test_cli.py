@@ -145,11 +145,11 @@ class TestTrain:
     ("train", "weight_decay = -5"), ("train", "gamma = nan"),
     ("train", "lambda_smooth = nan"), ("train", "lambda_smooth = -1"),
     ("gen-synth", "noise_sigma = nan"), ("gen-synth", "noise_sigma = 1e308"),
-    ("gen-synth", "sellar_closure_confusability = nan"),
+    ("gen-synth", "noise_sigma = -1"), ("gen-synth", "sellar_closure_confusability = nan"),
     ("gen-synth", "sellar_closure_confusability = inf"),
 ])
 def test_bad_float_setting_exits_2(workspace, tmp_path, monkeypatch, capsys, command, line):
-    # rejected with the key named before any epoch runs or any sequence is written
+    # rejected with the key named before any epoch runs or --out is created
     fit_calls = []
     monkeypatch.setattr(trainer, "fit", lambda *args, **kwargs: fit_calls.append(args))
     cfg_file = tmp_path / "bad.cfg"
@@ -160,7 +160,7 @@ def test_bad_float_setting_exits_2(workspace, tmp_path, monkeypatch, capsys, com
     rc = main([command, "--config", str(cfg_file), "--out", str(out), *extra])
     assert rc == 2
     assert line.split()[0] in capsys.readouterr().err
-    assert not fit_calls and not list(out.rglob("*.npy"))
+    assert not fit_calls and not out.exists()
 
 
 def _inference_argv(workspace, command, out, *extra):
@@ -200,15 +200,17 @@ def test_manifest_records_environment_and_phase_times(workspace, tmp_path, monke
     out = tmp_path / command
     assert main(_inference_argv(workspace, command, out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["environment"] == {"threads": 3, "openblas_num_threads": "1",
-                                       "numpy": np.__version__}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["environment"] == {
+        "threads": 3, "openblas_num_threads": "1", "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]}}
     phases = manifest["phase_s"]
     assert set(phases) == {"load", "forward", "post", "write", "hash"}
     assert all(seconds >= 0 for seconds in phases.values())
     assert sum(phases.values()) <= manifest["wall_clock_s"]
     # every command records its environment and the time it spent hashing inputs
     trained = json.loads((workspace["run"] / "manifest.json").read_text())
-    assert set(trained["environment"]) == {"threads", "openblas_num_threads", "numpy"}
+    assert set(trained["environment"]) == {"threads", "openblas_num_threads", "numpy", "blas"}
     assert set(trained["phase_s"]) == {"load", "fit", "save", "hash"}
     assert sum(trained["phase_s"].values()) <= trained["wall_clock_s"]
 
@@ -829,6 +831,20 @@ class TestThreadsSetting:
                    "--data", str(workspace["data"] / "test"), "--out", str(tmp_path / "e")])
         assert rc == 2
         assert "PHASESEG_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_unset_means_the_usable_cores(self, workspace, tmp_path, monkeypatch, affinity):
+        monkeypatch.delenv("PHASESEG_THREADS", raising=False)
+        if affinity:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        else:  # a platform without the affinity API
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        out = tmp_path / "e"
+        rc = main(["eval", "--model", str(workspace["model"]),
+                   "--data", str(workspace["data"] / "test"), "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())["environment"]["threads"] == 3
 
     def test_valid_value_accepted(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setenv("PHASESEG_THREADS", "2")

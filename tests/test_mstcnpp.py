@@ -452,8 +452,8 @@ class TestBackward:
 
 
 class TestBlasThreads:
-    """numpy's BLAS runs on one thread while row blocks run, and gets its
-    thread count back after."""
+    """numpy's BLAS runs on one thread in every forward and backward, at
+    every thread count, and gets its thread count back after."""
 
     @staticmethod
     def _fake_blas(monkeypatch, count=4):
@@ -484,24 +484,19 @@ class TestBlasThreads:
         model = init(cfg, seed=0)
         x = rng.normal(size=(_gate_frames(64), 5))
         for threads in (2, 1):
-            state["set"].clear()
-            seen.clear()
-            workers = []
-            probs, cache = forward(model, x, return_cache=True, threads=threads)
-            # one block keeps BLAS's threads in forward, whose products round
-            # alike for any BLAS thread count
-            assert state["set"] == ([1, 4] if threads > 1 else [])
-            assert set(seen) == ({1} if threads > 1 else {4})
-            assert max(workers) == (1 if threads > 1 else 0)
-            # backward always runs on one BLAS thread, as its sums over T do
-            # not round alike for every BLAS thread count, and starts no more
-            # workers than threads asks for
-            seen.clear()
-            workers = []
-            mstcnpp.backward(model, cache, [np.ones_like(p) for p in probs], threads=threads)
-            assert state["set"][-2:] == [1, 4] and set(seen) == {1}
-            assert max(workers) == threads - 1
-            assert state["threads"] == 4
+            for run in ("forward", "backward"):
+                state["set"].clear()
+                seen.clear()
+                workers = []
+                if run == "forward":
+                    probs, cache = forward(model, x, return_cache=True, threads=threads)
+                else:
+                    mstcnpp.backward(model, cache, [np.ones_like(p) for p in probs],
+                                     threads=threads)
+                # held once per pass, and no more workers than threads asks for
+                assert state["set"] == [1, 4] and set(seen) == {1}
+                assert max(workers) == threads - 1
+                assert state["threads"] == 4
 
     def test_nested_regions_restore_once(self, monkeypatch):
         state = self._fake_blas(monkeypatch, count=3)

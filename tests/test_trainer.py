@@ -349,7 +349,8 @@ class TestFit:
         threaded = evaluate(model, val, fc, 0.15, threads=4)
         assert serial == threaded
 
-    def test_validation_side_by_side_holds_blas_to_one_thread(self, monkeypatch):
+    def test_validation_holds_blas_to_one_thread(self, monkeypatch):
+        # each sequence's forward holds it, one sequence after another
         state = {"threads": 4, "set": []}
 
         def set_threads(n):
@@ -360,13 +361,12 @@ class TestFit:
                             lambda: (lambda: state["threads"], set_threads))
         evaluate(mstcnpp.init(TINY, seed=0), make_split(2, sequence_seed=101),
                  FocalConfig(gamma=2.0), 0.15, threads=2)
-        assert state["set"] == [1, 4]
+        assert state["set"] == [1, 4, 1, 4]
 
-    @pytest.mark.parametrize("n_sequences, extra_threads", [(1, 1), (2, 2), (3, 2)])
-    def test_validation_threads_do_not_multiply(self, rng, monkeypatch, n_sequences,
-                                                extra_threads):
-        # two threads: one long sequence is cut into two row blocks (one
-        # worker), several run side by side with one block each (two workers)
+    @pytest.mark.parametrize("n_sequences, workers", [(1, 1), (2, 1), (3, 1)])
+    def test_validation_threads_do_not_multiply(self, rng, monkeypatch, n_sequences, workers):
+        # two threads: each long sequence is cut into two row blocks (one
+        # worker), and validation starts no pool of its own beside them
         seen = []
         conv = mstcnpp.dilated_conv1d
 
@@ -383,4 +383,4 @@ class TestFit:
         val = [(rng.normal(size=(t_len, 8)), labels) for _ in range(n_sequences)]
         before = threading.active_count()
         evaluate(mstcnpp.init(cfg, seed=0), val, FocalConfig(gamma=2.0), 0.15, threads=2)
-        assert max(seen) == before + extra_threads
+        assert max(seen) == before + workers
