@@ -102,6 +102,8 @@ def resolve_config(defaults: dict, args: argparse.Namespace) -> tuple[dict, dict
             raise ValueError(f"{key} must be an integer, got {value!r}")
         if type(default) is float and type(value) not in (int, float):
             raise ValueError(f"{key} must be a number, got {value!r}")
+        if type(default) is bool and type(value) is not bool:
+            raise ValueError(f"{key} must be true or false, got {value!r}")
     unknown = set(file_cfg) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -221,7 +223,7 @@ def cmd_gen_synth(args) -> int:
         label_noise=float(cfg["label_noise"]),
         boundary_blur=int(cfg["boundary_blur"]),
         confusability=conf,
-        include_all_phases=bool(cfg["include_all_phases"]),
+        include_all_phases=cfg["include_all_phases"],
         seed=int(cfg["seed"]),
     )
     # every split is generated, and so checked, before any file is written
@@ -247,7 +249,6 @@ TRAIN_DEFAULTS = {
     "seed": 0,
     "epochs": 100,
     "lr": 1e-5,
-    "batch_size": 1,
     "loss": "focal",
     "gamma": 2.0,
     "alpha_mode": "uniform",
@@ -274,6 +275,13 @@ def _dtype_of(name: str):
 def cmd_train(args) -> int:
     started = time.perf_counter()
     cfg, sources = resolve_config(TRAIN_DEFAULTS, args)
+    if cfg["loss"] not in ("bce", "focal"):
+        raise ValueError(f"loss must be 'bce' or 'focal', got {cfg['loss']!r}")
+    bce = cfg["loss"] == "bce"
+    overridden = [key for key in ("gamma", "alpha_mode") if sources[key] != "default"]
+    if bce and overridden:  # bce is focal with gamma 0 and uniform alpha
+        raise ValueError(f"loss = bce fixes gamma = 0 and alpha_mode = uniform; "
+                         f"do not also set {' or '.join(overridden)}")
     data_dir = Path(args.data)
     out_dir = Path(args.out)
     dtype = _dtype_of(cfg["precision"])
@@ -282,15 +290,6 @@ def cmd_train(args) -> int:
     with timer("load"):
         train_set = synthgen.load_dataset(data_dir / "train", dtype=dtype)
         val_set = synthgen.load_dataset(data_dir / "val", dtype=dtype)
-
-    if cfg["loss"] == "bce":
-        gamma = 0.0
-        alpha_mode = "uniform"
-    elif cfg["loss"] == "focal":
-        gamma = float(cfg["gamma"])
-        alpha_mode = cfg["alpha_mode"]
-    else:
-        raise ValueError(f"loss must be 'bce' or 'focal', got {cfg['loss']!r}")
 
     model_cfg = mstcnpp.StageConfig(
         in_dim=train_set[0][0].shape[1],
@@ -305,24 +304,29 @@ def cmd_train(args) -> int:
     train_cfg = trainer.TrainConfig(
         epochs=int(cfg["epochs"]),
         learning_rate=float(cfg["lr"]),
-        batch_size=int(cfg["batch_size"]),
         smoothing_weight=float(cfg["lambda_smooth"]),
         patience=int(cfg["patience"]),
         seed=int(cfg["seed"]),
         weight_decay=float(cfg["weight_decay"]),
         sampling=cfg["sampling"],
-        gamma=gamma,
-        alpha_mode=alpha_mode,
+        gamma=0.0 if bce else float(cfg["gamma"]),
+        alpha_mode="uniform" if bce else cfg["alpha_mode"],
     )
     out_dir.mkdir(parents=True, exist_ok=True)  # the inputs loaded: a bad one leaves no directory
-    with timer("fit"):
-        best_model, report = trainer.fit(model, train_set, val_set, train_cfg,
-                                         threads=_threads())
+    report_path = out_dir / "train_report.json"
+    try:
+        with timer("fit"):
+            best_model, report = trainer.fit(model, train_set, val_set, train_cfg,
+                                             threads=_threads())
+    except trainer.DivergenceError as exc:  # keep the finished epochs; main exits 3
+        report_path.write_text(json.dumps(exc.report.as_dict(), indent=2), encoding="utf-8")
+        write_manifest(out_dir, "train", cfg, sources, [data_dir], [report_path],
+                       started, timer)
+        raise
 
     with timer("save"):
         model_path = out_dir / "model.bin"
         mstcnpp.save_model(best_model, model_path)
-        report_path = out_dir / "train_report.json"
         report_path.write_text(json.dumps(report.as_dict(), indent=2), encoding="utf-8")
     write_manifest(out_dir, "train", cfg, sources, [data_dir],
                    [model_path, report_path], started, timer)
@@ -457,6 +461,8 @@ def cmd_parse_notes(args) -> int:
     fps = float(cfg["fps"])
     if not (math.isfinite(fps) and fps > 0):
         raise ValueError(f"fps must be finite and > 0, got {fps}")
+    if cfg["frames"] < 0:
+        raise ValueError(f"frames must be >= 0, got {cfg['frames']}")
     notes_path = Path(args.notes)
     out_dir = Path(args.out)
 
@@ -470,8 +476,8 @@ def cmd_parse_notes(args) -> int:
     # every frame index and the timeline are computed before any file is written
     frames = [annotate.seconds_to_frame(seconds, fps) for seconds, _ in boundaries]
     timeline = None
-    if int(cfg["frames"]) > 0:
-        timeline = annotate.build_timeline(boundaries, int(cfg["frames"]), fps, ontology)
+    if cfg["frames"] > 0:
+        timeline = annotate.build_timeline(boundaries, cfg["frames"], fps, ontology)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     bounds_path = out_dir / "boundaries.csv"
@@ -528,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset dir with train/ and val/")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--loss", choices=("bce", "focal"))
     p.add_argument("--gamma", type=float)
     p.add_argument("--alpha-mode", choices=("uniform", "inverse-frequency"),

@@ -22,6 +22,11 @@ PHASE_PALETTE = ("#4C72B0", "#DD8452", "#55A868", "#C44E52",
 IGNORE_COLOR = "#D3D3D3"
 
 
+def _name(phase: int) -> str:
+    """The ontology's name for a phase id, or the id itself beyond it."""
+    return PHASE_NAMES[phase] if phase < len(PHASE_NAMES) else str(phase)
+
+
 def confusion(gt, pred, n_classes: int) -> np.ndarray:
     """(C, C) int64 counts of (ground truth, prediction) pairs; rows are ground
     truth, columns predictions. Frames with gt < 0 are skipped.
@@ -54,11 +59,10 @@ class MetricReport:
     included: np.ndarray          # classes that enter the macro means
     zero_division: np.ndarray     # classes where a P or R denominator was 0
 
-    def as_dict(self, names=PHASE_NAMES) -> dict:
+    def as_dict(self) -> dict:
         per_class = {}
         for c in range(self.precision.size):
-            name = names[c] if c < len(names) else str(c)
-            per_class[name] = {
+            per_class[_name(c)] = {
                 "precision": round(float(self.precision[c]), 2),
                 "recall": round(float(self.recall[c]), 2),
                 "f1": round(float(self.f1[c]), 2),
@@ -108,15 +112,13 @@ def report(counts: np.ndarray) -> MetricReport:
     )
 
 
-def format_report(rep: MetricReport, names=PHASE_NAMES) -> str:
+def format_report(rep: MetricReport) -> str:
     """Human-readable metrics table, two decimals like the usual reports."""
-    width = max(len(str(n)) for n in names[:rep.precision.size]) if len(names) else 8
-    width = max(width, 8)
+    width = max([8] + [len(_name(c)) for c in range(rep.precision.size)])
     lines = [f"{'phase':<{width}}  {'prec':>7}  {'recall':>7}  {'f1':>7}  {'support':>8}"]
     for c in range(rep.precision.size):
-        name = names[c] if c < len(names) else str(c)
         flag = "*" if rep.zero_division[c] else ("" if rep.included[c] else "-")
-        lines.append(f"{str(name):<{width}}  {rep.precision[c]:7.2f}  {rep.recall[c]:7.2f}  "
+        lines.append(f"{_name(c):<{width}}  {rep.precision[c]:7.2f}  {rep.recall[c]:7.2f}  "
                      f"{rep.f1[c]:7.2f}  {int(rep.support[c]):8d}{flag}")
     lines.append(f"{'macro':<{width}}  {rep.macro_precision:7.2f}  {rep.macro_recall:7.2f}  "
                  f"{rep.macro_f1:7.2f}")
@@ -145,7 +147,7 @@ def _phase_color(phase: int) -> str:
     return IGNORE_COLOR if phase < 0 else PHASE_PALETTE[phase % len(PHASE_PALETTE)]
 
 
-def export_ribbon(gt, pred, path, names=PHASE_NAMES) -> tuple[Path, Path]:
+def export_ribbon(gt, pred, path) -> tuple[Path, Path]:
     """Render ground truth and prediction as a two-track SVG ribbon.
 
     Also writes a frame,gt,pred CSV next to the SVG. Returns both paths.
@@ -168,7 +170,7 @@ def export_ribbon(gt, pred, path, names=PHASE_NAMES) -> tuple[Path, Path]:
             rects.append(
                 f'<rect x="{label_w + start * scale:.2f}" y="{y}" '
                 f'width="{max((end - start) * scale, 0.01):.2f}" height="{track_h}" '
-                f'fill="{_phase_color(phase)}"><title>{"ignored" if phase < 0 else (names[phase] if phase < len(names) else phase)}'
+                f'fill="{_phase_color(phase)}"><title>{"ignored" if phase < 0 else _name(phase)}'
                 f' [{start}, {end})</title></rect>')
         return rects
 
@@ -183,7 +185,7 @@ def export_ribbon(gt, pred, path, names=PHASE_NAMES) -> tuple[Path, Path]:
     parts += track(pred, 10 + track_h + gap)
     legend_y = 10 + 2 * track_h + gap + 16
     x = float(label_w)
-    for c, name in enumerate(names):
+    for c, name in enumerate(PHASE_NAMES):
         parts.append(f'<rect x="{x:.1f}" y="{legend_y - 9}" width="10" height="10" '
                      f'fill="{_phase_color(c)}"/>')
         parts.append(f'<text x="{x + 14:.1f}" y="{legend_y}" font-size="11" '

@@ -3,9 +3,8 @@
 AdamW with decoupled weight decay, a cosine-annealed learning rate over
 epochs, per-epoch sequence shuffling (uniform or class-balanced with
 replacement), early stopping on rising validation loss and in-memory
-checkpointing of the best epoch. Batch size is one sequence; gradient
-accumulation over several sequences per step is available but off by
-default.
+checkpointing of the best epoch. Each optimizer step takes the gradient
+of one sequence.
 
 Everything is deterministic for a fixed seed; in 64-bit mode two identical
 runs produce bit-identical parameters.
@@ -27,10 +26,12 @@ _ALPHA_MODES = ("uniform", "inverse-frequency")
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite loss; carries the report collected so far."""
+    """Training hit a non-finite loss; carries the report collected so far,
+    marked diverged."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
+        report.diverged = True
         self.report = report
 
 
@@ -38,7 +39,6 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     epochs: int = 100
     learning_rate: float = 1e-5
-    batch_size: int = 1               # sequences per optimizer step
     smoothing_weight: float = 0.15
     patience: int = 3
     seed: int = 0
@@ -61,8 +61,6 @@ class TrainConfig:
                 raise ValueError(f"{key} must be finite and >= 0, got {value}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.sampling not in _SAMPLING_MODES:
             raise ValueError(f"sampling must be one of {_SAMPLING_MODES}")
         if self.alpha_mode not in _ALPHA_MODES:
@@ -139,14 +137,9 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 # ---------------------------------------------------------------------------
 
 def sequence_weights(dataset, n_classes: int) -> np.ndarray:
-    """Per-sequence weight = mean inverse class frequency of its frames."""
-    counts = np.zeros(n_classes, dtype=np.int64)
-    for _, labels in dataset:
-        kept = labels[labels >= 0]
-        counts += np.bincount(kept, minlength=n_classes)
-    freq = counts / max(counts.sum(), 1)
-    inv = np.zeros(n_classes)
-    inv[freq > 0] = 1.0 / freq[freq > 0]
+    """Per-sequence weight = mean inverse class frequency of its frames,
+    normalised to sum 1 (which cancels inverse_frequency_alpha's scale)."""
+    inv = inverse_frequency_alpha([labels for _, labels in dataset], n_classes)
     weights = np.empty(len(dataset))
     for i, (_, labels) in enumerate(dataset):
         kept = labels[labels >= 0]
@@ -273,9 +266,7 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
                              n_classes=n_classes)
 
         focal_sum = smooth_sum = total_sum = 0.0
-        pending = None  # gradients summed since the last step
-        pending_n = 0
-        for pos, idx in enumerate(order):
+        for idx in order:
             features, labels = train_set[idx]
             try:
                 probs, cache = mstcnpp.forward(model, features, return_cache=True,
@@ -283,45 +274,31 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
                 breakdown, stage_grads = total_loss(probs, labels, focal_cfg,
                                                     cfg.smoothing_weight)
             except ValueError as exc:  # inputs were validated: this is numeric blowup
-                report.diverged = True
                 raise DivergenceError(
                     f"numeric failure at epoch {epoch}: {exc}", report) from exc
             if not math.isfinite(breakdown.total):
-                report.diverged = True
-                raise DivergenceError(
-                    f"non-finite training loss at epoch {epoch}", report)
+                raise DivergenceError(f"non-finite training loss at epoch {epoch}", report)
             focal_sum += sum(breakdown.per_stage_focal)
             smooth_sum += sum(breakdown.per_stage_smooth)
             total_sum += breakdown.total
 
             grads = mstcnpp.backward(model, cache, stage_grads, threads=threads)
-            # free this step's forward cache and gradient now, not when the
-            # next step rebinds the names: otherwise two of each are live
+            # free this step's forward cache here and its gradient after the
+            # update, not when the next step rebinds the names: otherwise two
+            # of each are live
             del probs, cache, stage_grads
-            if pending is None:
-                pending = grads
-            else:
-                pending.flat += grads.flat
+            bad = next((name for name, g in mstcnpp.named_parameters(grads)
+                        if not np.isfinite(g).all()), None)
+            if bad is not None:  # checked before the update, so no block moves
+                raise DivergenceError(f"non-finite gradient in parameter block {bad!r}",
+                                      report)
+            adamw_step(model.flat, grads.flat, state, lr, cfg.weight_decay, threads=threads)
             del grads
-            pending_n += 1
-            if pending_n == cfg.batch_size or pos == len(order) - 1:
-                if pending_n > 1:
-                    pending.flat /= pending_n
-                bad = next((name for name, g in mstcnpp.named_parameters(pending)
-                            if not np.isfinite(g).all()), None)
-                if bad is not None:  # checked before the update, so no block moves
-                    report.diverged = True
-                    raise DivergenceError(f"non-finite gradient in parameter block {bad!r}",
-                                          report)
-                adamw_step(model.flat, pending.flat, state, lr, cfg.weight_decay,
-                           threads=threads)
-                pending, pending_n = None, 0
 
         try:
             val_loss, val_acc = evaluate(model, val_set, focal_cfg,
                                          cfg.smoothing_weight, threads=threads)
         except ValueError as exc:
-            report.diverged = True
             raise DivergenceError(
                 f"numeric failure in validation at epoch {epoch}: {exc}", report) from exc
         report.epochs.append(EpochStats(
@@ -333,7 +310,6 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
         ))
         report.stop_epoch = epoch
         if not math.isfinite(val_loss):
-            report.diverged = True
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}", report)
 
         if val_loss < best_val:

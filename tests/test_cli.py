@@ -53,6 +53,16 @@ class TestGenSynth:
         for name in ("train/seq_000.npy", "test/seq_000.npy"):
             np.testing.assert_array_equal(np.load(a / name), np.load(b / name))
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_setting_read_as_written(self, tmp_path, value):
+        cfg_file = tmp_path / "gen.cfg"
+        cfg_file.write_text(f"include_all_phases = {str(value).lower()}\n", encoding="utf-8")
+        out = tmp_path / "ds"
+        assert main(["gen-synth", "--out", str(out), "--dim", "8", "--config", str(cfg_file),
+                     "--n-train", "1", "--n-val", "1", "--n-test", "1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["include_all_phases"] is value
+
     def test_missing_output_dir_created(self, tmp_path):
         out = tmp_path / "deep" / "nested" / "ds"
         assert main(["gen-synth", "--out", str(out), "--dim", "8",
@@ -134,6 +144,57 @@ class TestTrain:
                    "--loss", "bce", "--epochs", "1", *TRAIN_FLAGS[:-4]])
         assert rc == 0
 
+    @pytest.mark.parametrize("flags, line, keys", [
+        (["--gamma", "3"], None, ["gamma"]),
+        (["--alpha-mode", "inverse-frequency"], None, ["alpha_mode"]),
+        ([], "gamma = 2.0", ["gamma"]),
+        (["--alpha-mode", "uniform"], "gamma = 0", ["gamma", "alpha_mode"]),
+    ])
+    def test_bce_with_focal_setting_exits_2(self, workspace, tmp_path, monkeypatch, capsys,
+                                           flags, line, keys):
+        # bce runs with gamma 0 and uniform alpha, so a gamma or alpha_mode
+        # that is set would be ignored while the manifest records it
+        fit_calls = []
+        monkeypatch.setattr(trainer, "fit", lambda *args, **kwargs: fit_calls.append(args))
+        if line is not None:
+            cfg_file = tmp_path / "bce.cfg"
+            cfg_file.write_text(line + "\n", encoding="utf-8")
+            flags = [*flags, "--config", str(cfg_file)]
+        out = tmp_path / "out"
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                     "--loss", "bce", *TRAIN_FLAGS, *flags]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys)
+        assert not fit_calls and not out.exists()
+
+    def test_batch_size_is_not_a_setting(self, workspace, tmp_path, capsys):
+        # every optimizer step takes one sequence
+        out = tmp_path / "out"
+        argv = ["train", "--data", str(workspace["data"]), "--out", str(out), *TRAIN_FLAGS]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--batch-size", "2"])
+        assert exc.value.code == 2
+        cfg_file = tmp_path / "batch.cfg"
+        cfg_file.write_text("batch_size = 2\n", encoding="utf-8")
+        assert main([*argv, "--config", str(cfg_file)]) == 2
+        assert "unknown config keys: ['batch_size']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_divergence_exits_3_and_keeps_report(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                     *TRAIN_FLAGS, "--lr", "1e300"]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        report = json.loads((out / "train_report.json").read_text())
+        assert report["diverged"] is True
+        assert report["stop_epoch"] == len(report["epochs"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "train"
+        assert set(manifest["phase_s"]) == {"load", "fit", "hash"}
+        assert manifest["artifacts"] == [str(out / "train_report.json")]
+        assert not (out / "model.bin").exists()
+
     def test_missing_data_dir_exits_2(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "out")])
@@ -147,6 +208,7 @@ class TestTrain:
     ("gen-synth", "noise_sigma = nan"), ("gen-synth", "noise_sigma = 1e308"),
     ("gen-synth", "noise_sigma = -1"), ("gen-synth", "sellar_closure_confusability = nan"),
     ("gen-synth", "sellar_closure_confusability = inf"),
+    ("gen-synth", "include_all_phases = no"), ("gen-synth", "include_all_phases = 1"),
 ])
 def test_bad_float_setting_exits_2(workspace, tmp_path, monkeypatch, capsys, command, line):
     # rejected with the key named before any epoch runs or --out is created
@@ -334,8 +396,8 @@ def test_fuzzed_config_file_resolves_or_raises_value_error(case):
         except ValueError:
             return
     assert set(resolved) == set(sources) == set(defaults)
-    assert all(type(resolved[key]) is int
-               for key, default in defaults.items() if type(default) is int)
+    assert all(type(resolved[key]) is type(default)
+               for key, default in defaults.items() if type(default) in (int, bool))
 
 
 class TestEval:
@@ -898,6 +960,16 @@ class TestParseNotes:
                    "--config", str(cfg_file), "--frames", "100"])
         assert rc == 2
         assert "fps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_frames_exits_2_before_writing(self, tmp_path, capsys):
+        # not read as 0 (boundaries only)
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text('{"t": "00:00:10", "note": "nasal"}\n', encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["parse-notes", "--notes", str(notes), "--out", str(out), "--frames", "-5"])
+        assert rc == 2
+        assert "frames" in capsys.readouterr().err
         assert not out.exists()
 
     def test_lexicon_override(self, tmp_path):

@@ -249,19 +249,15 @@ class TestFit:
         assert len(mstcnpp._row_blocks(1300, 64, 2)) == 2
         self._check_peak_memory(rng, 1300, 64, threads=2)
 
-    @pytest.mark.parametrize("batch_size", [1, 2])
-    def test_step_buffers_die_before_next_forward(self, monkeypatch, batch_size):
-        # a forward cache dies once backward has read it; a gradient once it
-        # is added to the pending sum (only the first of a batch is that sum)
-        # or applied, so no earlier step's buffers are live at a forward
+    def test_step_buffers_die_before_next_forward(self, monkeypatch):
+        # a forward cache dies once backward has read it and a gradient once
+        # AdamW has applied it, so no earlier step's buffers are live at a forward
         forward, backward = mstcnpp.forward, mstcnpp.backward
         caches, grads = [], []
 
         def watched_forward(model, x, return_cache=False, threads=1):
             assert all(ref() is None for ref in caches), "an earlier forward cache is live"
-            live = [ref for ref in grads if ref() is not None]
-            assert len(live) <= (0 if len(grads) % batch_size == 0 else 1), \
-                "an earlier gradient is live"
+            assert all(ref() is None for ref in grads), "an earlier gradient is live"
             out = forward(model, x, return_cache, threads)
             if return_cache:
                 caches.append(weakref.ref(out[1]))
@@ -277,7 +273,7 @@ class TestFit:
         train = make_split(4, sequence_seed=100)
         val = make_split(1, sequence_seed=101)
         fit(mstcnpp.init(TINY, seed=0), train, val,
-            TrainConfig(epochs=2, learning_rate=1e-3, batch_size=batch_size))
+            TrainConfig(epochs=2, learning_rate=1e-3))
         assert len(grads) == 8
 
     def test_divergence_attaches_report(self):
@@ -287,7 +283,7 @@ class TestFit:
         model.stages[0].proj_w[0, 0] = np.nan
         with pytest.raises(DivergenceError) as exc_info:
             fit(model, train, val, TrainConfig(epochs=2, learning_rate=1e-3))
-        assert exc_info.value.report is not None
+        assert exc_info.value.report.diverged
 
     def test_nonfinite_gradient_names_block(self, monkeypatch):
         # the check runs before the update, so no parameter moves
@@ -332,14 +328,6 @@ class TestFit:
             grads = mstcnpp.backward(model, cache, stage_grads)
             adamw_step(model.flat, grads.flat, state, lr=0.02)
         assert reached
-
-    def test_gradient_accumulation_runs(self):
-        train = make_split(4, sequence_seed=100)
-        val = make_split(1, sequence_seed=101)
-        model = mstcnpp.init(TINY, seed=0)
-        cfg = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=2, seed=0)
-        _, report = fit(model, train, val, cfg)
-        assert report.stop_epoch == 2
 
     def test_validation_fanout_matches_serial(self):
         val = make_split(4, sequence_seed=101)
