@@ -312,7 +312,8 @@ def cmd_train(args) -> int:
         gamma=0.0 if bce else float(cfg["gamma"]),
         alpha_mode="uniform" if bce else cfg["alpha_mode"],
     )
-    out_dir.mkdir(parents=True, exist_ok=True)  # the inputs loaded: a bad one leaves no directory
+    trainer.check_splits(model_cfg, train_set, val_set)
+    out_dir.mkdir(parents=True, exist_ok=True)  # the inputs checked: a bad one leaves no directory
     report_path = out_dir / "train_report.json"
     try:
         with timer("fit"):

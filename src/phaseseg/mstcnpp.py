@@ -12,6 +12,13 @@ convolution on the rectified fusion before the residual add:
 
     out = h + W * ReLU(conv_low(h) + conv_high(h)) + b
 
+Summed, the two 3-tap convolutions are computed as one convolution over
+their distinct tap shifts (-d_high, -d_low, 0, d_low, d_high): the centre
+taps read the same frame, so they are one product with the summed kernel,
+and where d_low == d_high all three tap pairs merge. That is five tap
+products per layer, or three, instead of six, in forward and backward alike.
+Concatenated, the two run as they are.
+
 The whole forward/backward pair is hand-written; backward returns gradients
 for every parameter and chains correctly through the probability handoff
 between stages.
@@ -48,7 +55,8 @@ from .seqcore import (
     rows_round_alike,
     softmax_rows,
     softmax_rows_backward,
-    transposed_kernel,
+    tap_shifts,
+    transposed_conv,
     workspace_rows,
 )
 
@@ -293,23 +301,53 @@ def _project_rows(stage: Stage, x, h, rows, ws):
     conv1x1(x, stage.proj_w, stage.proj_b, h[lo:hi], rows, ws[0])
 
 
-def _layer_rows(layer: DualDilatedLayer, h, a, out, fuse_mode: str, rows, ws):
+def _layer_taps(layer: DualDilatedLayer):
+    """(shift, (F, F) tap) for every tap of the layer's two dilated convs."""
+    return [(shift, w[:, :, j])
+            for w, dilation in ((layer.w_d1, layer.dilation_low),
+                                (layer.w_d2, layer.dilation_high))
+            for j, shift in enumerate(tap_shifts(KERNEL_SIZE, dilation))]
+
+
+def _sum_taps(taps):
+    """One convolution's (kernel, shifts) from (shift, tap) pairs: a tap per
+    distinct shift, in ascending order, that sums the taps at that shift.
+    The kernel is laid out tap-major: each tap is a C-contiguous matrix,
+    which BLAS takes transposed as it is, where a tap of w_d1 is first
+    copied into that layout (same bits, 10% faster per product)."""
+    shifts = sorted({shift for shift, _ in taps})
+    kernel = np.zeros((len(shifts), *taps[0][1].shape), dtype=taps[0][1].dtype)
+    for shift, tap in taps:
+        kernel[shifts.index(shift)] += tap
+    return kernel.transpose(1, 2, 0), tuple(shifts)
+
+
+def _layer_convs(layer: DualDilatedLayer, fuse_mode: str):
+    """The layer's dilated convolutions as (kernel, bias, dilation) triples,
+    each filling the next F columns of the fusion. Concat runs the two as
+    they are. Sum runs one convolution over their distinct tap shifts
+    (_sum_taps), with bias b_d1 + b_d2. Its kernel is built on every call,
+    so it follows every parameter update, and lives only while the caller
+    holds it."""
+    if fuse_mode == "concat":
+        return [(layer.w_d1, layer.b_d1, layer.dilation_low),
+                (layer.w_d2, layer.b_d2, layer.dilation_high)]
+    kernel, shifts = _sum_taps(_layer_taps(layer))
+    return [(kernel, layer.b_d1 + layer.b_d2, shifts)]
+
+
+def _layer_rows(layer: DualDilatedLayer, convs, h, a, out, rows, ws):
     """Rows [lo, hi) of one layer into the layer's full-length fusion a and
-    output out; reads only h and, for the fuse conv, rows [lo, hi) of a."""
-    # the fusion and the residual add run in place; IEEE addition is
-    # commutative, so the bits equal those of c1 + c2 and h + fuse
+    output out; reads only h and, for the fuse conv, rows [lo, hi) of a.
+    convs are the layer's _layer_convs."""
+    # the residual add runs in place; IEEE addition is commutative, so the
+    # bits equal those of h + fuse
     lo, hi = rows
-    tap, c2 = ws
     f = h.shape[1]
-    if fuse_mode == "sum":
-        dilated_conv1d(h, layer.w_d1, layer.b_d1, layer.dilation_low, a[lo:hi], rows, tap)
-        dilated_conv1d(h, layer.w_d2, layer.b_d2, layer.dilation_high, c2[:hi - lo], rows, tap)
-        a[lo:hi] += c2[:hi - lo]
-    else:
-        dilated_conv1d(h, layer.w_d1, layer.b_d1, layer.dilation_low, a[lo:hi, :f], rows, tap)
-        dilated_conv1d(h, layer.w_d2, layer.b_d2, layer.dilation_high, a[lo:hi, f:], rows, tap)
+    for i, (kernel, bias, dilation) in enumerate(convs):
+        dilated_conv1d(h, kernel, bias, dilation, a[lo:hi, i * f:(i + 1) * f], rows, ws[0])
     relu(a[lo:hi], a[lo:hi])
-    conv1x1(a, layer.w_fuse, layer.b_fuse, out[lo:hi], rows, tap)
+    conv1x1(a, layer.w_fuse, layer.b_fuse, out[lo:hi], rows, ws[0])
     out[lo:hi] += h[lo:hi]
 
 
@@ -318,7 +356,11 @@ def _layer_forward(layer: DualDilatedLayer, h: np.ndarray, fuse_mode: str,
     t_len, f = h.shape
     a = np.empty((t_len, f if fuse_mode == "sum" else 2 * f), dtype=h.dtype)
     out = np.empty_like(h)
-    run_jobs(pool, _block_jobs(blocks, workspaces, _layer_rows, layer, h, a, out, fuse_mode))
+    # the merged kernel after the arrays that outlive the layer, so the
+    # heap space it frees is not a hole below them: built first, it left
+    # train-paper's peak 5 MiB higher (glibc, 2 threads)
+    convs = _layer_convs(layer, fuse_mode)
+    run_jobs(pool, _block_jobs(blocks, workspaces, _layer_rows, layer, convs, h, a, out))
     return out, _LayerCache(h_in=h, pre_relu=a, post_relu=a)
 
 
@@ -342,7 +384,7 @@ def forward(model: Model, x, return_cache: bool = False, threads: int = 1):
 
     t_len, f = x.shape[0], cfg.channels
     blocks = _row_blocks(t_len, f, threads)
-    workspaces = _block_workspaces(blocks, t_len, f, model.dtype, 1)
+    workspaces = _block_workspaces(blocks, t_len, f, model.dtype, 0)
     cache = ForwardCache()
     stage_probs = []
     current = x
@@ -377,18 +419,19 @@ def _fusion_grad_rows(w_fuse_t, g_out, a, g_a, rows, ws):
     relu_backward(a[lo:hi], g_a[lo:hi], out=g_a[lo:hi])
 
 
-def _input_grad_rows(layer: DualDilatedLayer, g_c1, g_c2, kernels, g_h, rows, ws):
-    """Rows [lo, hi) of the layer's input gradient, g_h + (dx1 + dx2), into
-    g_h in place, where g_h holds the gradient at the layer's output and dx1,
-    dx2 are the input gradients of the two dilated convs (kernels: their
-    transposed_kernel)."""
+def _input_grad_rows(inputs, g_h, rows, ws):
+    """Rows [lo, hi) of the layer's input gradient into g_h in place, where
+    g_h holds the gradient at the layer's output. Each of inputs, a
+    (gradient at a dilated conv's output, transposed_conv kernel, shifts),
+    gives that conv's input gradient; two are summed before g_h takes them."""
     lo, hi = rows
-    tap, dx1, dx2 = ws[0], ws[1][:hi - lo], ws[2][:hi - lo]
     zero = np.zeros(g_h.shape[1], dtype=g_h.dtype)
-    dilated_conv1d(g_c1, kernels[0], zero, layer.dilation_low, dx1, rows, tap)
-    dilated_conv1d(g_c2, kernels[1], zero, layer.dilation_high, dx2, rows, tap)
-    dx1 += dx2
-    g_h[lo:hi] += dx1
+    dxs = [dx[:hi - lo] for dx in ws[1:1 + len(inputs)]]
+    for (g_c, kernel, shifts), dx in zip(inputs, dxs):
+        dilated_conv1d(g_c, kernel, zero, shifts, dx, rows, ws[0])
+    for dx in dxs[1:]:
+        dxs[0] += dx
+    g_h[lo:hi] += dxs[0]
 
 
 # The parameter-gradient jobs write their products straight into the gradient
@@ -406,6 +449,24 @@ def _conv_params_grad(h, w, dilation, g_c, grad_w, grad_b):
     grad_b[...] = conv.d_bias
 
 
+def _merged_params_grad(layer: DualDilatedLayer, h, g_a, grad: DualDilatedLayer):
+    """The sum fusion's kernel gradients with one whole product per distinct
+    shift, written into the tap views: all of w_d1's, and w_d2's side taps
+    (0 and 2 of 3) where its dilation differs; w_d2's other taps copy w_d1's
+    at the same shift. Both biases take the fusion gradient's column sums."""
+    d_lo, d_hi = layer.dilation_low, layer.dilation_high
+    conv = dilated_conv1d_backward(h, layer.w_d1, d_lo, g_a, d_input=False,
+                                   out_weights=grad.w_d1)
+    if d_hi == d_lo:
+        grad.w_d2[...] = grad.w_d1
+    else:
+        dilated_conv1d_backward(h, layer.w_d2[:, :, ::2], (-d_hi, d_hi), g_a, d_input=False,
+                                out_weights=grad.w_d2[:, :, ::2])
+        grad.w_d2[:, :, 1] = grad.w_d1[:, :, 1]
+    grad.b_d1[...] = conv.d_bias
+    grad.b_d2[...] = conv.d_bias
+
+
 def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
                     grad: DualDilatedLayer, g_a, blocks, workspaces, pool):
     """Gradients of one layer, given g_h, the gradient at its output, which
@@ -413,25 +474,27 @@ def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
 
     Two passes of jobs: the fusion gradient g_a in row blocks alongside the
     fuse conv's parameter gradients, then the input gradient in row blocks
-    alongside each dilated conv's parameter gradients. A parameter gradient
-    is one whole job, so no thread count changes its bits.
+    (one transposed convolution for sum fusion, two for concat) alongside
+    the dilated convs' parameter gradients. A parameter gradient is one
+    whole job, so no thread count changes its bits.
     """
     w_fuse_t = np.ascontiguousarray(layer.w_fuse.T)
     run_jobs(pool, [functools.partial(_fuse_params_grad, layer, lc.post_relu, g_h, grad),
                     *_block_jobs(blocks, workspaces, _fusion_grad_rows, w_fuse_t, g_h,
                                  lc.pre_relu, g_a)])
-    if fuse_mode == "sum":
-        g_c1 = g_c2 = g_a
+    if fuse_mode == "sum":  # the merged kernel transposed, built without the merged one
+        params = [functools.partial(_merged_params_grad, layer, lc.h_in, g_a, grad)]
+        inputs = [(g_a, *_sum_taps([(-shift, tap.T) for shift, tap in _layer_taps(layer)]))]
     else:  # contiguous once here, not once per block in dilated_conv1d
         f = g_h.shape[1]
         g_c1, g_c2 = np.ascontiguousarray(g_a[:, :f]), np.ascontiguousarray(g_a[:, f:])
-    run_jobs(pool, [
-        functools.partial(_conv_params_grad, lc.h_in, layer.w_d1, layer.dilation_low, g_c1,
-                          grad.w_d1, grad.b_d1),
-        functools.partial(_conv_params_grad, lc.h_in, layer.w_d2, layer.dilation_high, g_c2,
-                          grad.w_d2, grad.b_d2),
-        *_block_jobs(blocks, workspaces, _input_grad_rows, layer, g_c1, g_c2,
-                     (transposed_kernel(layer.w_d1), transposed_kernel(layer.w_d2)), g_h)])
+        params = [functools.partial(_conv_params_grad, lc.h_in, layer.w_d1, layer.dilation_low,
+                                    g_c1, grad.w_d1, grad.b_d1),
+                  functools.partial(_conv_params_grad, lc.h_in, layer.w_d2, layer.dilation_high,
+                                    g_c2, grad.w_d2, grad.b_d2)]
+        inputs = [(g_c1, *transposed_conv(layer.w_d1, layer.dilation_low)),
+                  (g_c2, *transposed_conv(layer.w_d2, layer.dilation_high))]
+    run_jobs(pool, [*params, *_block_jobs(blocks, workspaces, _input_grad_rows, inputs, g_h)])
 
 
 def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int = 1) -> Model:
@@ -457,7 +520,8 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int 
     g_a = np.empty((t_len, f if cfg.fuse_mode == "sum" else 2 * f), dtype=model.dtype)
     g_probs_next = None  # gradient arriving at this stage's output probabilities
     blocks = _row_blocks(t_len, f, threads)
-    workspaces = _block_workspaces(blocks, t_len, f, model.dtype, 2)
+    workspaces = _block_workspaces(blocks, t_len, f, model.dtype,
+                                  1 if cfg.fuse_mode == "sum" else 2)
     with thread_pool(len(blocks)) as pool:
         for s in range(n_stages - 1, -1, -1):
             stage, grad = model.stages[s], grads.stages[s]

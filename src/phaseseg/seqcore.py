@@ -9,8 +9,9 @@ Arrays are checked where they enter the program (`synthgen.load_features`
 and `mstcnpp.forward` call `as_matrix`); the primitives take them as they
 are and check only their own contracts: operand shapes, and finite logits.
 
-All primitives preserve sequence length: dilated convolutions use symmetric
-zero padding of (k-1)/2 * dilation frames per side.
+All primitives preserve sequence length: a dilated convolution's tap reads
+zeros wherever its shift takes it outside [0, T), which for the dilation
+ladder is symmetric zero padding of (k-1)/2 * dilation frames per side.
 """
 
 from __future__ import annotations
@@ -57,19 +58,33 @@ class LayerGrad:
 # dilated 1-D convolution
 # ---------------------------------------------------------------------------
 
+def tap_shifts(k: int, dilation) -> tuple[int, ...]:
+    """The frame offset each tap of a k-tap kernel reads: output row t takes
+    tap j's product from input row t + shift_j. An int dilation d is the
+    ladder (j - (k-1)/2) * d of an odd k; a sequence of k ints is the shifts
+    themselves, in tap order."""
+    if np.ndim(dilation) == 0:
+        if k % 2 != 1:
+            raise ShapeError(f"kernel size must be odd, got k={k}")
+        if dilation < 1 or int(dilation) != dilation:
+            raise ValueError(f"dilation must be a positive integer, got {dilation}")
+        return tuple((j - (k - 1) // 2) * int(dilation) for j in range(k))
+    shifts = tuple(int(s) for s in dilation)
+    if len(shifts) != k or shifts != tuple(dilation):
+        raise ValueError(f"a {k}-tap kernel needs {k} integer shifts, got {tuple(dilation)}")
+    return shifts
+
+
 def _check_dconv_args(x, weights, bias, dilation):
     if weights.ndim != 3:
         raise ShapeError(f"kernel must be (Cout, Cin, k), got shape {weights.shape}")
     cout, cin, k = weights.shape
-    if k % 2 != 1:
-        raise ShapeError(f"kernel size must be odd, got k={k}")
-    if dilation < 1 or int(dilation) != dilation:
-        raise ValueError(f"dilation must be a positive integer, got {dilation}")
+    shifts = tap_shifts(k, dilation)
     if x.shape[1] != cin:
         raise ShapeError(f"input has {x.shape[1]} channels but kernel expects {cin}")
     if bias.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
-    return cout, cin, k
+    return cout, shifts
 
 
 # OpenBLAS computes products with few rows (one row, or roughly fewer than
@@ -194,14 +209,17 @@ def _destination(out, rows: int, cols: int, dtype) -> np.ndarray:
     return out
 
 
-def dilated_conv1d(x, weights, bias, dilation: int, out=None, rows=None,
+def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
                    work=None) -> np.ndarray:
     """Same-length dilated 1-D convolution over the time axis.
 
-    out[t, co] = bias[co] + sum_{ci,j} weights[co, ci, j] * x[t + (j - (k-1)/2) * dilation, ci]
-    with zero padding outside [0, T). No padded copy is built: each tap adds
-    its product into the rows where it reads inside [0, T), in the order
-    bias, tap 0, tap 1, .... The result is bit-equal to the padded form when
+    out[t, co] = bias[co] + sum_{ci,j} weights[co, ci, j] * x[t + shift_j, ci]
+    with zero padding outside [0, T), where shift_j = tap_shifts(k, dilation):
+    an int dilation d gives the ladder (j - (k-1)/2) * d, and a sequence gives
+    one shift per tap, so two convolutions that are summed can run as one
+    over their distinct shifts. No padded copy is built: each tap adds its
+    product into the rows where it reads inside [0, T), in the order bias,
+    tap 0, tap 1, .... The result is bit-equal to the padded form when
     rows_round_alike(Cout) holds or T < _MIN_GEMM_ROWS (every product then
     spans all of x); at other widths, such as 250, the two can differ in the
     last bits, though each stays the same from run to run.
@@ -216,16 +234,14 @@ def dilated_conv1d(x, weights, bias, dilation: int, out=None, rows=None,
     x = np.ascontiguousarray(x)
     weights = np.asarray(weights, dtype=x.dtype)
     bias = np.asarray(bias, dtype=x.dtype)
-    cout, _, k = _check_dconv_args(x, weights, bias, int(dilation))
-    dilation = int(dilation)
+    cout, shifts = _check_dconv_args(x, weights, bias, dilation)
     t_len = x.shape[0]
     lo, hi = _row_range(t_len, rows)
     out = _destination(out, hi - lo, cout, x.dtype)
     work = _workspace(work, workspace_rows(t_len, hi - lo, cout), cout, x.dtype)
     chunk = _chunk_rows(t_len, cout)
     out[...] = bias
-    for j in range(k):
-        shift = (j - (k - 1) // 2) * dilation
+    for j, shift in enumerate(shifts):
         # output rows of [lo, hi) where this tap reads inside [0, T)
         t_lo, t_hi = max(lo, -shift), min(hi, t_len - shift)
         for c_lo in range(t_lo, t_hi, chunk):  # nothing when the tap reads only padding
@@ -236,9 +252,11 @@ def dilated_conv1d(x, weights, bias, dilation: int, out=None, rows=None,
     return out
 
 
-def transposed_kernel(weights) -> np.ndarray:
-    """The (Cin, Cout, k) kernel whose dilated_conv1d with zero bias maps
-    dL/d(output) to dL/d(input): channels swapped, taps reversed.
+def transposed_conv(weights, dilation) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(kernel, shifts): the (Cin, Cout, k) kernel and its tap shifts whose
+    dilated_conv1d with zero bias maps dL/d(output) to dL/d(input) of the
+    convolution with weights and dilation: channels swapped, taps reversed,
+    shifts reversed and negated.
 
     Tap j of weights carries output row t from input row t + shift_j, so the
     input gradient at row s gathers grad_out[s - shift_j] @ weights[:, :, j],
@@ -250,11 +268,13 @@ def transposed_kernel(weights) -> np.ndarray:
     view of weights would be multiplied in the other layout, whose rows do
     not round alike at some widths, such as 72 in float32).
     """
+    shifts = tap_shifts(weights.shape[2], dilation)
     view = weights.transpose(1, 0, 2)[:, :, ::-1]
-    return np.ascontiguousarray(view.transpose(2, 0, 1)).transpose(1, 2, 0)
+    kernel = np.ascontiguousarray(view.transpose(2, 0, 1)).transpose(1, 2, 0)
+    return kernel, tuple(-s for s in reversed(shifts))
 
 
-def dilated_conv1d_backward(x, weights, dilation: int, grad_out,
+def dilated_conv1d_backward(x, weights, dilation, grad_out,
                             d_input: bool = True, out_weights=None) -> LayerGrad:
     """Analytic gradients of dilated_conv1d w.r.t. input, kernel and bias.
 
@@ -262,14 +282,14 @@ def dilated_conv1d_backward(x, weights, dilation: int, grad_out,
     where the tap reads inside [0, T), as one product whatever the caller's
     threads: grad_out[valid].T @ x[valid + shift_j]. It is written into
     out_weights, an array of the kernel's shape, when given. The input
-    gradient is the convolution of grad_out with transposed_kernel(weights);
-    d_input=False skips it (d_input is None) for callers that compute it in
-    row blocks.
+    gradient is the convolution of grad_out with transposed_conv(weights,
+    dilation); d_input=False skips it (d_input is None) for callers that
+    compute it in row blocks.
     """
     weights = np.asarray(weights, dtype=x.dtype)
     grad_out = np.asarray(grad_out, dtype=x.dtype)
     cout, cin, k = weights.shape
-    dilation = int(dilation)
+    shifts = tap_shifts(k, dilation)
     t_len = x.shape[0]
     if grad_out.shape != (t_len, cout):
         raise ShapeError(f"upstream gradient must be ({t_len}, {cout}), got {grad_out.shape}")
@@ -277,8 +297,7 @@ def dilated_conv1d_backward(x, weights, dilation: int, grad_out,
     if d_w.shape != weights.shape or d_w.dtype != x.dtype:
         raise ShapeError(f"kernel gradient {d_w.shape} {d_w.dtype} is not "
                          f"{weights.shape} {x.dtype}")
-    for j in range(k):
-        shift = (j - (k - 1) // 2) * dilation
+    for j, shift in enumerate(shifts):
         t_lo, t_hi = max(0, -shift), min(t_len, t_len - shift)
         if t_lo < t_hi:
             np.matmul(grad_out[t_lo:t_hi].T, x[t_lo + shift:t_hi + shift], out=d_w[:, :, j])
@@ -286,8 +305,8 @@ def dilated_conv1d_backward(x, weights, dilation: int, grad_out,
             d_w[:, :, j] = 0.0
     d_x = None
     if d_input:
-        d_x = dilated_conv1d(grad_out, transposed_kernel(weights),
-                             np.zeros(cin, dtype=x.dtype), dilation)
+        kernel, back_shifts = transposed_conv(weights, shifts)
+        d_x = dilated_conv1d(grad_out, kernel, np.zeros(cin, dtype=x.dtype), back_shifts)
     return LayerGrad(d_input=d_x, d_weights=d_w, d_bias=grad_out.sum(axis=0))
 
 

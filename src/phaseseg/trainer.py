@@ -219,6 +219,30 @@ class TrainReport:
         }
 
 
+def check_splits(model_cfg: mstcnpp.StageConfig, train_set, val_set) -> None:
+    """Raise ValueError unless both splits hold sequences and every sequence
+    fits a model of model_cfg: in_dim channels, one label per frame, finite
+    features, labels below n_classes and at least one counted frame."""
+    if not train_set or not val_set:
+        raise ValueError("train and validation sets must be non-empty")
+    for split_name, split in (("train", train_set), ("val", val_set)):
+        for i, (features, labels) in enumerate(split):
+            if features.shape[1] != model_cfg.in_dim:
+                raise ValueError(f"{split_name} sequence {i} has {features.shape[1]} "
+                                 f"channels, model expects {model_cfg.in_dim}")
+            if features.shape[0] != labels.shape[0]:
+                raise ValueError(f"{split_name} sequence {i}: {features.shape[0]} frames "
+                                 f"but {labels.shape[0]} labels")
+            if not np.all(np.isfinite(features)):
+                raise ValueError(f"{split_name} sequence {i} has non-finite features")
+            if labels.max() >= model_cfg.n_classes:
+                raise ValueError(f"{split_name} sequence {i} has labels outside "
+                                 f"[0, {model_cfg.n_classes})")
+            if labels.max() < 0:
+                raise ValueError(f"{split_name} sequence {i} has no counted frame "
+                                 f"(every label is < 0)")
+
+
 def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
     """Train up to cfg.epochs with early stopping on rising validation loss.
 
@@ -226,28 +250,12 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
     passes and the AdamW update; the result does not depend on it.
 
     Returns (best_model, report) where best_model is the checkpoint with the
-    lowest validation loss. Raises DivergenceError (report attached) on a
-    non-finite loss or gradient.
+    lowest validation loss. Raises ValueError, before any step, where
+    check_splits does, and DivergenceError (report attached) on a non-finite
+    loss or gradient.
     """
-    if not train_set or not val_set:
-        raise ValueError("train and validation sets must be non-empty")
+    check_splits(model.config, train_set, val_set)
     n_classes = model.config.n_classes
-    for split_name, split in (("train", train_set), ("val", val_set)):
-        for i, (features, labels) in enumerate(split):
-            if features.shape[1] != model.config.in_dim:
-                raise ValueError(f"{split_name} sequence {i} has {features.shape[1]} "
-                                 f"channels, model expects {model.config.in_dim}")
-            if features.shape[0] != labels.shape[0]:
-                raise ValueError(f"{split_name} sequence {i}: {features.shape[0]} frames "
-                                 f"but {labels.shape[0]} labels")
-            if not np.all(np.isfinite(features)):
-                raise ValueError(f"{split_name} sequence {i} has non-finite features")
-            if labels.max() >= n_classes:
-                raise ValueError(f"{split_name} sequence {i} has labels outside "
-                                 f"[0, {n_classes})")
-            if labels.max() < 0:
-                raise ValueError(f"{split_name} sequence {i} has no counted frame "
-                                 f"(every label is < 0)")
     alpha = None
     if cfg.alpha_mode == "inverse-frequency":
         alpha = inverse_frequency_alpha([labels for _, labels in train_set], n_classes)

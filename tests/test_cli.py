@@ -137,6 +137,21 @@ class TestTrain:
                    *TRAIN_FLAGS])
         assert rc == 2
         assert f"{split} sequence 0 has no counted frame" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_label_outside_classes_exits_2(self, workspace, tmp_path, capsys, split):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        csv_path = data / split / "seq_000.csv"
+        labels = read_label_csv(csv_path)
+        labels[-1] = 4  # n_classes defaults to 4
+        write_label_csv(csv_path, labels)
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                   *TRAIN_FLAGS])
+        assert rc == 2
+        assert f"{split} sequence 0 has labels outside [0, 4)" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_bce_flag_runs(self, workspace, tmp_path):
         out = tmp_path / "bce"

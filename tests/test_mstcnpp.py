@@ -303,11 +303,12 @@ class TestRowBlocks:
         order = data.draw(st.permutations(range(len(blocks))))
 
         def run(blocks):
-            ws = (np.empty((t_len, f), dtype), np.empty((t_len, f), dtype))
+            ws = (np.empty((t_len, f), dtype),)
             a = np.empty((t_len, f if fuse_mode == "sum" else 2 * f), dtype)
             out = np.empty_like(h)
+            convs = mstcnpp._layer_convs(layer, fuse_mode)
             for rows in blocks:
-                mstcnpp._layer_rows(layer, h, a, out, fuse_mode, rows, ws)
+                mstcnpp._layer_rows(layer, convs, h, a, out, rows, ws)
             return a, out
 
         want_a, want_out = run([(0, t_len)])
@@ -449,6 +450,101 @@ class TestBackward:
         monkeypatch.setattr(mstcnpp, "dilated_conv1d", recording)
         mstcnpp.backward(model, cache, stage_grads, threads=2)
         assert len(contiguous) == 3 * 2 * 2 and all(contiguous)
+
+
+class TestMergedSumLayer:
+    """Sum fusion runs a layer's two dilated convolutions as one convolution
+    over their distinct tap shifts."""
+
+    # layers_prediction=3: layer 2 has dilations 2 and 2, so all three tap
+    # pairs of its merged convolution coincide
+    CFG = StageConfig(in_dim=5, channels=64, n_classes=3, stages=1,
+                      layers_prediction=3, layers_refinement=1)
+
+    @staticmethod
+    def _unmerged(layer, h):
+        """The layer as two convolutions summed: the oracle of the merged form."""
+        a = (seqcore.dilated_conv1d(h, layer.w_d1, layer.b_d1, layer.dilation_low)
+             + seqcore.dilated_conv1d(h, layer.w_d2, layer.b_d2, layer.dilation_high))
+        a = np.maximum(a, 0)
+        return a, h + seqcore.conv1x1(a, layer.w_fuse, layer.b_fuse)
+
+    @pytest.mark.parametrize("n_layers, t_len", [(3, 300), (10, 700), (10, 40)])
+    def test_float64_layer_equals_two_convolutions(self, rng, n_layers, t_len):
+        # at T=40 the high dilations of 10 layers read mostly or only padding
+        cfg = StageConfig(in_dim=5, channels=64, n_classes=3, stages=1,
+                          layers_prediction=n_layers, layers_refinement=1)
+        h = rng.normal(size=(t_len, 64))
+        ws = (np.empty((t_len, 64)),)
+        for layer in init(cfg, seed=1).stages[0].layers:
+            layer.b_d1[...] = rng.normal(size=64)  # init zeroes the biases
+            layer.b_d2[...] = rng.normal(size=64)
+            a, out = np.empty((t_len, 64)), np.empty((t_len, 64))
+            mstcnpp._layer_rows(layer, mstcnpp._layer_convs(layer, "sum"), h, a, out,
+                                (0, t_len), ws)
+            for got, want in zip((a, out), self._unmerged(layer, h)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("fuse_mode", ["sum", "concat"])
+    def test_taps_per_convolution(self, rng, monkeypatch, fuse_mode):
+        calls = []
+        conv = mstcnpp.dilated_conv1d
+
+        def recording(*args):
+            calls.append((args[1].shape[2], args[3]))
+            return conv(*args)
+
+        monkeypatch.setattr(mstcnpp, "dilated_conv1d", recording)
+        cfg = StageConfig(**{**vars(self.CFG), "fuse_mode": fuse_mode})
+        probs, cache = forward(init(cfg, seed=0), rng.normal(size=(20, 5)), return_cache=True)
+        forward_calls = list(calls)
+        calls.clear()
+        mstcnpp.backward(init(cfg, seed=0), cache, [np.ones_like(p) for p in probs])
+        if fuse_mode == "sum":  # dilations (1, 4), (2, 2), (4, 1)
+            want = [(5, (-4, -1, 0, 1, 4)), (3, (-2, 0, 2)), (5, (-4, -1, 0, 1, 4))]
+            assert forward_calls == want
+            assert calls == want[::-1]  # the input gradients: the shifts are symmetric
+        else:
+            assert forward_calls == [(3, d) for pair in ((1, 4), (2, 2), (4, 1)) for d in pair]
+            assert [k for k, _ in calls] == [3] * 6
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_gradients_match_fd(self, rng, threads):
+        t_len = _gate_frames(64)
+        assert len(mstcnpp._row_blocks(t_len, 64, threads)) == threads
+        model = init(self.CFG, seed=3)
+        for layer in model.stages[0].layers:
+            layer.b_d1[...] = rng.normal(scale=0.1, size=64)
+            layer.b_d2[...] = rng.normal(scale=0.1, size=64)
+        x = rng.normal(size=(t_len, 5))
+        labels = rng.integers(0, 3, size=t_len)
+
+        def loss_grads(model):
+            probs, cache = forward(model, x, return_cache=True, threads=threads)
+            bd, grads = total_loss(probs, labels, FocalConfig(gamma=2.0), 0.15)
+            return bd.total, cache, grads
+
+        _, cache, stage_grads = loss_grads(model)
+        analytic = dict(named_parameters(mstcnpp.backward(model, cache, stage_grads,
+                                                          threads=threads)))
+        h = 1e-5
+        for name, p in named_parameters(model):
+            if "layer" not in name:
+                continue
+            # two entries of every tap (every tap of layer 2 is shared), or of the vector
+            picks = ([np.ravel_multi_index((co, ci, j), p.shape)
+                      for j in range(p.shape[2]) for co, ci in rng.integers(0, 64, (2, 2))]
+                     if p.ndim == 3 else rng.choice(p.size, size=4, replace=False))
+            flat = p.reshape(-1)
+            for i in picks:
+                orig = flat[i]
+                flat[i] = orig + h
+                lp = loss_grads(model)[0]
+                flat[i] = orig - h
+                lm = loss_grads(model)[0]
+                flat[i] = orig
+                assert_grad_close(analytic[name].reshape(-1)[i:i + 1],
+                                  np.array([(lp - lm) / (2 * h)]))
 
 
 class TestBlasThreads:

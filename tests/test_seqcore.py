@@ -49,6 +49,17 @@ class TestDilatedConv:
             dilated_conv1d(rng.normal(size=(5, 2)), rng.normal(size=(2, 2, 4)),
                            np.zeros(2), dilation=1)
 
+    def test_explicit_shifts(self, rng):
+        # the ladder given as shifts is the same convolution, bit for bit
+        x, w, b = rng.normal(size=(9, 2)), rng.normal(size=(3, 2, 3)), rng.normal(size=3)
+        assert np.array_equal(dilated_conv1d(x, w, b, (-2, 0, 2)), dilated_conv1d(x, w, b, 2))
+        assert seqcore.tap_shifts(5, 3) == (-6, -3, 0, 3, 6)
+        for shifts in ((-1, 0), (-1, 0, 1.5)):
+            with pytest.raises(ValueError, match="integer shifts"):
+                dilated_conv1d(x, w, b, shifts)
+        with pytest.raises(ValueError, match="positive integer"):
+            dilated_conv1d(x, w, b, 1.5)
+
     def test_output_length_preserved(self, rng):
         for dil in (1, 2, 4, 8):
             x = rng.normal(size=(9, 2))
@@ -306,7 +317,8 @@ class TestBackward:
         lg = conv1x1_backward(x, w, g)
         np.testing.assert_allclose(lg.d_weights, np.outer(g[0], x[0]), atol=1e-12)
 
-    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    # a tuple gives each tap's shift: asymmetric, and one beyond T
+    @pytest.mark.parametrize("dilation", [1, 2, 3, (-4, 1, 12)])
     def test_dilated_conv_grads_match_fd(self, rng, dilation):
         t_len, cin, cout = 9, 3, 2
         x = rng.normal(size=(t_len, cin))
