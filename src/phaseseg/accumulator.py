@@ -4,26 +4,13 @@ Raw per-frame predictions flicker; surgical phases do not. The smoother walks
 the prediction stream with a counter: it opens when a frame predicts the
 phase directly following the current one, increments on consecutive such
 frames, resets on anything else, and commits the transition once the counter
-reaches the configured threshold. Committed output therefore never regresses
+reaches the threshold. Committed output therefore never regresses
 and only advances one phase at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class AccumulatorConfig:
-    """threshold: consecutive supporting frames required to commit a transition."""
-
-    threshold: int = 30
-
-    def __post_init__(self):
-        if self.threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {self.threshold}")
 
 
 def _initial_phase(preds: np.ndarray, window: int) -> int:
@@ -33,12 +20,15 @@ def _initial_phase(preds: np.ndarray, window: int) -> int:
     return int(np.argmax(counts))
 
 
-def smooth(predictions, cfg: AccumulatorConfig = AccumulatorConfig()) -> np.ndarray:
-    """Convert a noisy prediction stream into a monotone phase timeline.
+def smooth(predictions, threshold: int) -> np.ndarray:
+    """Convert a noisy prediction stream into a monotone phase timeline,
+    committing a transition after threshold consecutive supporting frames.
 
     Takes a 1-D array of phase ids; returns an int64 array of the same
     length. Raises on empty input.
     """
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
     preds = np.asarray(predictions, dtype=np.int64)
     if preds.ndim != 1:
         raise ValueError(f"predictions must be 1-D, got shape {preds.shape}")
@@ -48,12 +38,12 @@ def smooth(predictions, cfg: AccumulatorConfig = AccumulatorConfig()) -> np.ndar
         raise ValueError("predictions must be nonnegative phase ids")
 
     out = np.empty_like(preds)
-    current = _initial_phase(preds, cfg.threshold)
+    current = _initial_phase(preds, threshold)
     count = 0  # consecutive frames, up to t, that predict current + 1
     for t, p in enumerate(preds):
         if p == current + 1:
             count += 1
-            if count >= cfg.threshold:
+            if count >= threshold:
                 current += 1
                 # relabel back to the run's first frame: no boundary lag
                 out[t - count + 1:t] = current

@@ -351,27 +351,28 @@ EVAL_DEFAULTS = {
 
 def _inference_settings(cfg: dict):
     """eval's and segment's settings, checked before any directory or model is
-    touched: (dtype, accumulator config, or None when post = none)."""
+    touched: (dtype, accumulator threshold, or None when post = none)."""
     if cfg["post"] not in ("none", "accumulator"):
         raise ValueError(f"post must be 'none' or 'accumulator', got {cfg['post']!r}")
-    smoother = accumulator.AccumulatorConfig(threshold=cfg["threshold"])  # threshold >= 1
-    return _dtype_of(cfg["precision"]), smoother if cfg["post"] == "accumulator" else None
+    if cfg["threshold"] < 1:
+        raise ValueError(f"threshold must be >= 1, got {cfg['threshold']}")
+    return _dtype_of(cfg["precision"]), cfg["threshold"] if cfg["post"] == "accumulator" else None
 
 
-def predict(model, x, smoother, threads: int, timer: PhaseTimer) -> tuple[np.ndarray, np.ndarray]:
+def predict(model, x, threshold, threads: int, timer: PhaseTimer) -> tuple[np.ndarray, np.ndarray]:
     """Final-stage argmax timeline (raw) and, after the accumulator when
-    smoother is given, the final timeline; times the "forward" and "post" phases."""
+    threshold is given, the final timeline; times the "forward" and "post" phases."""
     with timer("forward"):
         probs = mstcnpp.forward(model, x, threads=threads)[-1]
     with timer("post"):
         raw = accumulator.argmax_decode(probs)
-        return raw, raw if smoother is None else accumulator.smooth(raw, smoother)
+        return raw, raw if threshold is None else accumulator.smooth(raw, threshold)
 
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     cfg, sources = resolve_config(EVAL_DEFAULTS, args)
-    dtype, smoother = _inference_settings(cfg)
+    dtype, threshold = _inference_settings(cfg)
     model_path = Path(args.model)
     data_dir = Path(args.data)
     out_dir = Path(args.out)
@@ -385,7 +386,7 @@ def cmd_eval(args) -> int:
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
     segment_counts = []
     for features, labels in dataset:
-        _, pred = predict(model, features, smoother, threads, timer)
+        _, pred = predict(model, features, threshold, threads, timer)
         with timer("post"):
             pooled += evalmetrics.confusion(labels, pred, n_classes)
             segment_counts.append(evalmetrics.segment_count(pred))
@@ -423,7 +424,7 @@ SEGMENT_DEFAULTS = {
 def cmd_segment(args) -> int:
     started = time.perf_counter()
     cfg, sources = resolve_config(SEGMENT_DEFAULTS, args)
-    dtype, smoother = _inference_settings(cfg)
+    dtype, threshold = _inference_settings(cfg)
     model_path = Path(args.model)
     feat_path = Path(args.ssl_features)
     out_dir = Path(args.out)
@@ -432,7 +433,7 @@ def cmd_segment(args) -> int:
     with timer("load"):
         model = mstcnpp.load_model(model_path, dtype=dtype)
         features = synthgen.load_features(feat_path, dtype)
-    raw, final = predict(model, features, smoother, _threads(), timer)
+    raw, final = predict(model, features, threshold, _threads(), timer)
 
     with timer("write"):
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -147,42 +147,42 @@ def _phase_color(phase: int) -> str:
     return IGNORE_COLOR if phase < 0 else PHASE_PALETTE[phase % len(PHASE_PALETTE)]
 
 
-def export_ribbon(gt, pred, path) -> tuple[Path, Path]:
-    """Render ground truth and prediction as a two-track SVG ribbon.
+def export_ribbon(raw, final, path) -> tuple[Path, Path]:
+    """Render segment's raw argmax and its final timeline (the labels of
+    phases.csv) as a two-track SVG ribbon, tracks "argmax" and "timeline".
 
-    Also writes a frame,gt,pred CSV next to the SVG. Returns both paths.
+    Also writes a frame,gt,pred CSV next to the SVG, whose gt column holds
+    raw and pred column final. Returns both paths.
     """
-    gt = np.asarray(gt, dtype=np.int64)
-    pred = np.asarray(pred, dtype=np.int64)
-    if gt.shape != pred.shape or gt.ndim != 1 or gt.size == 0:
-        raise ValueError("gt and pred must be equal-length non-empty 1-D arrays")
+    raw = np.asarray(raw, dtype=np.int64)
+    final = np.asarray(final, dtype=np.int64)
+    if raw.shape != final.shape or raw.ndim != 1 or raw.size == 0:
+        raise ValueError("raw and final must be equal-length non-empty 1-D arrays")
     svg_path = Path(path)
     csv_path = svg_path.with_suffix(".csv")
 
-    t_len = gt.size
+    t_len = raw.size
     width, track_h, gap, label_w = 720.0, 28, 14, 60
     height = 2 * track_h + gap + 40
     scale = width / t_len
 
-    def track(labels, y):
-        rects = []
+    def track(labels, y, label):
+        shapes = [f'<text x="0" y="{y + track_h / 2 + 4}" font-size="12" '
+                  f'font-family="sans-serif">{label}</text>']
         for start, end, phase in _runs(labels):
-            rects.append(
+            shapes.append(
                 f'<rect x="{label_w + start * scale:.2f}" y="{y}" '
                 f'width="{max((end - start) * scale, 0.01):.2f}" height="{track_h}" '
-                f'fill="{_phase_color(phase)}"><title>{"ignored" if phase < 0 else _name(phase)}'
-                f' [{start}, {end})</title></rect>')
-        return rects
+                f'fill="{_phase_color(phase)}"><title>{label}: '
+                f'{"ignored" if phase < 0 else _name(phase)} [{start}, {end})</title></rect>')
+        return shapes
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{label_w + width + 10:.0f}" '
         f'height="{height}" viewBox="0 0 {label_w + width + 10:.0f} {height}">',
-        f'<text x="0" y="{track_h / 2 + 14}" font-size="12" font-family="sans-serif">truth</text>',
-        f'<text x="0" y="{track_h + gap + track_h / 2 + 14}" font-size="12" '
-        f'font-family="sans-serif">pred</text>',
     ]
-    parts += track(gt, 10)
-    parts += track(pred, 10 + track_h + gap)
+    parts += track(raw, 10, "argmax")
+    parts += track(final, 10 + track_h + gap, "timeline")
     legend_y = 10 + 2 * track_h + gap + 16
     x = float(label_w)
     for c, name in enumerate(PHASE_NAMES):
@@ -198,5 +198,5 @@ def export_ribbon(gt, pred, path) -> tuple[Path, Path]:
         writer = csv.writer(fh)
         writer.writerow(["frame", "gt", "pred"])
         for frame in range(t_len):
-            writer.writerow([frame, int(gt[frame]), int(pred[frame])])
+            writer.writerow([frame, int(raw[frame]), int(final[frame])])
     return svg_path, csv_path

@@ -195,7 +195,7 @@ def smoothing_loss(probs):
     d_q[1:] += signs / q[1:]
     d_q[:-1] -= signs / q[:-1]
     d_p = np.where(probs > PROB_FLOOR, d_q * scale, 0.0)
-    return loss, softmax_rows_backward(probs, d_p).d_input
+    return loss, softmax_rows_backward(probs, d_p)
 
 
 @dataclass

@@ -239,9 +239,10 @@ _MIN_BLOCK_WORK = 2_500_000
 
 def _row_blocks(t_len: int, channels: int, threads: int) -> list[tuple[int, int]]:
     """Cut [0, T) into at most threads contiguous row blocks, each with at
-    least _MIN_BLOCK_WORK of work and _MIN_GEMM_ROWS rows; one block when T
-    is too short for two, or when rows of a channels-wide product do not
-    round alike wherever they are computed."""
+    least _MIN_BLOCK_WORK of work and _MIN_GEMM_ROWS rows (so conv1x1 never
+    widens a block's product); one block when T is too short for two, or
+    when rows of a channels-wide product do not round alike wherever they
+    are computed."""
     if not rows_round_alike(channels):
         return [(0, t_len)]
     n = max(1, min(threads, t_len * channels * channels // _MIN_BLOCK_WORK,
@@ -287,9 +288,9 @@ def _block_jobs(blocks, workspaces, kernel, *args):
 
 
 def _block_workspaces(blocks, t_len: int, f: int, dtype, n_rows: int):
-    """Per block: a tap (and short-range) workspace and n_rows arrays of the
-    longest block's rows, f columns each. They live for a whole forward or
-    backward: allocating them per layer churns the heap of every thread."""
+    """Per block: a tap workspace and n_rows arrays of the longest block's
+    rows, f columns each. They live for a whole forward or backward:
+    allocating them per layer churns the heap of every thread."""
     longest = max(hi - lo for lo, hi in blocks)
     return [(np.empty((workspace_rows(t_len, longest, f), f), dtype=dtype),
              *(np.empty((longest, f), dtype=dtype) for _ in range(n_rows)))
@@ -298,7 +299,7 @@ def _block_workspaces(blocks, t_len: int, f: int, dtype, n_rows: int):
 
 def _project_rows(stage: Stage, x, h, rows, ws):
     lo, hi = rows
-    conv1x1(x, stage.proj_w, stage.proj_b, h[lo:hi], rows, ws[0])
+    conv1x1(x, stage.proj_w, stage.proj_b, h[lo:hi], rows)
 
 
 def _layer_taps(layer: DualDilatedLayer):
@@ -347,7 +348,7 @@ def _layer_rows(layer: DualDilatedLayer, convs, h, a, out, rows, ws):
     for i, (kernel, bias, dilation) in enumerate(convs):
         dilated_conv1d(h, kernel, bias, dilation, a[lo:hi, i * f:(i + 1) * f], rows, ws[0])
     relu(a[lo:hi], a[lo:hi])
-    conv1x1(a, layer.w_fuse, layer.b_fuse, out[lo:hi], rows, ws[0])
+    conv1x1(a, layer.w_fuse, layer.b_fuse, out[lo:hi], rows)
     out[lo:hi] += h[lo:hi]
 
 
@@ -434,20 +435,10 @@ def _input_grad_rows(inputs, g_h, rows, ws):
     g_h[lo:hi] += dxs[0]
 
 
-# The parameter-gradient jobs write their products straight into the gradient
-# Model. Products made as temporaries and copied in left train-paper's peak
+# Every parameter gradient is written straight into the gradient Model.
+# Products made as temporaries and copied in left train-paper's peak
 # memory 1.3-2 MiB higher (glibc, 2 threads), at the first AdamW step after
 # backward: memory freed on a helper thread stays in that thread's arena.
-
-def _fuse_params_grad(layer: DualDilatedLayer, a, g_out, grad: DualDilatedLayer):
-    fuse = conv1x1_backward(a, layer.w_fuse, g_out, d_input=False, out_weights=grad.w_fuse)
-    grad.b_fuse[...] = fuse.d_bias
-
-
-def _conv_params_grad(h, w, dilation, g_c, grad_w, grad_b):
-    conv = dilated_conv1d_backward(h, w, dilation, g_c, d_input=False, out_weights=grad_w)
-    grad_b[...] = conv.d_bias
-
 
 def _merged_params_grad(layer: DualDilatedLayer, h, g_a, grad: DualDilatedLayer):
     """The sum fusion's kernel gradients with one whole product per distinct
@@ -455,16 +446,13 @@ def _merged_params_grad(layer: DualDilatedLayer, h, g_a, grad: DualDilatedLayer)
     (0 and 2 of 3) where its dilation differs; w_d2's other taps copy w_d1's
     at the same shift. Both biases take the fusion gradient's column sums."""
     d_lo, d_hi = layer.dilation_low, layer.dilation_high
-    conv = dilated_conv1d_backward(h, layer.w_d1, d_lo, g_a, d_input=False,
-                                   out_weights=grad.w_d1)
+    dilated_conv1d_backward(h, d_lo, g_a, grad.w_d1, grad.b_d1)
     if d_hi == d_lo:
         grad.w_d2[...] = grad.w_d1
+        grad.b_d2[...] = grad.b_d1
     else:
-        dilated_conv1d_backward(h, layer.w_d2[:, :, ::2], (-d_hi, d_hi), g_a, d_input=False,
-                                out_weights=grad.w_d2[:, :, ::2])
+        dilated_conv1d_backward(h, (-d_hi, d_hi), g_a, grad.w_d2[:, :, ::2], grad.b_d2)
         grad.w_d2[:, :, 1] = grad.w_d1[:, :, 1]
-    grad.b_d1[...] = conv.d_bias
-    grad.b_d2[...] = conv.d_bias
 
 
 def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
@@ -479,7 +467,8 @@ def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
     whole job, so no thread count changes its bits.
     """
     w_fuse_t = np.ascontiguousarray(layer.w_fuse.T)
-    run_jobs(pool, [functools.partial(_fuse_params_grad, layer, lc.post_relu, g_h, grad),
+    run_jobs(pool, [functools.partial(conv1x1_backward, lc.post_relu, layer.w_fuse, g_h,
+                                      grad.w_fuse, grad.b_fuse, d_input=False),
                     *_block_jobs(blocks, workspaces, _fusion_grad_rows, w_fuse_t, g_h,
                                  lc.pre_relu, g_a)])
     if fuse_mode == "sum":  # the merged kernel transposed, built without the merged one
@@ -488,9 +477,9 @@ def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
     else:  # contiguous once here, not once per block in dilated_conv1d
         f = g_h.shape[1]
         g_c1, g_c2 = np.ascontiguousarray(g_a[:, :f]), np.ascontiguousarray(g_a[:, f:])
-        params = [functools.partial(_conv_params_grad, lc.h_in, layer.w_d1, layer.dilation_low,
+        params = [functools.partial(dilated_conv1d_backward, lc.h_in, layer.dilation_low,
                                     g_c1, grad.w_d1, grad.b_d1),
-                  functools.partial(_conv_params_grad, lc.h_in, layer.w_d2, layer.dilation_high,
+                  functools.partial(dilated_conv1d_backward, lc.h_in, layer.dilation_high,
                                     g_c2, grad.w_d2, grad.b_d2)]
         inputs = [(g_c1, *transposed_conv(layer.w_d1, layer.dilation_low)),
                   (g_c2, *transposed_conv(layer.w_d2, layer.dilation_high))]
@@ -532,22 +521,17 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int 
                 raise ShapeError(f"stage {s + 1} gradient shape {g_logits.shape} "
                                  f"does not match logits {sc.probs.shape}")
             if g_probs_next is not None:
-                g_logits = g_logits + softmax_rows_backward(sc.probs, g_probs_next).d_input
+                g_logits = g_logits + softmax_rows_backward(sc.probs, g_probs_next)
 
-            head = conv1x1_backward(sc.final_h, stage.head_w, g_logits)
-            grad.head_w[...] = head.d_weights
-            grad.head_b[...] = head.d_bias
-
-            g_h = head.d_input  # a fresh array, so the layers may update it in place
+            # a fresh array, so the layers may update it in place
+            g_h = conv1x1_backward(sc.final_h, stage.head_w, g_logits, grad.head_w, grad.head_b)
             for l in range(len(stage.layers) - 1, -1, -1):
                 _layer_backward(stage.layers[l], sc.layer_caches[l], g_h, cfg.fuse_mode,
                                 grad.layers[l], g_a, blocks, workspaces, pool)
 
             # stage 1's input is the features: nothing reads their gradient
-            proj = conv1x1_backward(sc.stage_input, stage.proj_w, g_h, d_input=s > 0)
-            grad.proj_w[...] = proj.d_weights
-            grad.proj_b[...] = proj.d_bias
-            g_probs_next = proj.d_input
+            g_probs_next = conv1x1_backward(sc.stage_input, stage.proj_w, g_h,
+                                            grad.proj_w, grad.proj_b, d_input=s > 0)
     return grads
 
 

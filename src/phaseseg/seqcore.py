@@ -2,8 +2,11 @@
 
 Everything here operates on dense (T, channels) float arrays where T is the
 frame index. The primitives (dilated 1-D convolution, 1x1 convolution, ReLU,
-row softmax) are pure functions with hand-written backward passes; they are
-the building blocks the multi-stage temporal model is assembled from.
+row softmax) are functions with hand-written backward passes; they are the
+building blocks the multi-stage temporal model is assembled from. A backward
+pass writes its parameter gradients into arrays the caller passes and
+returns only the input gradient; the dilated convolution's input gradient
+is itself a dilated convolution (transposed_conv), which the caller runs.
 
 Arrays are checked where they enter the program (`synthgen.load_features`
 and `mstcnpp.forward` call `as_matrix`); the primitives take them as they
@@ -19,7 +22,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,19 +41,6 @@ def as_matrix(x, name: str = "input", dtype=np.float64) -> np.ndarray:
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D (T, channels), got shape {arr.shape}")
     return arr
-
-
-@dataclass
-class LayerGrad:
-    """Gradients produced by a primitive's backward pass.
-
-    Shapes mirror the forward operands exactly; entries are None for
-    primitives without the corresponding parameter.
-    """
-
-    d_input: np.ndarray | None  # None when the caller asked for parameter gradients only
-    d_weights: np.ndarray | None = None
-    d_bias: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +163,8 @@ def _chunk_rows(t_len: int, cout: int) -> int:
 
 
 def workspace_rows(t_len: int, n_rows: int, cout: int) -> int:
-    """Rows of a work array that serves a dilated_conv1d or conv1x1 call
-    over n_rows of T output rows with cout output columns."""
+    """Rows of a work array that serves a dilated_conv1d call over n_rows of
+    T output rows with cout output columns."""
     return min(t_len, max(min(n_rows, _chunk_rows(t_len, cout)), _MIN_GEMM_ROWS))
 
 
@@ -274,51 +263,42 @@ def transposed_conv(weights, dilation) -> tuple[np.ndarray, tuple[int, ...]]:
     return kernel, tuple(-s for s in reversed(shifts))
 
 
-def dilated_conv1d_backward(x, weights, dilation, grad_out,
-                            d_input: bool = True, out_weights=None) -> LayerGrad:
-    """Analytic gradients of dilated_conv1d w.r.t. input, kernel and bias.
+def dilated_conv1d_backward(x, dilation, grad_out, d_weights, d_bias) -> None:
+    """Analytic gradients of dilated_conv1d w.r.t. kernel and bias, written
+    into d_weights, of the kernel's (Cout, Cin, k) shape, and d_bias (Cout,).
 
     No padded copy is built. Tap j's kernel gradient multiplies only the rows
     where the tap reads inside [0, T), as one product whatever the caller's
-    threads: grad_out[valid].T @ x[valid + shift_j]. It is written into
-    out_weights, an array of the kernel's shape, when given. The input
-    gradient is the convolution of grad_out with transposed_conv(weights,
-    dilation); d_input=False skips it (d_input is None) for callers that
-    compute it in row blocks.
+    threads: grad_out[valid].T @ x[valid + shift_j]. The input gradient is
+    the dilated_conv1d of grad_out with transposed_conv(kernel, dilation)
+    and zero bias, which the caller runs (mstcnpp.backward in row blocks).
     """
-    weights = np.asarray(weights, dtype=x.dtype)
     grad_out = np.asarray(grad_out, dtype=x.dtype)
-    cout, cin, k = weights.shape
-    shifts = tap_shifts(k, dilation)
+    cout, shifts = _check_dconv_args(x, d_weights, d_bias, dilation)
     t_len = x.shape[0]
     if grad_out.shape != (t_len, cout):
         raise ShapeError(f"upstream gradient must be ({t_len}, {cout}), got {grad_out.shape}")
-    d_w = np.empty_like(weights) if out_weights is None else out_weights
-    if d_w.shape != weights.shape or d_w.dtype != x.dtype:
-        raise ShapeError(f"kernel gradient {d_w.shape} {d_w.dtype} is not "
-                         f"{weights.shape} {x.dtype}")
+    if d_weights.dtype != x.dtype or d_bias.dtype != x.dtype:
+        raise ShapeError(f"gradients {d_weights.dtype} and {d_bias.dtype} are not {x.dtype}")
     for j, shift in enumerate(shifts):
         t_lo, t_hi = max(0, -shift), min(t_len, t_len - shift)
         if t_lo < t_hi:
-            np.matmul(grad_out[t_lo:t_hi].T, x[t_lo + shift:t_hi + shift], out=d_w[:, :, j])
+            np.matmul(grad_out[t_lo:t_hi].T, x[t_lo + shift:t_hi + shift], out=d_weights[:, :, j])
         else:  # the tap reads only padding
-            d_w[:, :, j] = 0.0
-    d_x = None
-    if d_input:
-        kernel, back_shifts = transposed_conv(weights, shifts)
-        d_x = dilated_conv1d(grad_out, kernel, np.zeros(cin, dtype=x.dtype), back_shifts)
-    return LayerGrad(d_input=d_x, d_weights=d_w, d_bias=grad_out.sum(axis=0))
+            d_weights[:, :, j] = 0.0
+    np.sum(grad_out, axis=0, out=d_bias)
 
 
 # ---------------------------------------------------------------------------
 # 1x1 convolution (per-frame affine map)
 # ---------------------------------------------------------------------------
 
-def conv1x1(x, weights, bias, out=None, rows=None, work=None) -> np.ndarray:
+def conv1x1(x, weights, bias, out=None, rows=None) -> np.ndarray:
     """Per-frame affine map: out[t] = weights @ x[t] + bias.
 
-    rows, out and work mean what they mean for dilated_conv1d; work is used
-    only when [lo, hi) is shorter than a product must be.
+    rows and out mean what they mean for dilated_conv1d. A range shorter than
+    _MIN_GEMM_ROWS rows is multiplied over a wider window, so its rows keep
+    the full call's bits; mstcnpp's row blocks are never that short.
     """
     weights = np.asarray(weights, dtype=x.dtype)
     bias = np.asarray(bias, dtype=x.dtype)
@@ -335,27 +315,23 @@ def conv1x1(x, weights, bias, out=None, rows=None, work=None) -> np.ndarray:
     if n == hi - lo:
         np.matmul(x[lo:hi], weights.T, out=out)
     else:
-        work = _workspace(work, n, cout, x.dtype)
-        np.matmul(x[start:start + n], weights.T, out=work[:n])
-        out[...] = work[lo - start:hi - start]
+        out[...] = (x[start:start + n] @ weights.T)[lo - start:hi - start]
     out += bias
     return out
 
 
-def conv1x1_backward(x, weights, grad_out, d_input: bool = True,
-                     out_weights=None) -> LayerGrad:
-    """Analytic gradients of conv1x1 w.r.t. input, weights and bias;
-    d_input=False skips the input gradient (d_input is None), and the
-    weight gradient is written into out_weights when given."""
+def conv1x1_backward(x, weights, grad_out, d_weights, d_bias,
+                     d_input: bool = True) -> np.ndarray | None:
+    """Analytic gradients of conv1x1: the weight and bias gradients are
+    written into d_weights (Cout, Cin) and d_bias (Cout,); returns the input
+    gradient, or None when d_input=False."""
     weights = np.asarray(weights, dtype=x.dtype)
     grad_out = np.asarray(grad_out, dtype=x.dtype)
     if grad_out.shape != (x.shape[0], weights.shape[0]):
         raise ShapeError(f"upstream gradient shape {grad_out.shape} does not match output")
-    return LayerGrad(
-        d_input=grad_out @ weights if d_input else None,
-        d_weights=np.matmul(grad_out.T, x, out=out_weights),
-        d_bias=grad_out.sum(axis=0),
-    )
+    np.matmul(grad_out.T, x, out=d_weights)
+    np.sum(grad_out, axis=0, out=d_bias)
+    return grad_out @ weights if d_input else None
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +343,9 @@ def relu(x, out=None) -> np.ndarray:
     return np.maximum(np.asarray(x), 0, out=out)
 
 
-def relu_backward(x, grad_out, out=None) -> LayerGrad:
+def relu_backward(x, grad_out, out=None) -> np.ndarray:
     """grad_out where x > 0, else 0; out=grad_out masks in place."""
-    x = np.asarray(x)
-    return LayerGrad(d_input=np.multiply(np.asarray(grad_out), x > 0, out=out))
+    return np.multiply(np.asarray(grad_out), np.asarray(x) > 0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +360,10 @@ def softmax_rows(logits) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_rows_backward(probs, grad_out) -> LayerGrad:
+def softmax_rows_backward(probs, grad_out) -> np.ndarray:
     """Gradient w.r.t. logits given the softmax output and upstream dL/dprobs."""
     g = np.asarray(grad_out, dtype=probs.dtype)
     if g.shape != probs.shape:
         raise ShapeError(f"upstream gradient shape {g.shape} does not match probs {probs.shape}")
     inner = (g * probs).sum(axis=1, keepdims=True)
-    return LayerGrad(d_input=probs * (g - inner))
+    return probs * (g - inner)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from phaseseg.seqcore import dilated_conv1d, dilated_conv1d_backward, transposed_conv
+
 
 def central_difference(fn, x, h=1e-5):
     """Central finite-difference gradient of scalar fn at x, elementwise."""
@@ -30,6 +32,16 @@ def max_rel_err(analytic, numeric, floor=1e-6):
 def assert_grad_close(analytic, numeric, tol=1e-4):
     err = max_rel_err(analytic, numeric)
     assert err < tol, f"gradient mismatch: max relative error {err:.3g} >= {tol}"
+
+
+def dilated_conv1d_grads(x, w, dilation, g):
+    """(d_x, d_w, d_b) of dilated_conv1d as mstcnpp.backward computes them:
+    d_w and d_b from dilated_conv1d_backward, d_x as the convolution of g
+    with transposed_conv(w, dilation) and zero bias."""
+    d_w, d_b = np.empty(w.shape, x.dtype), np.empty(w.shape[0], x.dtype)
+    dilated_conv1d_backward(x, dilation, g, d_w, d_b)
+    kernel, shifts = transposed_conv(w, dilation)
+    return dilated_conv1d(g, kernel, np.zeros(w.shape[1], x.dtype), shifts), d_w, d_b
 
 
 @pytest.fixture

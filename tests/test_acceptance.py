@@ -33,14 +33,13 @@ from phaseseg.seqcore import (
     conv1x1,
     conv1x1_backward,
     dilated_conv1d,
-    dilated_conv1d_backward,
     relu,
     relu_backward,
     softmax_rows,
     softmax_rows_backward,
 )
 
-from conftest import central_difference, max_rel_err
+from conftest import central_difference, dilated_conv1d_grads, max_rel_err
 
 BENCH_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "synth-bench.cfg"
 
@@ -70,27 +69,28 @@ def test_criterion_1_gradient_suite():
         w = rng.normal(size=(2, 3, 3))
         b = rng.normal(size=2)
         g = rng.normal(size=(8, 2))
-        lg = dilated_conv1d_backward(x, w, dilation, g)
-        check(lg.d_input, lambda v: float((dilated_conv1d(v, w, b, dilation) * g).sum()), x)
-        check(lg.d_weights, lambda v: float((dilated_conv1d(x, v, b, dilation) * g).sum()), w)
-        check(lg.d_bias, lambda v: float((dilated_conv1d(x, w, v, dilation) * g).sum()), b)
+        d_x, d_w, d_b = dilated_conv1d_grads(x, w, dilation, g)
+        check(d_x, lambda v: float((dilated_conv1d(v, w, b, dilation) * g).sum()), x)
+        check(d_w, lambda v: float((dilated_conv1d(x, v, b, dilation) * g).sum()), w)
+        check(d_b, lambda v: float((dilated_conv1d(x, w, v, dilation) * g).sum()), b)
 
     x = rng.normal(size=(6, 4))
     w = rng.normal(size=(3, 4))
     b = rng.normal(size=3)
     g = rng.normal(size=(6, 3))
-    lg = conv1x1_backward(x, w, g)
-    check(lg.d_input, lambda v: float((conv1x1(v, w, b) * g).sum()), x)
-    check(lg.d_weights, lambda v: float((conv1x1(x, v, b) * g).sum()), w)
-    check(lg.d_bias, lambda v: float((conv1x1(x, w, v) * g).sum()), b)
+    d_w, d_b = np.empty_like(w), np.empty_like(b)
+    d_x = conv1x1_backward(x, w, g, d_w, d_b)
+    check(d_x, lambda v: float((conv1x1(v, w, b) * g).sum()), x)
+    check(d_w, lambda v: float((conv1x1(x, v, b) * g).sum()), w)
+    check(d_b, lambda v: float((conv1x1(x, w, v) * g).sum()), b)
 
     x = rng.normal(size=(6, 3)) + 0.05
     g = rng.normal(size=(6, 3))
-    check(relu_backward(x, g).d_input, lambda v: float((relu(v) * g).sum()), x)
+    check(relu_backward(x, g), lambda v: float((relu(v) * g).sum()), x)
 
     z = rng.normal(size=(5, 4))
     g = rng.normal(size=(5, 4))
-    check(softmax_rows_backward(softmax_rows(z), g).d_input,
+    check(softmax_rows_backward(softmax_rows(z), g),
           lambda v: float((softmax_rows(v) * g).sum()), z)
 
     # losses (gradients w.r.t. logits / embeddings)
@@ -318,23 +318,20 @@ def test_criterion_6_accumulator_properties():
         t_len = int(rng.integers(1, 80))
         preds = rng.integers(0, 4, size=t_len)
         threshold = int(rng.integers(1, 9))
-        cfg = accumulator.AccumulatorConfig(threshold=threshold)
-        out = accumulator.smooth(preds, cfg)
+        out = accumulator.smooth(preds, threshold)
 
         steps = np.diff(out)
         assert np.all((steps == 0) | (steps == 1)), "output regressed or skipped"
-        np.testing.assert_array_equal(accumulator.smooth(out, cfg), out)
+        np.testing.assert_array_equal(accumulator.smooth(out, threshold), out)
         changes = np.nonzero(steps)[0]
         bounds = [0] + [int(c) + 1 for c in changes] + [t_len]
         lengths = [b - a for a, b in zip(bounds, bounds[1:])]
         for seg_len in lengths[1:-1]:
             assert seg_len >= threshold, "interior segment below threshold"
 
-    out = accumulator.smooth(np.array([0, 0, 1, 0, 1, 1, 1, 2, 2]),
-                             accumulator.AccumulatorConfig(threshold=3))
+    out = accumulator.smooth(np.array([0, 0, 1, 0, 1, 1, 1, 2, 2]), 3)
     np.testing.assert_array_equal(out, [0, 0, 0, 0, 1, 1, 1, 1, 1])
-    out = accumulator.smooth(np.array([0, 0, 2, 2, 2, 2]),
-                             accumulator.AccumulatorConfig(threshold=3))
+    out = accumulator.smooth(np.array([0, 0, 2, 2, 2, 2]), 3)
     np.testing.assert_array_equal(out, [0, 0, 0, 0, 0, 0])
     _report(6, "1000 random streams monotone, idempotent, threshold-respecting; "
                "hand traces exact")

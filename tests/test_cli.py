@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import shutil
 import struct
 import subprocess
@@ -504,6 +505,20 @@ class TestSegment:
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
         assert (out / "ribbon.csv").exists()
 
+    def test_ribbon_names_what_its_tracks_hold(self, workspace, tmp_path):
+        # segment has no ground truth: its tracks are the raw argmax and the
+        # timeline written to phases.csv
+        feat_file = next((workspace["data"] / "test").glob("seq_*.npy"))
+        out = tmp_path / "seg"
+        main(["segment", "--model", str(workspace["model"]),
+              "--ssl-features", str(feat_file), "--out", str(out)])
+        text = (out / "ribbon.svg").read_text(encoding="utf-8")
+        assert "truth" not in text
+        rows = re.findall(r'font-size="12" font-family="sans-serif">(\w+)</text>', text)
+        assert rows == ["argmax", "timeline"]
+        titles = re.findall(r"<title>(\w+): ", text)
+        assert titles and set(titles) == {"argmax", "timeline"}
+
     @pytest.mark.parametrize("kind", ["truncated-header", "huge-channels"])
     def test_hostile_model_file_exits_2(self, workspace, tmp_path, capsys, kind):
         header = mstcnpp.MAGIC + struct.pack("<I", mstcnpp.FORMAT_VERSION)
@@ -631,7 +646,7 @@ class TestFloat32Inference:
         probs = mstcnpp.forward(mstcnpp.load_model(model_path, np.float64),
                                 synthgen.load_features(feat_path, np.float64))[-1]
         raw = np.argmax(probs, axis=1)
-        final = cli.accumulator.smooth(raw, cli.accumulator.AccumulatorConfig(threshold=5))
+        final = cli.accumulator.smooth(raw, 5)
         expected = tmp_path / "expected"
         expected.mkdir()
         write_label_csv(expected / "phases.csv", final)

@@ -16,7 +16,7 @@ from phaseseg.seqcore import (
     softmax_rows_backward,
 )
 
-from conftest import assert_grad_close, central_difference
+from conftest import assert_grad_close, central_difference, dilated_conv1d_grads
 
 
 class TestDilatedConv:
@@ -155,25 +155,27 @@ class TestPadlessDilatedConv:
             wide = rng.normal(size=(t_len, 2 * f)).astype(dtype)
             g = np.ascontiguousarray(wide[:, :f])
             for dilation in sorted({1, 2, max(1, t_len - 1), t_len, 2 * t_len}):
-                got = dilated_conv1d_backward(x, w, dilation, g)
+                got_x, got_w, got_b = dilated_conv1d_grads(x, w, dilation, g)
                 want_x, want_w, want_b = padded_dilated_conv1d_backward(x, w, dilation, g)
-                assert got.d_input.dtype == got.d_weights.dtype == dtype
-                assert _bit_equal_or_close(got.d_input, want_x, self._exact(t_len, f)), \
+                assert got_x.dtype == got_w.dtype == dtype
+                assert _bit_equal_or_close(got_x, want_x, self._exact(t_len, f)), \
                     (t_len, f, k, dilation)
-                assert _bit_equal_or_close(got.d_weights, want_w, False), \
+                assert _bit_equal_or_close(got_w, want_w, False), \
                     (t_len, f, k, dilation)
-                assert np.array_equal(got.d_bias, want_b)
-                sliced = dilated_conv1d_backward(x, w, dilation, wide[:, :f])
-                for a, b in ((sliced.d_input, got.d_input), (sliced.d_weights, got.d_weights),
-                             (sliced.d_bias, got.d_bias)):
+                assert np.array_equal(got_b, want_b)
+                sliced = dilated_conv1d_grads(x, w, dilation, wide[:, :f])
+                for a, b in zip(sliced, (got_x, got_w, got_b)):
                     assert np.array_equal(a, b)
-                dest = np.full_like(w, np.nan)
-                params_only = dilated_conv1d_backward(x, w, dilation, g, d_input=False,
-                                                      out_weights=dest)
-                assert params_only.d_input is None and params_only.d_weights is dest
-                assert np.array_equal(dest, got.d_weights)
-        with pytest.raises(ShapeError):
-            dilated_conv1d_backward(x, w, 1, g, out_weights=np.empty((f, f, k + 2), dtype))
+                # every entry of the destinations is written, taps that read
+                # only padding included
+                d_w, d_b = np.full_like(w, np.nan), np.full(f, np.nan, dtype)
+                assert dilated_conv1d_backward(x, dilation, g, d_w, d_b) is None
+                assert np.array_equal(d_w, got_w) and np.array_equal(d_b, got_b)
+        for d_w, d_b in ((np.empty((f, f + 1, k), dtype), np.empty(f, dtype)),
+                         (np.empty((f, f, k), dtype), np.empty(f + 1, dtype)),
+                         (np.empty((f, f, k), np.float16), np.empty(f, dtype))):
+            with pytest.raises(ShapeError):
+                dilated_conv1d_backward(x, 1, g, d_w, d_b)
 
 
 @st.composite
@@ -214,8 +216,7 @@ class TestRowRange:
         x = rng.normal(size=(t_len, f)).astype(dtype)
         w = rng.normal(size=(2 * f, f)).astype(dtype)
         b = rng.normal(size=2 * f).astype(dtype)
-        got = conv1x1(x, w, b, np.empty((hi - lo, 2 * f), dtype), (lo, hi),
-                      np.empty((t_len, 2 * f), dtype))
+        got = conv1x1(x, w, b, np.empty((hi - lo, 2 * f), dtype), (lo, hi))
         assert np.array_equal(got, conv1x1(x, w, b)[lo:hi])
 
     def test_bad_range_or_buffers_rejected(self, rng):
@@ -300,22 +301,23 @@ class TestBackward:
     def test_zero_upstream_gives_zero(self, rng):
         x = rng.normal(size=(5, 2))
         w = rng.normal(size=(3, 2, 3))
-        lg = dilated_conv1d_backward(x, w, 2, np.zeros((5, 3)))
-        assert not lg.d_input.any() and not lg.d_weights.any() and not lg.d_bias.any()
+        d_x, d_w, d_b = dilated_conv1d_grads(x, w, 2, np.zeros((5, 3)))
+        assert not d_x.any() and not d_w.any() and not d_b.any()
 
     def test_identity_kernel_passes_upstream(self, rng):
         x = rng.normal(size=(6, 1))
         w = np.array([[[0.0, 1.0, 0.0]]])
         g = rng.normal(size=(6, 1))
-        lg = dilated_conv1d_backward(x, w, 1, g)
-        np.testing.assert_allclose(lg.d_input, g)
+        d_x, _, _ = dilated_conv1d_grads(x, w, 1, g)
+        np.testing.assert_allclose(d_x, g)
 
     def test_conv1x1_weight_grad_is_outer_product(self, rng):
         x = rng.normal(size=(1, 3))
         w = rng.normal(size=(2, 3))
         g = rng.normal(size=(1, 2))
-        lg = conv1x1_backward(x, w, g)
-        np.testing.assert_allclose(lg.d_weights, np.outer(g[0], x[0]), atol=1e-12)
+        d_w = np.empty((2, 3))
+        conv1x1_backward(x, w, g, d_w, np.empty(2))
+        np.testing.assert_allclose(d_w, np.outer(g[0], x[0]), atol=1e-12)
 
     # a tuple gives each tap's shift: asymmetric, and one beyond T
     @pytest.mark.parametrize("dilation", [1, 2, 3, (-4, 1, 12)])
@@ -326,12 +328,12 @@ class TestBackward:
         b = rng.normal(size=cout)
         g = rng.normal(size=(t_len, cout))
 
-        lg = dilated_conv1d_backward(x, w, dilation, g)
-        assert_grad_close(lg.d_input, central_difference(
+        d_x, d_w, d_b = dilated_conv1d_grads(x, w, dilation, g)
+        assert_grad_close(d_x, central_difference(
             lambda v: float((dilated_conv1d(v, w, b, dilation) * g).sum()), x))
-        assert_grad_close(lg.d_weights, central_difference(
+        assert_grad_close(d_w, central_difference(
             lambda v: float((dilated_conv1d(x, v, b, dilation) * g).sum()), w))
-        assert_grad_close(lg.d_bias, central_difference(
+        assert_grad_close(d_b, central_difference(
             lambda v: float((dilated_conv1d(x, w, v, dilation) * g).sum()), b))
 
     def test_conv1x1_grads_match_fd(self, rng):
@@ -339,28 +341,26 @@ class TestBackward:
         w = rng.normal(size=(3, 4))
         b = rng.normal(size=3)
         g = rng.normal(size=(7, 3))
-        lg = conv1x1_backward(x, w, g)
-        assert_grad_close(lg.d_input, central_difference(
+        d_w, d_b = np.full_like(w, np.nan), np.full(3, np.nan)
+        d_x = conv1x1_backward(x, w, g, d_w, d_b)
+        assert_grad_close(d_x, central_difference(
             lambda v: float((conv1x1(v, w, b) * g).sum()), x))
-        assert_grad_close(lg.d_weights, central_difference(
+        assert_grad_close(d_w, central_difference(
             lambda v: float((conv1x1(x, v, b) * g).sum()), w))
-        dest = np.full_like(w, np.nan)
-        params_only = conv1x1_backward(x, w, g, d_input=False, out_weights=dest)
-        assert params_only.d_input is None and params_only.d_weights is dest
-        assert np.array_equal(dest, lg.d_weights) and np.array_equal(params_only.d_bias, lg.d_bias)
+        params_w, params_b = np.full_like(w, np.nan), np.full(3, np.nan)
+        assert conv1x1_backward(x, w, g, params_w, params_b, d_input=False) is None
+        assert np.array_equal(params_w, d_w) and np.array_equal(params_b, d_b)
 
     def test_relu_grad_matches_fd(self, rng):
         x = rng.normal(size=(6, 3)) + 0.05  # keep clear of the kink
         g = rng.normal(size=(6, 3))
-        lg = relu_backward(x, g)
-        assert_grad_close(lg.d_input, central_difference(
+        assert_grad_close(relu_backward(x, g), central_difference(
             lambda v: float((relu(v) * g).sum()), x))
 
     def test_softmax_grad_matches_fd(self, rng):
         z = rng.normal(size=(5, 4))
         g = rng.normal(size=(5, 4))
-        lg = softmax_rows_backward(softmax_rows(z), g)
-        assert_grad_close(lg.d_input, central_difference(
+        assert_grad_close(softmax_rows_backward(softmax_rows(z), g), central_difference(
             lambda v: float((softmax_rows(v) * g).sum()), z))
 
     def test_random_small_shapes_sweep(self, rng):
@@ -373,6 +373,6 @@ class TestBackward:
             x = rng.normal(size=(t_len, cin))
             w = rng.normal(size=(cout, cin, 3))
             g = rng.normal(size=(t_len, cout))
-            lg = dilated_conv1d_backward(x, w, dil, g)
-            assert_grad_close(lg.d_input, central_difference(
+            d_x, _, _ = dilated_conv1d_grads(x, w, dil, g)
+            assert_grad_close(d_x, central_difference(
                 lambda v: float((dilated_conv1d(v, w, np.zeros(cout), dil) * g).sum()), x))

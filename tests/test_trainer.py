@@ -184,7 +184,8 @@ class TestFit:
                                     mstcnpp.named_parameters(m2)):
             assert np.array_equal(p1, p2)
 
-    def test_threads_give_identical_training(self, rng):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_threads_give_identical_training(self, rng, dtype):
         # forward, backward and AdamW cut into blocks and slices on 1-3 threads
         mcfg = mstcnpp.StageConfig(in_dim=8, channels=64, n_classes=4, stages=2,
                                    layers_prediction=3, layers_refinement=2)
@@ -194,8 +195,9 @@ class TestFit:
         train = [(rng.normal(size=(t_len, 8)) + labels[:, None], labels) for _ in range(2)]
         val = [(rng.normal(size=(t_len, 8)) + labels[:, None], labels)]
         cfg = TrainConfig(epochs=2, learning_rate=1e-3, seed=1)
-        runs = [fit(mstcnpp.init(mcfg, seed=1), train, val, cfg, threads=threads)
+        runs = [fit(mstcnpp.init(mcfg, seed=1, dtype=dtype), train, val, cfg, threads=threads)
                 for threads in (1, 2, 3)]
+        assert runs[0][0].dtype == dtype
         for model, report in runs[1:]:
             assert report.as_dict() == runs[0][1].as_dict()
             assert np.array_equal(model.flat, runs[0][0].flat)
