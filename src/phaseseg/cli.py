@@ -8,7 +8,9 @@ Subcommands cover the full workflow on synthetic or pre-extracted features:
   segment      run inference on one feature file, emit CSV + ribbon
   parse-notes  turn timestamped operative notes into label files
 
-Every command resolves its settings as CLI flag > config file > default,
+Every command resolves its settings as CLI flag > config file > default.
+A flag and a config-file line are read by one parse and checked against one
+table of rules (SETTINGS), so a value acts the same either way. Every command
 writes a manifest.json recording the resolved configuration, input hashes
 and artifacts, and uses stable exit codes: 0 success, 2 input/validation
 error, 3 numeric failure. Every command computes on PHASESEG_THREADS threads
@@ -55,6 +57,8 @@ def _threads() -> int:
 
 
 def _parse_value(raw: str):
+    """A flag's or config line's text as int, float, bool or else string;
+    resolve_config checks it against the setting."""
     text = raw.strip()
     for caster in (int, float):
         try:
@@ -81,29 +85,67 @@ def read_config_file(path) -> dict:
     return cfg
 
 
+_DTYPES = {"float64": np.float64, "float32": np.float32}
+
+# Each setting's rule beyond its default's type, the same in every command
+# that takes the key (a command's *_DEFAULTS give its keys and defaults): the
+# allowed strings, the least integer, help text for --help.
+SETTINGS = {
+    "seed": {"min": 0},
+    "n_train": {"min": 1},
+    "n_val": {"min": 1},
+    "n_test": {"min": 1},
+    "boundary_blur": {"min": 0},
+    "loss": {"choices": ("bce", "focal")},
+    "alpha_mode": {"choices": trainer.ALPHA_MODES},
+    "lambda_smooth": {"help": "temporal smoothing weight"},
+    "sampling": {"choices": trainer.SAMPLING_MODES},
+    "fuse_mode": {"choices": mstcnpp.FUSE_MODES},
+    "precision": {"choices": tuple(_DTYPES), "help": "compute precision"},
+    "post": {"choices": ("none", "accumulator")},
+    "threshold": {"min": 1},
+    "frames": {"min": 0, "help": "emit per-frame labels for this many frames"},
+}
+
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _checked(key: str, default, value):
+    """value as a setting of its default's type that keeps the key's rule, or
+    ValueError naming the key. An integer given to a float setting becomes a
+    float, so a flag and a config line record the same value."""
+    rule = SETTINGS.get(key, {})
+    if type(default) is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{key} must be a finite number, got an integer "
+                             f"beyond the float range") from None
+    if "choices" in rule:
+        if value not in rule["choices"]:
+            raise ValueError(f"{key} must be one of {rule['choices']}, got {value!r}")
+    elif type(value) is not type(default) or (type(value) is float and not math.isfinite(value)):
+        raise ValueError(f"{key} must be {_KINDS[type(default)]}, got {value!r}")
+    elif "min" in rule and value < rule["min"]:
+        raise ValueError(f"{key} must be >= {rule['min']}, got {value}")
+    return value
+
+
 def resolve_config(defaults: dict, args: argparse.Namespace) -> tuple[dict, dict]:
-    """Apply precedence CLI flag > config file > default; track provenance."""
+    """Apply precedence CLI flag > config file > default, check each value
+    against its setting; track provenance."""
     file_cfg = {}
     if getattr(args, "config", None):
         file_cfg = read_config_file(args.config)
     resolved, sources = {}, {}
     for key, default in defaults.items():
-        resolved[key] = default
-        sources[key] = "default"
+        value, sources[key] = default, "default"
         if key in file_cfg:
-            resolved[key] = file_cfg[key]
-            sources[key] = "config-file"
+            value, sources[key] = file_cfg[key], "config-file"
         flag = getattr(args, key, None)
         if flag is not None:
-            resolved[key] = flag
-            sources[key] = "flag"
-        value = resolved[key]
-        if type(default) is int and type(value) is not int:
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        if type(default) is float and type(value) not in (int, float):
-            raise ValueError(f"{key} must be a number, got {value!r}")
-        if type(default) is bool and type(value) is not bool:
-            raise ValueError(f"{key} must be true or false, got {value!r}")
+            value, sources[key] = flag, "flag"
+        resolved[key] = _checked(key, default, value)
     unknown = set(file_cfg) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -210,25 +252,22 @@ def cmd_gen_synth(args) -> int:
     out_dir = Path(args.out)
 
     conf = None
-    mix = float(cfg["sellar_closure_confusability"])
-    if not math.isfinite(mix):
-        raise ValueError(f"sellar_closure_confusability must be finite, got {mix}")
-    if mix:
+    if cfg["sellar_closure_confusability"]:
         conf = np.zeros((4, 4))
-        conf[2, 3] = conf[3, 2] = mix
+        conf[2, 3] = conf[3, 2] = cfg["sellar_closure_confusability"]
         conf = tuple(map(tuple, conf))
     scfg = synthgen.SynthConfig(
-        dim=int(cfg["dim"]),
-        noise_sigma=float(cfg["noise_sigma"]),
-        label_noise=float(cfg["label_noise"]),
-        boundary_blur=int(cfg["boundary_blur"]),
+        dim=cfg["dim"],
+        noise_sigma=cfg["noise_sigma"],
+        label_noise=cfg["label_noise"],
+        boundary_blur=cfg["boundary_blur"],
         confusability=conf,
         include_all_phases=cfg["include_all_phases"],
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
     )
     # every split is generated, and so checked, before any file is written
-    splits = [(split, synthgen.generate(scfg, int(count),
-                                        sequence_seed=int(cfg["seed"]) * 3 + 100 + offset))
+    splits = [(split, synthgen.generate(scfg, count,
+                                        sequence_seed=cfg["seed"] * 3 + 100 + offset))
               for split, count, offset in (("train", cfg["n_train"], 0),
                                            ("val", cfg["n_val"], 1),
                                            ("test", cfg["n_test"], 2))]
@@ -266,17 +305,9 @@ TRAIN_DEFAULTS = {
 }
 
 
-def _dtype_of(name: str):
-    if name not in ("float64", "float32"):
-        raise ValueError(f"precision must be float64 or float32, got {name!r}")
-    return np.float64 if name == "float64" else np.float32
-
-
 def cmd_train(args) -> int:
     started = time.perf_counter()
     cfg, sources = resolve_config(TRAIN_DEFAULTS, args)
-    if cfg["loss"] not in ("bce", "focal"):
-        raise ValueError(f"loss must be 'bce' or 'focal', got {cfg['loss']!r}")
     bce = cfg["loss"] == "bce"
     overridden = [key for key in ("gamma", "alpha_mode") if sources[key] != "default"]
     if bce and overridden:  # bce is focal with gamma 0 and uniform alpha
@@ -284,7 +315,7 @@ def cmd_train(args) -> int:
                          f"do not also set {' or '.join(overridden)}")
     data_dir = Path(args.data)
     out_dir = Path(args.out)
-    dtype = _dtype_of(cfg["precision"])
+    dtype = _DTYPES[cfg["precision"]]
     timer = PhaseTimer()
 
     with timer("load"):
@@ -293,23 +324,23 @@ def cmd_train(args) -> int:
 
     model_cfg = mstcnpp.StageConfig(
         in_dim=train_set[0][0].shape[1],
-        channels=int(cfg["channels"]),
-        n_classes=int(cfg["n_classes"]),
-        stages=int(cfg["stages"]),
-        layers_prediction=int(cfg["layers_prediction"]),
-        layers_refinement=int(cfg["layers_refinement"]),
+        channels=cfg["channels"],
+        n_classes=cfg["n_classes"],
+        stages=cfg["stages"],
+        layers_prediction=cfg["layers_prediction"],
+        layers_refinement=cfg["layers_refinement"],
         fuse_mode=cfg["fuse_mode"],
     )
-    model = mstcnpp.init(model_cfg, seed=int(cfg["seed"]), dtype=dtype)
+    model = mstcnpp.init(model_cfg, seed=cfg["seed"], dtype=dtype)
     train_cfg = trainer.TrainConfig(
-        epochs=int(cfg["epochs"]),
-        learning_rate=float(cfg["lr"]),
-        smoothing_weight=float(cfg["lambda_smooth"]),
-        patience=int(cfg["patience"]),
-        seed=int(cfg["seed"]),
-        weight_decay=float(cfg["weight_decay"]),
+        epochs=cfg["epochs"],
+        learning_rate=cfg["lr"],
+        smoothing_weight=cfg["lambda_smooth"],
+        patience=cfg["patience"],
+        seed=cfg["seed"],
+        weight_decay=cfg["weight_decay"],
         sampling=cfg["sampling"],
-        gamma=0.0 if bce else float(cfg["gamma"]),
+        gamma=0.0 if bce else cfg["gamma"],
         alpha_mode="uniform" if bce else cfg["alpha_mode"],
     )
     trainer.check_splits(model_cfg, train_set, val_set)
@@ -349,30 +380,21 @@ EVAL_DEFAULTS = {
 }
 
 
-def _inference_settings(cfg: dict):
-    """eval's and segment's settings, checked before any directory or model is
-    touched: (dtype, accumulator threshold, or None when post = none)."""
-    if cfg["post"] not in ("none", "accumulator"):
-        raise ValueError(f"post must be 'none' or 'accumulator', got {cfg['post']!r}")
-    if cfg["threshold"] < 1:
-        raise ValueError(f"threshold must be >= 1, got {cfg['threshold']}")
-    return _dtype_of(cfg["precision"]), cfg["threshold"] if cfg["post"] == "accumulator" else None
-
-
-def predict(model, x, threshold, threads: int, timer: PhaseTimer) -> tuple[np.ndarray, np.ndarray]:
-    """Final-stage argmax timeline (raw) and, after the accumulator when
-    threshold is given, the final timeline; times the "forward" and "post" phases."""
+def predict(model, x, cfg: dict, threads: int, timer: PhaseTimer) -> tuple[np.ndarray, np.ndarray]:
+    """Final-stage argmax timeline (raw) and the final timeline: raw itself
+    with post = none, else after the accumulator at cfg's threshold; times the
+    "forward" and "post" phases."""
     with timer("forward"):
         probs = mstcnpp.forward(model, x, threads=threads)[-1]
     with timer("post"):
         raw = accumulator.argmax_decode(probs)
-        return raw, raw if threshold is None else accumulator.smooth(raw, threshold)
+        return raw, raw if cfg["post"] == "none" else accumulator.smooth(raw, cfg["threshold"])
 
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     cfg, sources = resolve_config(EVAL_DEFAULTS, args)
-    dtype, threshold = _inference_settings(cfg)
+    dtype = _DTYPES[cfg["precision"]]
     model_path = Path(args.model)
     data_dir = Path(args.data)
     out_dir = Path(args.out)
@@ -386,7 +408,7 @@ def cmd_eval(args) -> int:
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
     segment_counts = []
     for features, labels in dataset:
-        _, pred = predict(model, features, threshold, threads, timer)
+        _, pred = predict(model, features, cfg, threads, timer)
         with timer("post"):
             pooled += evalmetrics.confusion(labels, pred, n_classes)
             segment_counts.append(evalmetrics.segment_count(pred))
@@ -424,7 +446,7 @@ SEGMENT_DEFAULTS = {
 def cmd_segment(args) -> int:
     started = time.perf_counter()
     cfg, sources = resolve_config(SEGMENT_DEFAULTS, args)
-    dtype, threshold = _inference_settings(cfg)
+    dtype = _DTYPES[cfg["precision"]]
     model_path = Path(args.model)
     feat_path = Path(args.ssl_features)
     out_dir = Path(args.out)
@@ -433,7 +455,7 @@ def cmd_segment(args) -> int:
     with timer("load"):
         model = mstcnpp.load_model(model_path, dtype=dtype)
         features = synthgen.load_features(feat_path, dtype)
-    raw, final = predict(model, features, threshold, _threads(), timer)
+    raw, final = predict(model, features, cfg, _threads(), timer)
 
     with timer("write"):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -460,11 +482,6 @@ NOTES_DEFAULTS = {
 def cmd_parse_notes(args) -> int:
     started = time.perf_counter()
     cfg, sources = resolve_config(NOTES_DEFAULTS, args)
-    fps = float(cfg["fps"])
-    if not (math.isfinite(fps) and fps > 0):
-        raise ValueError(f"fps must be finite and > 0, got {fps}")
-    if cfg["frames"] < 0:
-        raise ValueError(f"frames must be >= 0, got {cfg['frames']}")
     notes_path = Path(args.notes)
     out_dir = Path(args.out)
 
@@ -476,10 +493,10 @@ def cmd_parse_notes(args) -> int:
         print("no phases found in notes", file=sys.stderr)
         return EXIT_INPUT
     # every frame index and the timeline are computed before any file is written
-    frames = [annotate.seconds_to_frame(seconds, fps) for seconds, _ in boundaries]
+    frames = [annotate.seconds_to_frame(seconds, cfg["fps"]) for seconds, _ in boundaries]
     timeline = None
     if cfg["frames"] > 0:
-        timeline = annotate.build_timeline(boundaries, cfg["frames"], fps, ontology)
+        timeline = annotate.build_timeline(boundaries, cfg["frames"], cfg["fps"], ontology)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     bounds_path = out_dir / "boundaries.csv"
@@ -504,81 +521,44 @@ def cmd_parse_notes(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """One --key-with-dashes flag per key of each command's defaults, read by
+    _parse_value and checked in resolve_config as a config-file line is; the
+    path arguments are listed by hand."""
     parser = argparse.ArgumentParser(prog="phaseseg",
                                      description="surgical phase segmentation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, defaults, what):
+        p = sub.add_parser(name, help=what)
         p.add_argument("--config", help="key = value settings file")
         p.add_argument("--out", required=True, help="output directory")
+        for key, default in defaults.items():
+            rule = SETTINGS.get(key, {})
+            choices = rule.get("choices")
+            p.add_argument("--" + key.replace("_", "-"), type=_parse_value,
+                           metavar="{" + ",".join(choices) + "}" if choices else None,
+                           help=f"{rule.get('help', '')} (default {default})".lstrip())
+        p.set_defaults(func=func)
+        return p
 
-    def precision(p, defaults, what):
-        p.add_argument("--precision", choices=("float64", "float32"),
-                       help=f"{what} precision (default {defaults['precision']})")
+    command("gen-synth", cmd_gen_synth, GEN_DEFAULTS, "generate a synthetic dataset")
 
-    p = sub.add_parser("gen-synth", help="generate a synthetic dataset")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--n-train", type=int, dest="n_train")
-    p.add_argument("--n-val", type=int, dest="n_val")
-    p.add_argument("--n-test", type=int, dest="n_test")
-    p.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    p.add_argument("--label-noise", type=float, dest="label_noise")
-    p.add_argument("--boundary-blur", type=int, dest="boundary_blur")
-    p.add_argument("--sellar-closure-confusability", type=float,
-                   dest="sellar_closure_confusability")
-    p.set_defaults(func=cmd_gen_synth)
-
-    p = sub.add_parser("train", help="train a model on a dataset directory")
-    common(p)
-    p.add_argument("--seed", type=int)
+    p = command("train", cmd_train, TRAIN_DEFAULTS, "train a model on a dataset directory")
     p.add_argument("--data", required=True, help="dataset dir with train/ and val/")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--loss", choices=("bce", "focal"))
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha-mode", choices=("uniform", "inverse-frequency"),
-                   dest="alpha_mode")
-    p.add_argument("--lambda", type=float, dest="lambda_smooth",
-                   help="temporal smoothing weight")
-    p.add_argument("--patience", type=int)
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--sampling", choices=("uniform", "class-balanced"))
-    p.add_argument("--channels", type=int)
-    p.add_argument("--stages", type=int)
-    p.add_argument("--layers-prediction", type=int, dest="layers_prediction")
-    p.add_argument("--layers-refinement", type=int, dest="layers_refinement")
-    p.add_argument("--fuse-mode", choices=("sum", "concat"), dest="fuse_mode")
-    precision(p, TRAIN_DEFAULTS, "training and validation")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a model on a dataset split")
-    common(p)
+    p = command("eval", cmd_eval, EVAL_DEFAULTS, "evaluate a model on a dataset split")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="split directory (seq_*.npy)")
-    p.add_argument("--post", choices=("none", "accumulator"))
-    p.add_argument("--threshold", type=int)
-    precision(p, EVAL_DEFAULTS, "inference")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("segment", help="segment one feature file")
-    common(p)
+    p = command("segment", cmd_segment, SEGMENT_DEFAULTS, "segment one feature file")
     p.add_argument("--model", required=True)
-    p.add_argument("--ssl-features", required=True, dest="ssl_features",
+    p.add_argument("--ssl-features", required=True,
                    help="pre-extracted per-frame embeddings (.npy, T x d)")
-    p.add_argument("--post", choices=("none", "accumulator"))
-    p.add_argument("--threshold", type=int)
-    precision(p, SEGMENT_DEFAULTS, "inference")
-    p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("parse-notes", help="extract weak labels from operative notes")
-    common(p)
+    p = command("parse-notes", cmd_parse_notes, NOTES_DEFAULTS,
+                "extract weak labels from operative notes")
     p.add_argument("--notes", required=True, help="JSON-lines notes file")
     p.add_argument("--lexicon", help="keyword lexicon override file")
-    p.add_argument("--fps", type=float)
-    p.add_argument("--frames", type=int, help="emit per-frame labels for this many frames")
-    p.set_defaults(func=cmd_parse_notes)
     return parser
 
 
@@ -594,7 +574,7 @@ def main(argv=None) -> int:
     except (FloatingPointError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a setting too large
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

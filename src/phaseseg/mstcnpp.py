@@ -65,7 +65,7 @@ KERNEL_SIZE = 3
 MAGIC = b"MTPP"
 FORMAT_VERSION = 1
 
-_FUSE_MODES = ("sum", "concat")
+FUSE_MODES = ("sum", "concat")
 
 
 class ModelFormatError(ValueError):
@@ -97,8 +97,8 @@ class StageConfig:
             raise ValueError(f"need at least 1 stage, got {self.stages}")
         if self.layers_prediction < 1 or self.layers_refinement < 1:
             raise ValueError("every stage needs at least 1 layer")
-        if self.fuse_mode not in _FUSE_MODES:
-            raise ValueError(f"fuse_mode must be one of {_FUSE_MODES}, got {self.fuse_mode!r}")
+        if self.fuse_mode not in FUSE_MODES:
+            raise ValueError(f"fuse_mode must be one of {FUSE_MODES}, got {self.fuse_mode!r}")
 
     def layers_for_stage(self, stage_index: int) -> int:
         return self.layers_prediction if stage_index == 0 else self.layers_refinement
@@ -547,7 +547,7 @@ def model_to_bytes(model: Model) -> bytes:
     return (MAGIC + struct.pack("<I", FORMAT_VERSION)
             + _CONFIG_STRUCT.pack(cfg.in_dim, cfg.channels, cfg.n_classes, cfg.stages,
                                   cfg.layers_prediction, cfg.layers_refinement,
-                                  _FUSE_MODES.index(cfg.fuse_mode))
+                                  FUSE_MODES.index(cfg.fuse_mode))
             + model.flat.astype("<f4").tobytes())
 
 
@@ -583,12 +583,12 @@ def model_from_bytes(buf, offset: int = 0, dtype=np.float64) -> tuple[Model, int
     except struct.error as exc:
         raise ModelFormatError(f"truncated model header: {exc}") from None
     offset += 8 + _CONFIG_STRUCT.size
-    if fields[6] >= len(_FUSE_MODES):
+    if fields[6] >= len(FUSE_MODES):
         raise ModelFormatError(f"unknown fusion mode id {fields[6]}")
     try:
         cfg = StageConfig(in_dim=fields[0], channels=fields[1], n_classes=fields[2],
                           stages=fields[3], layers_prediction=fields[4],
-                          layers_refinement=fields[5], fuse_mode=_FUSE_MODES[fields[6]])
+                          layers_refinement=fields[5], fuse_mode=FUSE_MODES[fields[6]])
     except ValueError as exc:
         raise ModelFormatError(f"invalid model header: {exc}") from None
     count = _param_count(cfg)

@@ -21,8 +21,8 @@ import numpy as np
 from . import mstcnpp
 from .losses import FocalConfig, inverse_frequency_alpha, total_loss
 
-_SAMPLING_MODES = ("uniform", "class-balanced")
-_ALPHA_MODES = ("uniform", "inverse-frequency")
+SAMPLING_MODES = ("uniform", "class-balanced")
+ALPHA_MODES = ("uniform", "inverse-frequency")
 
 
 class DivergenceError(RuntimeError):
@@ -61,10 +61,10 @@ class TrainConfig:
                 raise ValueError(f"{key} must be finite and >= 0, got {value}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.sampling not in _SAMPLING_MODES:
-            raise ValueError(f"sampling must be one of {_SAMPLING_MODES}")
-        if self.alpha_mode not in _ALPHA_MODES:
-            raise ValueError(f"alpha_mode must be one of {_ALPHA_MODES}")
+        if self.sampling not in SAMPLING_MODES:
+            raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
+        if self.alpha_mode not in ALPHA_MODES:
+            raise ValueError(f"alpha_mode must be one of {ALPHA_MODES}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def sample_epoch(dataset, mode: str, seed: int, n_classes: int) -> list[int]:
     if mode == "uniform":
         return list(rng.permutation(len(dataset)))
     if mode != "class-balanced":
-        raise ValueError(f"sampling mode must be one of {_SAMPLING_MODES}, got {mode!r}")
+        raise ValueError(f"sampling mode must be one of {SAMPLING_MODES}, got {mode!r}")
     probs = sequence_weights(dataset, n_classes)
     return list(rng.choice(len(dataset), size=len(dataset), replace=True, p=probs))
 

@@ -64,6 +64,13 @@ class TestGenSynth:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["include_all_phases"] is value
 
+    def test_setting_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # over 128 TiB of centers: beyond a 47-bit address space under any overcommit mode
+        out = tmp_path / "ds"
+        assert main(["gen-synth", "--out", str(out), "--dim", "10000000000000"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_output_dir_created(self, tmp_path):
         out = tmp_path / "deep" / "nested" / "ds"
         assert main(["gen-synth", "--out", str(out), "--dim", "8",
@@ -246,6 +253,99 @@ def _inference_argv(workspace, command, out, *extra):
     source = (["--data", str(workspace["data"] / "test")] if command == "eval" else
               ["--ssl-features", str(workspace["data"] / "test" / "seq_000.npy")])
     return [command, "--model", str(workspace["model"]), "--out", str(out), *source, *extra]
+
+
+COMMAND_DEFAULTS = {"gen-synth": cli.GEN_DEFAULTS, "train": cli.TRAIN_DEFAULTS,
+                    "eval": cli.EVAL_DEFAULTS, "segment": cli.SEGMENT_DEFAULTS,
+                    "parse-notes": cli.NOTES_DEFAULTS}
+
+
+# flags that keep each command small; a test of one of these keys leaves its flag out
+SMALL_SETTINGS = {"gen-synth": {"dim": "8", "n_train": "1", "n_val": "1", "n_test": "1"},
+                  "train": {"channels": "8", "stages": "2", "layers_prediction": "2",
+                            "layers_refinement": "2", "epochs": "3"}}
+
+
+def _setting_argv(workspace, tmp_path, command, out, key, value, how):
+    """command with the path arguments it needs, on the shared workspace, and
+    key = value given as a flag or as a config-file line."""
+    if command == "gen-synth":
+        argv = ["gen-synth", "--out", str(out)]
+    elif command == "train":
+        argv = ["train", "--data", str(workspace["data"]), "--out", str(out)]
+    elif command == "parse-notes":
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text('{"t": "00:00:10", "note": "nasal"}\n', encoding="utf-8")
+        argv = ["parse-notes", "--notes", str(notes), "--out", str(out)]
+    else:
+        argv = _inference_argv(workspace, command, out)
+    for small, small_value in SMALL_SETTINGS.get(command, {}).items():
+        if small != key:
+            argv += ["--" + small.replace("_", "-"), small_value]
+    if how == "flag":
+        return argv + ["--" + key.replace("_", "-"), value]
+    cfg_file = tmp_path / f"{how}.cfg"
+    cfg_file.write_text(f"{key} = {value}\n", encoding="utf-8")
+    return argv + ["--config", str(cfg_file)]
+
+
+def _bad_values(key, default):
+    """A value of another type (or, for a float, not finite or beyond the float
+    range), one outside the allowed strings, one below the least integer."""
+    rule = cli.SETTINGS.get(key, {})
+    if "choices" in rule:
+        values = ["bogus"]
+    else:
+        values = {bool: ["maybe"], int: ["1.5"], float: ["nan", "1" + "0" * 400]}[type(default)]
+    return values + ([str(rule["min"] - 1)] if "min" in rule else [])
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", [
+    pytest.param(command, key, value, id=f"{command}-{key}-{value[:8]}")
+    for command, defaults in COMMAND_DEFAULTS.items()
+    for key, default in defaults.items() for value in _bad_values(key, default)])
+def test_every_bad_setting_exits_2_naming_its_key(workspace, tmp_path, monkeypatch, capsys,
+                                                  command, key, value, how):
+    # a flag and a config line take one parse and one check: exit 2 with the
+    # key named, before any input is read or made, a fit starts or --out is created
+    calls = []
+    for module, name in ((mstcnpp, "load_model"), (trainer, "fit"), (synthgen, "generate"),
+                         (synthgen, "load_dataset"), (synthgen, "load_features"),
+                         (cli.annotate, "read_notes_file")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kw: calls.append(name))
+    out = tmp_path / "out"
+    assert main(_setting_argv(workspace, tmp_path, command, out, key, value, how)) == 2
+    assert key in capsys.readouterr().err
+    assert not calls and not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, defaults in COMMAND_DEFAULTS.items()
+    for key, default in defaults.items() if type(default) is float])
+def test_float_setting_given_as_flag_or_line_records_one_value(workspace, tmp_path,
+                                                               command, key):
+    value = "0" if key in ("label_noise", "weight_decay") else "1"  # an integer literal
+    configs = []
+    for how in ("flag", "config"):
+        out = tmp_path / how
+        assert main(_setting_argv(workspace, tmp_path, command, out, key, value, how)) == 0
+        configs.append(json.loads((out / "manifest.json").read_text())["config"])
+    assert configs[0] == configs[1]
+    assert type(configs[0][key]) is type(configs[1][key]) is float
+
+
+@pytest.mark.parametrize("command", COMMAND_DEFAULTS)
+def test_every_setting_has_a_flag(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    assert all(f"--{key.replace('_', '-')} " in text for key in COMMAND_DEFAULTS[command])
+
+
+def test_every_setting_rule_names_a_setting():
+    keys = {key for defaults in COMMAND_DEFAULTS.values() for key in defaults}
+    assert set(cli.SETTINGS) <= keys
 
 
 @pytest.mark.parametrize("command", ["gen-synth", "train", "eval", "segment"])
@@ -1017,6 +1117,13 @@ class TestParseNotes:
 class TestProcess:
     def test_console_help_runs(self):
         proc = subprocess.run([sys.executable, "-m", "phaseseg.cli", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "gen-synth" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr  # cli.py runs once, as __main__
+
+    def test_package_runs_as_module(self):
+        proc = subprocess.run([sys.executable, "-m", "phaseseg", "--help"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "gen-synth" in proc.stdout
