@@ -126,6 +126,8 @@ def _checked(key: str, default, value):
             raise ValueError(f"{key} must be one of {rule['choices']}, got {value!r}")
     elif type(value) is not type(default) or (type(value) is float and not math.isfinite(value)):
         raise ValueError(f"{key} must be {_KINDS[type(default)]}, got {value!r}")
+    elif type(value) is int and value >= 2**63:  # past numpy's int64: name the key here
+        raise ValueError(f"{key} must be an integer below 2**63")
     elif "min" in rule and value < rule["min"]:
         raise ValueError(f"{key} must be >= {rule['min']}, got {value}")
     return value
@@ -301,7 +303,7 @@ TRAIN_DEFAULTS = {
     "layers_refinement": 10,
     "fuse_mode": "sum",
     "n_classes": 4,
-    "precision": "float64",
+    "precision": "float32",  # float64, the oracle, on request
 }
 
 
@@ -523,13 +525,14 @@ def cmd_parse_notes(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """One --key-with-dashes flag per key of each command's defaults, read by
     _parse_value and checked in resolve_config as a config-file line is; the
-    path arguments are listed by hand."""
-    parser = argparse.ArgumentParser(prog="phaseseg",
+    path arguments are listed by hand. No flag has a second, abbreviated
+    spelling."""
+    parser = argparse.ArgumentParser(prog="phaseseg", allow_abbrev=False,
                                      description="surgical phase segmentation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, defaults, what):
-        p = sub.add_parser(name, help=what)
+        p = sub.add_parser(name, help=what, allow_abbrev=False)
         p.add_argument("--config", help="key = value settings file")
         p.add_argument("--out", required=True, help="output directory")
         for key, default in defaults.items():

@@ -36,6 +36,7 @@ import functools
 import math
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -542,15 +543,6 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int 
 _CONFIG_STRUCT = struct.Struct("<7I")  # in_dim, channels, classes, stages, L_pred, L_ref, fuse
 
 
-def model_to_bytes(model: Model) -> bytes:
-    cfg = model.config
-    return (MAGIC + struct.pack("<I", FORMAT_VERSION)
-            + _CONFIG_STRUCT.pack(cfg.in_dim, cfg.channels, cfg.n_classes, cfg.stages,
-                                  cfg.layers_prediction, cfg.layers_refinement,
-                                  FUSE_MODES.index(cfg.fuse_mode))
-            + model.flat.astype("<f4").tobytes())
-
-
 def _param_count(cfg: StageConfig) -> int:
     """Number of parameters of the architecture, computed without building it."""
     f, c = cfg.channels, cfg.n_classes
@@ -601,8 +593,24 @@ def model_from_bytes(buf, offset: int = 0, dtype=np.float64) -> tuple[Model, int
 
 
 def save_model(model: Model, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(model_to_bytes(model))
+    """Write the header, then the parameters as float32 straight from
+    model.flat (a float32 model's are not copied). The file is written beside
+    path and renamed onto it, so path holds the whole new file or, if the
+    save fails, the file it held before."""
+    cfg = model.config
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<I", FORMAT_VERSION)
+                     + _CONFIG_STRUCT.pack(cfg.in_dim, cfg.channels, cfg.n_classes, cfg.stages,
+                                           cfg.layers_prediction, cfg.layers_refinement,
+                                           FUSE_MODES.index(cfg.fuse_mode)))
+            fh.write(memoryview(model.flat.astype("<f4", copy=False)))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the save's own error is the one to report
+            os.unlink(tmp)
+        raise
 
 
 def load_model(path, dtype=np.float64) -> Model:

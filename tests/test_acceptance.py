@@ -228,7 +228,10 @@ def test_criterion_2_loss_identities():
 # 3. synthetic end-to-end through the CLI
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_synthetic_end_to_end(tmp_path):
+@pytest.mark.parametrize("precision_flags", [[], ["--precision", "float32"]],
+                         ids=["float64", "float32"])
+def test_criterion_3_synthetic_end_to_end(tmp_path, precision_flags):
+    # the bench profile pins float64; the flag trains at train's default, float32
     started = time.perf_counter()
     data = tmp_path / "data"
     assert main(["gen-synth", "--out", str(data), "--seed", "0"]) == 0
@@ -238,7 +241,8 @@ def test_criterion_3_synthetic_end_to_end(tmp_path):
 
     run = tmp_path / "run"
     assert main(["train", "--data", str(data), "--out", str(run),
-                 "--config", str(BENCH_CONFIG), "--seed", "0"]) == 0
+                 "--config", str(BENCH_CONFIG), "--seed", "0", *precision_flags]) == 0
+    precision = json.loads((run / "manifest.json").read_text())["config"]["precision"]
 
     evaldir = tmp_path / "eval"
     assert main(["eval", "--model", str(run / "model.bin"),
@@ -247,7 +251,7 @@ def test_criterion_3_synthetic_end_to_end(tmp_path):
     elapsed = time.perf_counter() - started
     assert payload["accuracy"] >= 95.0, f"test accuracy {payload['accuracy']}"
     assert elapsed < 600.0, f"end-to-end run took {elapsed:.0f}s"
-    _report(3, f"held-out accuracy {payload['accuracy']:.2f}% in {elapsed:.0f}s")
+    _report(3, f"{precision} held-out accuracy {payload['accuracy']:.2f}% in {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------

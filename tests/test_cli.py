@@ -203,6 +203,23 @@ class TestTrain:
         assert "unknown config keys: ['batch_size']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, full, abbreviated", [
+        ("train", "--lambda-smooth", "--lambda"), ("train", "--epochs", "--epo"),
+        ("segment", "--threshold", "--thresh"), ("segment", "--ssl-features", "--ssl-f")])
+    def test_abbreviated_flag_exits_2(self, workspace, tmp_path, capsys, command, full,
+                                      abbreviated):
+        # one spelling per flag: a unique prefix of a flag is not that flag
+        out = tmp_path / "out"
+        argv = (["train", "--data", str(workspace["data"]), "--out", str(out), *TRAIN_FLAGS,
+                 "--lambda-smooth", "0.1"] if command == "train"
+                else _inference_argv(workspace, "segment", out, "--threshold", "5"))
+        assert full in argv
+        with pytest.raises(SystemExit) as exc:
+            main([abbreviated if arg == full else arg for arg in argv])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_divergence_exits_3_and_keeps_report(self, workspace, tmp_path, capsys):
         out = tmp_path / "out"
@@ -291,12 +308,14 @@ def _setting_argv(workspace, tmp_path, command, out, key, value, how):
 
 def _bad_values(key, default):
     """A value of another type (or, for a float, not finite or beyond the float
-    range), one outside the allowed strings, one below the least integer."""
+    range; for an integer, beyond int64), one outside the allowed strings, one
+    below the least integer."""
     rule = cli.SETTINGS.get(key, {})
     if "choices" in rule:
         values = ["bogus"]
     else:
-        values = {bool: ["maybe"], int: ["1.5"], float: ["nan", "1" + "0" * 400]}[type(default)]
+        values = {bool: ["maybe"], int: ["1.5", "9" * 400],
+                  float: ["nan", "1" + "0" * 400]}[type(default)]
     return values + ([str(rule["min"] - 1)] if "min" in rule else [])
 
 
@@ -360,7 +379,7 @@ def test_manifest_records_peak_rss(workspace, tmp_path, command):
 
 
 @pytest.mark.parametrize("command, precision", [
-    ("train", "float64"), ("eval", "float32"), ("segment", "float32")])
+    ("train", "float32"), ("eval", "float32"), ("segment", "float32")])
 def test_manifest_records_default_precision(workspace, tmp_path, command, precision):
     out = workspace["run"] if command == "train" else tmp_path / command
     if command != "train":
@@ -753,6 +772,73 @@ class TestFloat32Inference:
         cli.evalmetrics.export_ribbon(raw, final, expected / "ribbon.svg")
         for name in ("phases.csv", "ribbon.csv", "ribbon.svg"):
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def _arrays(obj):
+    """The ndarrays held in obj: an array, a list, or an object's attributes."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays(list(vars(obj).values()))
+
+
+TRAIN_THREADS_FRAMES = 1900  # three row blocks at 64 channels
+
+
+@pytest.fixture(scope="module")
+def long_split(tmp_path_factory):
+    """A dataset whose sequences are long enough for three row blocks."""
+    root = tmp_path_factory.mktemp("long")
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(4), TRAIN_THREADS_FRAMES // 4)
+    for split, count in (("train", 2), ("val", 1)):
+        synthgen.save_dataset([(rng.normal(size=(labels.size, 8)) + labels[:, None], labels)
+                               for _ in range(count)], root / split)
+    return root
+
+
+class TestFloat32Training:
+    def test_default_train_computes_in_float32(self, workspace, tmp_path, monkeypatch):
+        # every forward input, output and cache array, every gradient and every
+        # AdamW array, validation included: nothing silently upcasts
+        seen = []
+
+        def recording(module, name, what):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen.extend((name, a.dtype) for a in _arrays([what(args, out)]))
+                return out
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recording(mstcnpp, "forward", lambda args, out: [args[1], out])
+        recording(mstcnpp, "backward", lambda args, out: [args[2], out])
+        recording(trainer, "adamw_step", lambda args, out: [args[:2], out])
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                     *TRAIN_FLAGS]) == 0
+        assert {name for name, _ in seen} == {"forward", "backward", "adamw_step"}
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["precision"] == "float32"
+
+    def test_default_train_model_equal_for_threads_1_and_3(self, long_split, tmp_path,
+                                                          monkeypatch):
+        assert len(mstcnpp._row_blocks(TRAIN_THREADS_FRAMES, 64, 3)) == 3
+        for threads in ("1", "3"):
+            monkeypatch.setenv("PHASESEG_THREADS", threads)
+            assert main(["train", "--data", str(long_split), "--out", str(tmp_path / threads),
+                         "--channels", "64", "--stages", "2", "--layers-prediction", "3",
+                         "--layers-refinement", "2", "--epochs", "2", "--lr", "1e-3",
+                         "--seed", "1"]) == 0
+        model_1 = (tmp_path / "1" / "model.bin").read_bytes()
+        assert model_1 == (tmp_path / "3" / "model.bin").read_bytes()
+        assert mstcnpp.load_model(tmp_path / "1" / "model.bin").flat.any()
 
 
 class TestMalformedFeatureFiles:

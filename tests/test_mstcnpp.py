@@ -3,6 +3,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from phaseseg.mstcnpp import (
     init,
     load_model,
     model_from_bytes,
-    model_to_bytes,
     named_parameters,
     save_model,
 )
@@ -670,7 +670,8 @@ class TestSerialization:
         twice = load_model(path)
         for (_, pa), (_, pb) in zip(named_parameters(once), named_parameters(twice)):
             assert np.array_equal(pa, pb)
-        assert model_to_bytes(once) == model_to_bytes(twice)
+        save_model(twice, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     def test_float32_load_keeps_parameters_in_read_buffer(self, tmp_path):
         cfg = StageConfig(in_dim=64, channels=32, n_classes=4, stages=2,
@@ -688,7 +689,28 @@ class TestSerialization:
         assert peak < 1.1 * size  # one buffer; reading bytes and then copying takes two
         assert loaded.flat.flags.writeable and loaded.flat.flags.aligned
         np.testing.assert_array_equal(loaded.flat, model.flat.astype(np.float32))
-        assert model_to_bytes(loaded) == path.read_bytes()
+        save_model(loaded, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_file_is_header_then_float32_parameters(self, tmp_path, dtype):
+        model = init(TINY, seed=3, dtype=dtype)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        header = _header(in_dim=5, channels=4, n_classes=3, stages=2,
+                         layers_prediction=2, layers_refinement=2)
+        assert path.read_bytes() == header + model.flat.astype("<f4").tobytes()
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(init(TINY, seed=0), path)
+        before = path.read_bytes()
+        # the header is written, then the parameters fail to convert
+        broken = types.SimpleNamespace(config=TINY, flat=np.array([object()]))
+        with pytest.raises(TypeError):
+            save_model(broken, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
@@ -800,12 +822,13 @@ class TestHostileModelBytes:
         with pytest.raises(ModelFormatError):
             model_from_bytes(_header(fuse=7))
 
-    def test_parameter_count_matches_file_size(self):
+    def test_parameter_count_matches_file_size(self, tmp_path):
         for cfg in (TINY, StageConfig(in_dim=3, channels=5, n_classes=2, stages=3,
                                       layers_prediction=3, layers_refinement=1,
                                       fuse_mode="concat")):
             model = init(cfg, seed=1)
-            buf = model_to_bytes(model)
+            save_model(model, tmp_path / "model.bin")
+            buf = (tmp_path / "model.bin").read_bytes()
             assert len(buf) == len(_header()) + 4 * mstcnpp._param_count(cfg)
             loaded, end = model_from_bytes(buf + b"tail")
             assert end == len(buf)
