@@ -57,7 +57,6 @@ from .seqcore import (
     softmax_rows,
     softmax_rows_backward,
     tap_shifts,
-    transposed_conv,
     workspace_rows,
 )
 
@@ -240,8 +239,8 @@ _MIN_BLOCK_WORK = 2_500_000
 
 def _row_blocks(t_len: int, channels: int, threads: int) -> list[tuple[int, int]]:
     """Cut [0, T) into at most threads contiguous row blocks, each with at
-    least _MIN_BLOCK_WORK of work and _MIN_GEMM_ROWS rows (so conv1x1 never
-    widens a block's product); one block when T is too short for two, or
+    least _MIN_BLOCK_WORK of work and _MIN_GEMM_ROWS rows (the shortest
+    range conv1x1 takes); one block when T is too short for two, or
     when rows of a channels-wide product do not round alike wherever they
     are computed."""
     if not rows_round_alike(channels):
@@ -251,15 +250,29 @@ def _row_blocks(t_len: int, channels: int, threads: int) -> list[tuple[int, int]
     return [(t_len * i // n, t_len * (i + 1) // n) for i in range(n)]
 
 
+_open_pool = threading.local()  # .held: (pool, threads) of the thread_pool open on this thread
+
+
 @contextlib.contextmanager
 def thread_pool(threads: int):
     """The helpers of run_jobs when up to threads threads compute at once:
     a pool of threads - 1 workers, or None for one thread. numpy's BLAS is
     held to one thread while it is open, at every thread count, so no
-    product's bits depend on BLAS's own thread count."""
+    product's bits depend on BLAS's own thread count. Opened on a thread
+    that already holds a pool of at least threads threads (trainer.fit
+    holds one for its whole run), it reuses that pool and its BLAS hold and
+    starts no thread; its jobs then share the outer pool's threads."""
+    held = getattr(_open_pool, "held", None)
+    if held is not None and held[1] >= threads:
+        yield held[0] if threads > 1 else None
+        return
     with one_blas_thread, (ThreadPoolExecutor(threads - 1) if threads > 1
                            else contextlib.nullcontext()) as pool:
-        yield pool
+        _open_pool.held = (pool, threads)
+        try:
+            yield pool
+        finally:
+            _open_pool.held = held
 
 
 def run_jobs(pool, jobs) -> None:
@@ -303,39 +316,57 @@ def _project_rows(stage: Stage, x, h, rows, ws):
     conv1x1(x, stage.proj_w, stage.proj_b, h[lo:hi], rows)
 
 
-def _layer_taps(layer: DualDilatedLayer):
-    """(shift, (F, F) tap) for every tap of the layer's two dilated convs."""
-    return [(shift, w[:, :, j])
-            for w, dilation in ((layer.w_d1, layer.dilation_low),
-                                (layer.w_d2, layer.dilation_high))
-            for j, shift in enumerate(tap_shifts(KERNEL_SIZE, dilation))]
+@functools.cache
+def _tap_plan(d_lo: int, d_hi: int, fuse_mode: str):
+    """The dilated convolutions of a layer with dilations d_lo and d_hi: per
+    shift, in ascending order, (shift, the (kernel, tap) pairs of (w_d1,
+    w_d2) that read it, w_d1's first). Concat runs the two as they are, sum
+    one over their distinct shifts. Cached: shifts are derived once."""
+    convs = ({}, {})
+    for c, d in enumerate((d_lo, d_hi)):
+        for j, shift in enumerate(tap_shifts(KERNEL_SIZE, d)):
+            convs[c if fuse_mode == "concat" else 0].setdefault(shift, []).append((c, j))
+    return tuple(tuple((shift, tuple(src)) for shift, src in sorted(conv.items()))
+                 for conv in convs if conv)
 
 
-def _sum_taps(taps):
-    """One convolution's (kernel, shifts) from (shift, tap) pairs: a tap per
-    distinct shift, in ascending order, that sums the taps at that shift.
-    The kernel is laid out tap-major: each tap is a C-contiguous matrix,
-    which BLAS takes transposed as it is, where a tap of w_d1 is first
-    copied into that layout (same bits, 10% faster per product)."""
-    shifts = sorted({shift for shift, _ in taps})
-    kernel = np.zeros((len(shifts), *taps[0][1].shape), dtype=taps[0][1].dtype)
-    for shift, tap in taps:
-        kernel[shifts.index(shift)] += tap
-    return kernel.transpose(1, 2, 0), tuple(shifts)
+def _tap_kernels(layer: DualDilatedLayer, fuse_mode: str, transposed: bool = False):
+    """(convs, fills): (kernel, shifts) of each _tap_plan convolution, and
+    one job per tap that fills it (a slice copy, or an add where two taps
+    share a shift). A kernel is a (Cout, Cin, taps) view of a tap-major
+    array, whose C-contiguous taps BLAS takes transposed as they are, in
+    forward and backward alike: a tap of w_d1 would be copied into that
+    layout per product (same bits, 10% slower), and a tap in the other
+    layout does not round its rows alike at some widths (72 in float32).
+
+    transposed=True gives each convolution's input-gradient twin: taps with
+    channels swapped, in reverse order, at reversed and negated shifts. Tap
+    j carries output row t from input row t + shift_j, so the input gradient
+    at row s gathers grad_out[s - shift_j] @ tap_j: the dilated_conv1d of the
+    output gradient with the twin and zero bias."""
+    weights = (layer.w_d1, layer.w_d2)
+    convs, fills = [], []
+    for taps in _tap_plan(layer.dilation_low, layer.dilation_high, fuse_mode):
+        if transposed:
+            taps = [(-shift, src) for shift, src in reversed(taps)]
+        kernel = np.empty((len(taps), *layer.w_d1.shape[:2]), dtype=layer.w_d1.dtype)
+        for tap, (_, src) in zip(kernel, taps):
+            parts = [weights[c][:, :, j].T if transposed else weights[c][:, :, j] for c, j in src]
+            fills.append(functools.partial(np.add, *parts, out=tap) if len(parts) == 2
+                         else functools.partial(np.copyto, tap, parts[0]))
+        convs.append((kernel.transpose(1, 2, 0), tuple(shift for shift, _ in taps)))
+    return convs, fills
 
 
 def _layer_convs(layer: DualDilatedLayer, fuse_mode: str):
-    """The layer's dilated convolutions as (kernel, bias, dilation) triples,
-    each filling the next F columns of the fusion. Concat runs the two as
-    they are. Sum runs one convolution over their distinct tap shifts
-    (_sum_taps), with bias b_d1 + b_d2. Its kernel is built on every call,
-    so it follows every parameter update, and lives only while the caller
-    holds it."""
-    if fuse_mode == "concat":
-        return [(layer.w_d1, layer.b_d1, layer.dilation_low),
-                (layer.w_d2, layer.b_d2, layer.dilation_high)]
-    kernel, shifts = _sum_taps(_layer_taps(layer))
-    return [(kernel, layer.b_d1 + layer.b_d2, shifts)]
+    """The layer's dilated convolutions as (kernel, bias, shifts) triples,
+    each filling the next F columns of the fusion (_tap_kernels); sum's one
+    takes bias b_d1 + b_d2. Built on every call, so they follow every
+    parameter update, and live only while the caller holds them."""
+    convs, fills = _tap_kernels(layer, fuse_mode)
+    run_jobs(None, fills)
+    biases = (layer.b_d1, layer.b_d2) if fuse_mode == "concat" else (layer.b_d1 + layer.b_d2,)
+    return [(kernel, bias, shifts) for (kernel, shifts), bias in zip(convs, biases)]
 
 
 def _layer_rows(layer: DualDilatedLayer, convs, h, a, out, rows, ws):
@@ -424,7 +455,7 @@ def _fusion_grad_rows(w_fuse_t, g_out, a, g_a, rows, ws):
 def _input_grad_rows(inputs, g_h, rows, ws):
     """Rows [lo, hi) of the layer's input gradient into g_h in place, where
     g_h holds the gradient at the layer's output. Each of inputs, a
-    (gradient at a dilated conv's output, transposed_conv kernel, shifts),
+    (gradient at a dilated conv's output, _tap_kernels twin, shifts),
     gives that conv's input gradient; two are summed before g_h takes them."""
     lo, hi = rows
     zero = np.zeros(g_h.shape[1], dtype=g_h.dtype)
@@ -441,49 +472,43 @@ def _input_grad_rows(inputs, g_h, rows, ws):
 # memory 1.3-2 MiB higher (glibc, 2 threads), at the first AdamW step after
 # backward: memory freed on a helper thread stays in that thread's arena.
 
-def _merged_params_grad(layer: DualDilatedLayer, h, g_a, grad: DualDilatedLayer):
-    """The sum fusion's kernel gradients with one whole product per distinct
-    shift, written into the tap views: all of w_d1's, and w_d2's side taps
-    (0 and 2 of 3) where its dilation differs; w_d2's other taps copy w_d1's
-    at the same shift. Both biases take the fusion gradient's column sums."""
-    d_lo, d_hi = layer.dilation_low, layer.dilation_high
-    dilated_conv1d_backward(h, d_lo, g_a, grad.w_d1, grad.b_d1)
-    if d_hi == d_lo:
-        grad.w_d2[...] = grad.w_d1
-        grad.b_d2[...] = grad.b_d1
-    else:
-        dilated_conv1d_backward(h, (-d_hi, d_hi), g_a, grad.w_d2[:, :, ::2], grad.b_d2)
-        grad.w_d2[:, :, 1] = grad.w_d1[:, :, 1]
+def _tap_grad(h, g_c, shift, taps):
+    """The kernel gradient at one shift, one whole product whatever the
+    thread count, into the first of taps, (Cout, Cin, 1) views of the
+    gradient kernels; the other taps at that shift copy it."""
+    dilated_conv1d_backward(h, (shift,), g_c, taps[0])
+    for tap in taps[1:]:
+        tap[...] = taps[0]
 
 
 def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
                     grad: DualDilatedLayer, g_a, blocks, workspaces, pool):
     """Gradients of one layer, given g_h, the gradient at its output, which
-    becomes the gradient at its input in place.
-
-    Two passes of jobs: the fusion gradient g_a in row blocks alongside the
-    fuse conv's parameter gradients, then the input gradient in row blocks
-    (one transposed convolution for sum fusion, two for concat) alongside
-    the dilated convs' parameter gradients. A parameter gradient is one
-    whole job, so no thread count changes its bits.
-    """
+    becomes the gradient at its input in place. Two passes of jobs: the
+    fusion gradient g_a in row blocks, the fuse conv's parameter gradients
+    and the taps of the _tap_kernels twins; then the input gradient in row
+    blocks, one job per tap product of the kernel gradients and one per
+    bias. A parameter gradient is one whole product, so no thread count
+    changes its bits."""
     w_fuse_t = np.ascontiguousarray(layer.w_fuse.T)
+    twins, fills = _tap_kernels(layer, fuse_mode, transposed=True)
     run_jobs(pool, [functools.partial(conv1x1_backward, lc.post_relu, layer.w_fuse, g_h,
                                       grad.w_fuse, grad.b_fuse, d_input=False),
                     *_block_jobs(blocks, workspaces, _fusion_grad_rows, w_fuse_t, g_h,
-                                 lc.pre_relu, g_a)])
-    if fuse_mode == "sum":  # the merged kernel transposed, built without the merged one
-        params = [functools.partial(_merged_params_grad, layer, lc.h_in, g_a, grad)]
-        inputs = [(g_a, *_sum_taps([(-shift, tap.T) for shift, tap in _layer_taps(layer)]))]
-    else:  # contiguous once here, not once per block in dilated_conv1d
-        f = g_h.shape[1]
-        g_c1, g_c2 = np.ascontiguousarray(g_a[:, :f]), np.ascontiguousarray(g_a[:, f:])
-        params = [functools.partial(dilated_conv1d_backward, lc.h_in, layer.dilation_low,
-                                    g_c1, grad.w_d1, grad.b_d1),
-                  functools.partial(dilated_conv1d_backward, lc.h_in, layer.dilation_high,
-                                    g_c2, grad.w_d2, grad.b_d2)]
-        inputs = [(g_c1, *transposed_conv(layer.w_d1, layer.dilation_low)),
-                  (g_c2, *transposed_conv(layer.w_d2, layer.dilation_high))]
+                                 lc.pre_relu, g_a), *fills])
+    f = g_h.shape[1]
+    # the gradient at each convolution's output; concat's halves are made
+    # contiguous once here, not once per block in dilated_conv1d
+    g_convs = ([g_a] if fuse_mode == "sum"
+               else [np.ascontiguousarray(g_a[:, i * f:(i + 1) * f]) for i in (0, 1)])
+    w_grads = (grad.w_d1, grad.w_d2)
+    plan = _tap_plan(layer.dilation_low, layer.dilation_high, fuse_mode)
+    params = [functools.partial(_tap_grad, lc.h_in, g_c, shift,
+                                [w_grads[c][:, :, j:j + 1] for c, j in src])
+              for g_c, taps in zip(g_convs, plan) for shift, src in taps]
+    params += [functools.partial(np.sum, g_c, axis=0, out=d_bias)  # sum: both from g_a
+               for d_bias, g_c in zip((grad.b_d1, grad.b_d2), g_convs * 2)]
+    inputs = [(g_c, *twin) for g_c, twin in zip(g_convs, twins)]
     run_jobs(pool, [*params, *_block_jobs(blocks, workspaces, _input_grad_rows, inputs, g_h)])
 
 
@@ -504,7 +529,7 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int 
         raise ShapeError(f"expected {n_stages} per-stage gradients, got {len(stage_logit_grads)}")
 
     cfg = model.config
-    grads = _bind(cfg, np.zeros_like(model.flat))
+    grads = _bind(cfg, np.empty_like(model.flat))  # backward writes every entry
     t_len, f = cache.stage_caches[0].final_h.shape
     # the fusion gradient of the layer in hand; every layer refills it
     g_a = np.empty((t_len, f if cfg.fuse_mode == "sum" else 2 * f), dtype=model.dtype)

@@ -6,7 +6,7 @@ row softmax) are functions with hand-written backward passes; they are the
 building blocks the multi-stage temporal model is assembled from. A backward
 pass writes its parameter gradients into arrays the caller passes and
 returns only the input gradient; the dilated convolution's input gradient
-is itself a dilated convolution (transposed_conv), which the caller runs.
+is itself a dilated convolution, which the caller runs.
 
 Arrays are checked where they enter the program (`synthgen.load_features`
 and `mstcnpp.forward` call `as_matrix`); the primitives take them as they
@@ -71,7 +71,7 @@ def _check_dconv_args(x, weights, bias, dilation):
     shifts = tap_shifts(k, dilation)
     if x.shape[1] != cin:
         raise ShapeError(f"input has {x.shape[1]} channels but kernel expects {cin}")
-    if bias.shape != (cout,):
+    if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
     return cout, shifts
 
@@ -175,27 +175,15 @@ def _row_range(t_len: int, rows) -> tuple[int, int]:
     return lo, hi
 
 
-def _window(lo: int, hi: int, t_len: int) -> tuple[int, int]:
-    """(start, rows) of the rows of x a product over rows [lo, hi) multiplies:
-    [lo, hi) itself, widened to _MIN_GEMM_ROWS rows (or all of x) when shorter."""
-    rows = min(t_len, max(hi - lo, _MIN_GEMM_ROWS))
-    return min(lo, t_len - rows), rows
-
-
-def _workspace(work, rows: int, cols: int, dtype) -> np.ndarray:
-    if work is None:
+def _buffer(arr, name: str, rows: int, cols: int, dtype, spare_rows: bool = False):
+    """arr, or a new (rows, cols) array when None; a workspace (spare_rows)
+    may hold more rows than asked for."""
+    if arr is None:
         return np.empty((rows, cols), dtype=dtype)
-    if work.shape[0] < rows or work.shape[1] != cols or work.dtype != dtype:
-        raise ShapeError(f"workspace {work.shape} {work.dtype} cannot hold ({rows}, {cols}) {dtype}")
-    return work
-
-
-def _destination(out, rows: int, cols: int, dtype) -> np.ndarray:
-    if out is None:
-        return np.empty((rows, cols), dtype=dtype)
-    if out.shape != (rows, cols) or out.dtype != dtype:
-        raise ShapeError(f"output {out.shape} {out.dtype} is not ({rows}, {cols}) {dtype}")
-    return out
+    if (arr.shape[0] < rows if spare_rows else arr.shape[0] != rows) \
+            or arr.shape[1] != cols or arr.dtype != dtype:
+        raise ShapeError(f"{name} {arr.shape} {arr.dtype} cannot hold ({rows}, {cols}) {dtype}")
+    return arr
 
 
 def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
@@ -226,8 +214,8 @@ def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
     cout, shifts = _check_dconv_args(x, weights, bias, dilation)
     t_len = x.shape[0]
     lo, hi = _row_range(t_len, rows)
-    out = _destination(out, hi - lo, cout, x.dtype)
-    work = _workspace(work, workspace_rows(t_len, hi - lo, cout), cout, x.dtype)
+    out = _buffer(out, "output", hi - lo, cout, x.dtype)
+    work = _buffer(work, "workspace", workspace_rows(t_len, hi - lo, cout), cout, x.dtype, True)
     chunk = _chunk_rows(t_len, cout)
     out[...] = bias
     for j, shift in enumerate(shifts):
@@ -235,58 +223,41 @@ def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
         t_lo, t_hi = max(lo, -shift), min(hi, t_len - shift)
         for c_lo in range(t_lo, t_hi, chunk):  # nothing when the tap reads only padding
             c_hi = min(c_lo + chunk, t_hi)
-            start, n = _window(c_lo + shift, c_hi + shift, t_len)
+            # the product's rows, widened to _MIN_GEMM_ROWS (or all of x) when shorter
+            n = min(t_len, max(c_hi - c_lo, _MIN_GEMM_ROWS))
+            start = min(c_lo + shift, t_len - n)
             np.matmul(x[start:start + n], weights[:, :, j].T, out=work[:n])
             out[c_lo - lo:c_hi - lo] += work[c_lo + shift - start:c_hi + shift - start]
     return out
 
 
-def transposed_conv(weights, dilation) -> tuple[np.ndarray, tuple[int, ...]]:
-    """(kernel, shifts): the (Cin, Cout, k) kernel and its tap shifts whose
-    dilated_conv1d with zero bias maps dL/d(output) to dL/d(input) of the
-    convolution with weights and dilation: channels swapped, taps reversed,
-    shifts reversed and negated.
-
-    Tap j of weights carries output row t from input row t + shift_j, so the
-    input gradient at row s gathers grad_out[s - shift_j] @ weights[:, :, j],
-    which is a dilated convolution of grad_out with tap j at shift -shift_j.
-
-    Each tap is copied into a C-contiguous (Cin, Cout) matrix, so
-    dilated_conv1d hands BLAS the transposed operand it hands it in forward,
-    and the rows of a product round alike wherever rows_round_alike says (a
-    view of weights would be multiplied in the other layout, whose rows do
-    not round alike at some widths, such as 72 in float32).
-    """
-    shifts = tap_shifts(weights.shape[2], dilation)
-    view = weights.transpose(1, 0, 2)[:, :, ::-1]
-    kernel = np.ascontiguousarray(view.transpose(2, 0, 1)).transpose(1, 2, 0)
-    return kernel, tuple(-s for s in reversed(shifts))
-
-
-def dilated_conv1d_backward(x, dilation, grad_out, d_weights, d_bias) -> None:
+def dilated_conv1d_backward(x, dilation, grad_out, d_weights, d_bias=None) -> None:
     """Analytic gradients of dilated_conv1d w.r.t. kernel and bias, written
-    into d_weights, of the kernel's (Cout, Cin, k) shape, and d_bias (Cout,).
+    into d_weights, of the kernel's (Cout, Cin, k) shape, and d_bias (Cout,)
+    unless None (mstcnpp.backward runs one tap at a time, bias apart).
 
     No padded copy is built. Tap j's kernel gradient multiplies only the rows
     where the tap reads inside [0, T), as one product whatever the caller's
     threads: grad_out[valid].T @ x[valid + shift_j]. The input gradient is
-    the dilated_conv1d of grad_out with transposed_conv(kernel, dilation)
-    and zero bias, which the caller runs (mstcnpp.backward in row blocks).
+    the dilated_conv1d of grad_out with zero bias and the kernel transposed
+    (channels swapped, taps reversed, shifts reversed and negated), which
+    the caller runs.
     """
     grad_out = np.asarray(grad_out, dtype=x.dtype)
     cout, shifts = _check_dconv_args(x, d_weights, d_bias, dilation)
     t_len = x.shape[0]
     if grad_out.shape != (t_len, cout):
         raise ShapeError(f"upstream gradient must be ({t_len}, {cout}), got {grad_out.shape}")
-    if d_weights.dtype != x.dtype or d_bias.dtype != x.dtype:
-        raise ShapeError(f"gradients {d_weights.dtype} and {d_bias.dtype} are not {x.dtype}")
+    if any(g is not None and g.dtype != x.dtype for g in (d_weights, d_bias)):
+        raise ShapeError(f"gradients must be {x.dtype}")
     for j, shift in enumerate(shifts):
         t_lo, t_hi = max(0, -shift), min(t_len, t_len - shift)
         if t_lo < t_hi:
             np.matmul(grad_out[t_lo:t_hi].T, x[t_lo + shift:t_hi + shift], out=d_weights[:, :, j])
         else:  # the tap reads only padding
             d_weights[:, :, j] = 0.0
-    np.sum(grad_out, axis=0, out=d_bias)
+    if d_bias is not None:
+        np.sum(grad_out, axis=0, out=d_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +267,9 @@ def dilated_conv1d_backward(x, dilation, grad_out, d_weights, d_bias) -> None:
 def conv1x1(x, weights, bias, out=None, rows=None) -> np.ndarray:
     """Per-frame affine map: out[t] = weights @ x[t] + bias.
 
-    rows and out mean what they mean for dilated_conv1d. A range shorter than
-    _MIN_GEMM_ROWS rows is multiplied over a wider window, so its rows keep
-    the full call's bits; mstcnpp's row blocks are never that short.
+    rows and out mean what they mean for dilated_conv1d, but a range must
+    span _MIN_GEMM_ROWS rows or all of T: its product then rounds each row
+    as the full call does. mstcnpp's row blocks are never shorter.
     """
     weights = np.asarray(weights, dtype=x.dtype)
     bias = np.asarray(bias, dtype=x.dtype)
@@ -310,12 +281,11 @@ def conv1x1(x, weights, bias, out=None, rows=None) -> np.ndarray:
         raise ShapeError(f"bias must have shape ({weights.shape[0]},), got {bias.shape}")
     t_len, cout = x.shape[0], weights.shape[0]
     lo, hi = _row_range(t_len, rows)
-    out = _destination(out, hi - lo, cout, x.dtype)
-    start, n = _window(lo, hi, t_len)
-    if n == hi - lo:
-        np.matmul(x[lo:hi], weights.T, out=out)
-    else:
-        out[...] = (x[start:start + n] @ weights.T)[lo - start:hi - start]
+    if hi - lo < min(_MIN_GEMM_ROWS, t_len):
+        raise ValueError(f"row range [{lo}, {hi}) spans fewer than {_MIN_GEMM_ROWS} rows "
+                         f"and not all {t_len}")
+    out = _buffer(out, "output", hi - lo, cout, x.dtype)
+    np.matmul(x[lo:hi], weights.T, out=out)
     out += bias
     return out
 

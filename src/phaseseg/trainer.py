@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,11 +72,11 @@ class TrainConfig:
 # AdamW
 # ---------------------------------------------------------------------------
 
-# elements per AdamW slice: a slice of params, grads, m, v and the update's
-# temporaries stays in cache, where one pass over the whole array would not
-# (paper size, 2-core x86 VM with 2 MiB L2 per core: 2^14 was the fastest of
-# 2^12 to 2^18, about twice as fast as one whole-array pass)
-_ADAMW_CHUNK = 1 << 14
+# bytes per AdamW slice (2^16 float32 elements): a slice of params, grads, m,
+# v and two scratch arrays stays in L2, and two threads updating ranges at
+# once queue less on the GIL (paper size, float32, 2-core x86 VM with 2 MiB
+# L2 per core: 61-76 ms per step on two threads, against 142-188 at 2^14)
+_ADAMW_SLICE_BYTES = 1 << 18
 
 # Adam's moment decay rates and denominator guard (Kingma and Ba's defaults)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -104,23 +104,32 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamWState, lr: flo
     bias1 = 1.0 - _BETA1**t
     bias2 = 1.0 - _BETA2**t
 
+    chunk = _ADAMW_SLICE_BYTES // params.itemsize
+
     def update(start, stop):
-        for lo in range(start, stop, _ADAMW_CHUNK):
-            part = slice(lo, lo + _ADAMW_CHUNK)
+        # two scratch slices per range take every intermediate, where each
+        # ufunc would allocate its own; the bits are those of the expression
+        # p -= lr * (m / bias1) / (np.sqrt(v / bias2) + _EPS)
+        scratch = np.empty((2, min(chunk, stop - start)), dtype=params.dtype)
+        for lo in range(start, stop, chunk):
+            part = slice(lo, lo + chunk)
             p, g, m, v = params[part], grads[part], state.m[part], state.v[part]
+            a, b = scratch[:, :p.size]
             if weight_decay:  # float32 rounds the factor to 1 once lr * weight_decay < 2.98e-8
                 p *= 1.0 - lr * weight_decay
             m *= _BETA1
-            m += (1.0 - _BETA1) * g
+            m += np.multiply(g, 1.0 - _BETA1, out=a)
             v *= _BETA2
-            v += (1.0 - _BETA2) * np.square(g)
-            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + _EPS)
+            v += np.multiply(np.square(g, out=a), 1.0 - _BETA2, out=a)
+            np.sqrt(np.divide(v, bias2, out=a), out=a)
+            a += _EPS
+            p -= np.divide(np.multiply(np.divide(m, bias1, out=b), lr, out=b), a, out=b)
 
-    slices = -(-params.size // _ADAMW_CHUNK)
+    slices = -(-params.size // chunk)
     parts = max(1, min(threads, slices))
-    edges = [_ADAMW_CHUNK * (slices * i // parts) for i in range(parts + 1)]
+    edges = [chunk * (slices * i // parts) for i in range(parts + 1)]
     with mstcnpp.thread_pool(parts) as pool:
-        mstcnpp.run_jobs(pool, [functools.partial(update, lo, hi)
+        mstcnpp.run_jobs(pool, [functools.partial(update, lo, min(hi, params.size))
                                 for lo, hi in zip(edges, edges[1:])])
     return state
 
@@ -211,13 +220,7 @@ class TrainReport:
     diverged: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "epochs": [vars(e) for e in self.epochs],
-            "stop_epoch": self.stop_epoch,
-            "best_epoch": self.best_epoch,
-            "best_checkpoint": self.best_checkpoint,
-            "diverged": self.diverged,
-        }
+        return asdict(self)
 
 
 def check_splits(model_cfg: mstcnpp.StageConfig, train_set, val_set) -> None:
@@ -248,7 +251,8 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
     """Train up to cfg.epochs with early stopping on rising validation loss.
 
     threads bounds the threads that compute at once in forward and backward
-    passes and the AdamW update; the result does not depend on it.
+    passes and the AdamW update; the result does not depend on it. One pool
+    of them and one BLAS hold serve the whole run (mstcnpp.thread_pool).
 
     Returns (best_model, report) where best_model is the checkpoint with the
     lowest validation loss. Raises ValueError, before any step, where
@@ -269,66 +273,67 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
     rise_streak = 0
     prev_val = math.inf
 
-    for epoch in range(1, cfg.epochs + 1):
-        lr = cosine_lr(epoch - 1, cfg.epochs, cfg.learning_rate)
-        order = sample_epoch(train_set, cfg.sampling, seed=cfg.seed + epoch,
-                             n_classes=n_classes)
+    with mstcnpp.thread_pool(threads):
+        for epoch in range(1, cfg.epochs + 1):
+            lr = cosine_lr(epoch - 1, cfg.epochs, cfg.learning_rate)
+            order = sample_epoch(train_set, cfg.sampling, seed=cfg.seed + epoch,
+                                 n_classes=n_classes)
 
-        focal_sum = smooth_sum = total_sum = 0.0
-        for idx in order:
-            features, labels = train_set[idx]
+            focal_sum = smooth_sum = total_sum = 0.0
+            for idx in order:
+                features, labels = train_set[idx]
+                try:
+                    probs, cache = mstcnpp.forward(model, features, return_cache=True,
+                                                   threads=threads)
+                    breakdown, stage_grads = total_loss(probs, labels, focal_cfg,
+                                                        cfg.smoothing_weight)
+                except ValueError as exc:  # inputs were validated: this is numeric blowup
+                    raise DivergenceError(
+                        f"numeric failure at epoch {epoch}: {exc}", report) from exc
+                if not math.isfinite(breakdown.total):
+                    raise DivergenceError(f"non-finite training loss at epoch {epoch}", report)
+                focal_sum += sum(breakdown.per_stage_focal)
+                smooth_sum += sum(breakdown.per_stage_smooth)
+                total_sum += breakdown.total
+
+                grads = mstcnpp.backward(model, cache, stage_grads, threads=threads)
+                # free this step's forward cache here and its gradient after the
+                # update, not when the next step rebinds the names: otherwise two
+                # of each are live
+                del probs, cache, stage_grads
+                if not np.isfinite(grads.flat).all():  # before the update, so no block moves
+                    bad = next(name for name, g in mstcnpp.named_parameters(grads)
+                               if not np.isfinite(g).all())
+                    raise DivergenceError(f"non-finite gradient in parameter block {bad!r}",
+                                          report)
+                adamw_step(model.flat, grads.flat, state, lr, cfg.weight_decay, threads=threads)
+                del grads
+
             try:
-                probs, cache = mstcnpp.forward(model, features, return_cache=True,
-                                               threads=threads)
-                breakdown, stage_grads = total_loss(probs, labels, focal_cfg,
-                                                    cfg.smoothing_weight)
-            except ValueError as exc:  # inputs were validated: this is numeric blowup
+                val_loss, val_acc = evaluate(model, val_set, focal_cfg,
+                                             cfg.smoothing_weight, threads=threads)
+            except ValueError as exc:
                 raise DivergenceError(
-                    f"numeric failure at epoch {epoch}: {exc}", report) from exc
-            if not math.isfinite(breakdown.total):
-                raise DivergenceError(f"non-finite training loss at epoch {epoch}", report)
-            focal_sum += sum(breakdown.per_stage_focal)
-            smooth_sum += sum(breakdown.per_stage_smooth)
-            total_sum += breakdown.total
+                    f"numeric failure in validation at epoch {epoch}: {exc}", report) from exc
+            report.epochs.append(EpochStats(
+                epoch=epoch, lr=lr,
+                train_focal=focal_sum / len(order),
+                train_smooth=smooth_sum / len(order),
+                train_total=total_sum / len(order),
+                val_loss=val_loss, val_accuracy=val_acc,
+            ))
+            report.stop_epoch = epoch
+            if not math.isfinite(val_loss):
+                raise DivergenceError(f"non-finite validation loss at epoch {epoch}", report)
 
-            grads = mstcnpp.backward(model, cache, stage_grads, threads=threads)
-            # free this step's forward cache here and its gradient after the
-            # update, not when the next step rebinds the names: otherwise two
-            # of each are live
-            del probs, cache, stage_grads
-            bad = next((name for name, g in mstcnpp.named_parameters(grads)
-                        if not np.isfinite(g).all()), None)
-            if bad is not None:  # checked before the update, so no block moves
-                raise DivergenceError(f"non-finite gradient in parameter block {bad!r}",
-                                      report)
-            adamw_step(model.flat, grads.flat, state, lr, cfg.weight_decay, threads=threads)
-            del grads
+            if val_loss < best_val:
+                best_val = val_loss
+                np.copyto(best_model.flat, model.flat)  # in place: no third parameter array
+                report.best_epoch = epoch
+                report.best_checkpoint = f"epoch{epoch:03d}"
 
-        try:
-            val_loss, val_acc = evaluate(model, val_set, focal_cfg,
-                                         cfg.smoothing_weight, threads=threads)
-        except ValueError as exc:
-            raise DivergenceError(
-                f"numeric failure in validation at epoch {epoch}: {exc}", report) from exc
-        report.epochs.append(EpochStats(
-            epoch=epoch, lr=lr,
-            train_focal=focal_sum / len(order),
-            train_smooth=smooth_sum / len(order),
-            train_total=total_sum / len(order),
-            val_loss=val_loss, val_accuracy=val_acc,
-        ))
-        report.stop_epoch = epoch
-        if not math.isfinite(val_loss):
-            raise DivergenceError(f"non-finite validation loss at epoch {epoch}", report)
-
-        if val_loss < best_val:
-            best_val = val_loss
-            np.copyto(best_model.flat, model.flat)  # in place: no third parameter array
-            report.best_epoch = epoch
-            report.best_checkpoint = f"epoch{epoch:03d}"
-
-        rise_streak = rise_streak + 1 if val_loss > prev_val else 0
-        prev_val = val_loss
-        if rise_streak >= cfg.patience:
-            break
+            rise_streak = rise_streak + 1 if val_loss > prev_val else 0
+            prev_val = val_loss
+            if rise_streak >= cfg.patience:
+                break
     return best_model, report

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phaseseg.seqcore import dilated_conv1d, dilated_conv1d_backward, transposed_conv
+from phaseseg.seqcore import dilated_conv1d, dilated_conv1d_backward, tap_shifts
 
 
 def central_difference(fn, x, h=1e-5):
@@ -37,10 +37,12 @@ def assert_grad_close(analytic, numeric, tol=1e-4):
 def dilated_conv1d_grads(x, w, dilation, g):
     """(d_x, d_w, d_b) of dilated_conv1d as mstcnpp.backward computes them:
     d_w and d_b from dilated_conv1d_backward, d_x as the convolution of g
-    with transposed_conv(w, dilation) and zero bias."""
+    with zero bias and the transposed kernel: tap j of k is tap k-1-j of w
+    with its channels swapped, made C-contiguous, at shift -shift_{k-1-j}."""
     d_w, d_b = np.empty(w.shape, x.dtype), np.empty(w.shape[0], x.dtype)
     dilated_conv1d_backward(x, dilation, g, d_w, d_b)
-    kernel, shifts = transposed_conv(w, dilation)
+    kernel = np.ascontiguousarray(w.transpose(2, 1, 0)[::-1]).transpose(1, 2, 0)
+    shifts = tuple(-s for s in reversed(tap_shifts(w.shape[2], dilation)))
     return dilated_conv1d(g, kernel, np.zeros(w.shape[1], x.dtype), shifts), d_w, d_b
 
 

@@ -25,7 +25,7 @@ from phaseseg.mstcnpp import (
 )
 from phaseseg.seqcore import ShapeError
 
-from conftest import assert_grad_close
+from conftest import assert_grad_close, dilated_conv1d_grads
 
 TINY = StageConfig(in_dim=5, channels=4, n_classes=3, stages=2,
                    layers_prediction=2, layers_refinement=2)
@@ -431,6 +431,75 @@ class TestBackward:
                 assert_grad_close(np.array([an]), np.array([fd]))
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stages", [1, 3])
+    @pytest.mark.parametrize("fuse_mode", ["sum", "concat"])
+    def test_every_gradient_entry_written(self, monkeypatch, fuse_mode, stages, dtype):
+        # the gradient Model starts uninitialised: filled with NaN it must
+        # come out equal to one filled with zeros. Three layers have
+        # dilations (1, 4), (2, 2) and (4, 1); at T=3 the taps at shift 4
+        # read only padding
+        cfg = StageConfig(in_dim=5, channels=8, n_classes=3, stages=stages,
+                          layers_prediction=3, layers_refinement=3, fuse_mode=fuse_mode)
+        model = init(cfg, seed=1, dtype=dtype)
+        rng = np.random.default_rng(stages)
+        for t_len in (3, 40):
+            probs, cache = forward(model, rng.normal(size=(t_len, 5)), return_cache=True)
+            _, stage_grads = total_loss(probs, rng.integers(0, 3, size=t_len),
+                                        FocalConfig(gamma=2.0), 0.15)
+            flats = []
+            for fill in (np.nan, 0.0):
+                with monkeypatch.context() as m:
+                    m.setattr(np, "empty_like", lambda a, fill=fill: np.full_like(a, fill))
+                    flats.append(mstcnpp.backward(model, cache, stage_grads).flat)
+            assert flats[0].dtype == dtype
+            assert np.array_equal(flats[0], flats[1]), t_len
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_concat_equals_two_convolutions_on_model_kernels(self, rng, dtype):
+        # concat fusion multiplies tap-major kernel copies: probabilities and
+        # gradients are bit-equal to the primitives run on the model's own
+        # (strided) kernels, with input gradients through transposed kernels
+        cfg = StageConfig(in_dim=5, channels=64, n_classes=3, stages=1,
+                          layers_prediction=4, layers_refinement=1, fuse_mode="concat")
+        model = init(cfg, seed=5, dtype=dtype)
+        for _, p in named_parameters(model):
+            if p.ndim == 1:
+                p[...] = rng.normal(scale=0.1, size=p.shape)
+        stage = model.stages[0]
+        x = rng.normal(size=(300, 5)).astype(dtype)
+        h = seqcore.conv1x1(x, stage.proj_w, stage.proj_b)
+        saved = []
+        for layer in stage.layers:
+            a = np.concatenate([seqcore.dilated_conv1d(h, w, b, d) for w, b, d in (
+                (layer.w_d1, layer.b_d1, layer.dilation_low),
+                (layer.w_d2, layer.b_d2, layer.dilation_high))], axis=1)
+            a = seqcore.relu(a)
+            saved.append((h, a))
+            h = seqcore.conv1x1(a, layer.w_fuse, layer.b_fuse) + h
+        probs, cache = forward(model, x, return_cache=True)
+        assert np.array_equal(probs[0], seqcore.softmax_rows(
+            seqcore.conv1x1(h, stage.head_w, stage.head_b)))
+
+        g_logits = rng.normal(size=probs[0].shape).astype(dtype)
+        ref = zero_params(init(cfg, seed=0, dtype=dtype))
+        rs = ref.stages[0]
+        g_h = seqcore.conv1x1_backward(h, stage.head_w, g_logits, rs.head_w, rs.head_b)
+        for layer, rl, (h_in, a) in reversed(list(zip(stage.layers, rs.layers, saved))):
+            seqcore.conv1x1_backward(a, layer.w_fuse, g_h, rl.w_fuse, rl.b_fuse, d_input=False)
+            g_a = seqcore.relu_backward(a, g_h @ np.ascontiguousarray(layer.w_fuse.T).T)
+            dxs = []
+            for i, (w, d, d_w, d_b) in enumerate(((layer.w_d1, layer.dilation_low, rl.w_d1, rl.b_d1),
+                                                  (layer.w_d2, layer.dilation_high, rl.w_d2, rl.b_d2))):
+                g_c = np.ascontiguousarray(g_a[:, i * 64:(i + 1) * 64])
+                dx, d_w[...], d_b[...] = dilated_conv1d_grads(h_in, w, d, g_c)
+                dxs.append(dx)
+            g_h = g_h + (dxs[0] + dxs[1])
+        seqcore.conv1x1_backward(x, stage.proj_w, g_h, rs.proj_w, rs.proj_b, d_input=False)
+        grads = mstcnpp.backward(model, cache, [g_logits])
+        for (name, got), (_, want) in zip(named_parameters(grads), named_parameters(ref)):
+            assert np.array_equal(got, want), name
+
     def test_concat_fusion_gradients_reach_convs_contiguous(self, rng, monkeypatch):
         # the two halves of a concat fusion's gradient are made contiguous once
         # per layer, so no row block's dilated_conv1d copies its input
@@ -505,7 +574,8 @@ class TestMergedSumLayer:
             assert forward_calls == want
             assert calls == want[::-1]  # the input gradients: the shifts are symmetric
         else:
-            assert forward_calls == [(3, d) for pair in ((1, 4), (2, 2), (4, 1)) for d in pair]
+            assert forward_calls == [(3, (-d, 0, d))
+                                     for pair in ((1, 4), (2, 2), (4, 1)) for d in pair]
             assert [k for k, _ in calls] == [3] * 6
 
     @pytest.mark.parametrize("threads", [1, 2])

@@ -68,24 +68,28 @@ class TestAdamW:
         np.testing.assert_allclose(params, [w], rtol=1e-12)
 
     def test_chunked_update_matches_whole_array(self, rng):
-        # longer than one slice and not a multiple of it; threads cut the
-        # three slices into up to three ranges updated at once
-        size = 2 * trainer._ADAMW_CHUNK + 123
-        start, grads = rng.normal(size=size), rng.normal(size=(3, size))
+        # longer than two slices and not a multiple of one, in either
+        # precision; threads cut the three slices into up to three ranges
+        # updated at once
         lr, wd, b1, b2, eps = 1e-3, 0.01, 0.9, 0.999, 1e-8
-        for threads in (1, 2, 3, 8):
-            params, state = start.copy(), AdamWState()
-            ref_p, ref_m, ref_v = start.copy(), np.zeros(size), np.zeros(size)
-            for t, g in enumerate(grads, start=1):
-                adamw_step(params, g, state, lr=lr, weight_decay=wd, threads=threads)
-                ref_p *= 1.0 - lr * wd
-                ref_m *= b1
-                ref_m += (1.0 - b1) * g
-                ref_v *= b2
-                ref_v += (1.0 - b2) * np.square(g)
-                ref_p -= lr * (ref_m / (1.0 - b1**t)) / (np.sqrt(ref_v / (1.0 - b2**t)) + eps)
-                assert np.array_equal(params, ref_p), threads
-                assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
+        for dtype in (np.float64, np.float32):
+            size = 2 * trainer._ADAMW_SLICE_BYTES // np.dtype(dtype).itemsize + 123
+            start = rng.normal(size=size).astype(dtype)
+            grads = rng.normal(size=(3, size)).astype(dtype)
+            for threads in (1, 2, 3, 8):
+                params, state = start.copy(), AdamWState()
+                ref_p, ref_m, ref_v = start.copy(), np.zeros(size, dtype), np.zeros(size, dtype)
+                for t, g in enumerate(grads, start=1):
+                    adamw_step(params, g, state, lr=lr, weight_decay=wd, threads=threads)
+                    ref_p *= 1.0 - lr * wd
+                    ref_m *= b1
+                    ref_m += (1.0 - b1) * g
+                    ref_v *= b2
+                    ref_v += (1.0 - b2) * np.square(g)
+                    ref_p -= lr * (ref_m / (1.0 - b1**t)) / (np.sqrt(ref_v / (1.0 - b2**t)) + eps)
+                    assert params.dtype == dtype
+                    assert np.array_equal(params, ref_p), (dtype, threads)
+                    assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
 
 
 class TestCosine:
@@ -277,6 +281,46 @@ class TestFit:
         fit(mstcnpp.init(TINY, seed=0), train, val,
             TrainConfig(epochs=2, learning_rate=1e-3))
         assert len(grads) == 8
+
+    @pytest.mark.parametrize("t_len", [1300, 173])
+    def test_fit_starts_one_pool_and_restores_blas(self, rng, monkeypatch, t_len):
+        # 1300 frames at width 64: forward and backward in two row blocks;
+        # 173: the synth-bench shape, one block, so only AdamW's ranges share
+        # the pool. Either way one pool serves the whole run, BLAS is held
+        # once, and no worker outlives fit
+        pools, seen, blas = [], [], {"threads": 4, "set": []}
+
+        class CountedPool(mstcnpp.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        def set_threads(n):
+            blas["set"].append(n)
+            blas["threads"] = n
+
+        conv = mstcnpp.dilated_conv1d
+
+        def counting(*args):
+            seen.append(threading.active_count())
+            return conv(*args)
+
+        monkeypatch.setattr(mstcnpp, "ThreadPoolExecutor", CountedPool)
+        monkeypatch.setattr(mstcnpp, "dilated_conv1d", counting)
+        monkeypatch.setattr(seqcore, "openblas_threads",
+                            lambda: (lambda: blas["threads"], set_threads))
+        mcfg = mstcnpp.StageConfig(in_dim=8, channels=64, n_classes=4, stages=2,
+                                   layers_prediction=2, layers_refinement=2)
+        assert len(mstcnpp._row_blocks(t_len, 64, 2)) == (2 if t_len == 1300 else 1)
+        labels = np.repeat(np.arange(4), -(-t_len // 4))[:t_len]
+        data = [(rng.normal(size=(t_len, 8)) + labels[:, None], labels) for _ in range(3)]
+        before = threading.active_count()
+        fit(mstcnpp.init(mcfg, seed=0), data[:2], data[2:],
+            TrainConfig(epochs=2, learning_rate=1e-3), threads=2)
+        assert pools == [(1,)]
+        assert max(seen) <= before + 1
+        assert threading.active_count() == before
+        assert blas == {"threads": 4, "set": [1, 4]}
 
     def test_divergence_attaches_report(self):
         train = make_split(2, sequence_seed=100)
