@@ -257,11 +257,10 @@ _open_pool = threading.local()  # .held: (pool, threads) of the thread_pool open
 def thread_pool(threads: int):
     """The helpers of run_jobs when up to threads threads compute at once:
     a pool of threads - 1 workers, or None for one thread. numpy's BLAS is
-    held to one thread while it is open, at every thread count, so no
-    product's bits depend on BLAS's own thread count. Opened on a thread
-    that already holds a pool of at least threads threads (trainer.fit
-    holds one for its whole run), it reuses that pool and its BLAS hold and
-    starts no thread; its jobs then share the outer pool's threads."""
+    held to one thread while it is open, so no product's bits depend on
+    BLAS's thread count. Opened on a thread that holds a pool of at least
+    threads threads (trainer.fit holds one for its whole run), it reuses
+    that pool and BLAS hold and starts no thread."""
     held = getattr(_open_pool, "held", None)
     if held is not None and held[1] >= threads:
         yield held[0] if threads > 1 else None
@@ -318,10 +317,9 @@ def _project_rows(stage: Stage, x, h, rows, ws):
 
 @functools.cache
 def _tap_plan(d_lo: int, d_hi: int, fuse_mode: str):
-    """The dilated convolutions of a layer with dilations d_lo and d_hi: per
-    shift, in ascending order, (shift, the (kernel, tap) pairs of (w_d1,
-    w_d2) that read it, w_d1's first). Concat runs the two as they are, sum
-    one over their distinct shifts. Cached: shifts are derived once."""
+    """Per dilated convolution of a layer (concat's two, sum's one over their
+    distinct shifts): (shift, the (weight, tap) pairs of (w_d1, w_d2) that
+    read it, w_d1's first), ascending. Cached: derived once per dilations."""
     convs = ({}, {})
     for c, d in enumerate((d_lo, d_hi)):
         for j, shift in enumerate(tap_shifts(KERNEL_SIZE, d)):
@@ -332,18 +330,15 @@ def _tap_plan(d_lo: int, d_hi: int, fuse_mode: str):
 
 def _tap_kernels(layer: DualDilatedLayer, fuse_mode: str, transposed: bool = False):
     """(convs, fills): (kernel, shifts) of each _tap_plan convolution, and
-    one job per tap that fills it (a slice copy, or an add where two taps
-    share a shift). A kernel is a (Cout, Cin, taps) view of a tap-major
-    array, whose C-contiguous taps BLAS takes transposed as they are, in
-    forward and backward alike: a tap of w_d1 would be copied into that
-    layout per product (same bits, 10% slower), and a tap in the other
-    layout does not round its rows alike at some widths (72 in float32).
+    one job per tap that fills it, a slice copy or one add. A kernel is a
+    (Cout, Cin, taps) view of a tap-major array, whose C-contiguous taps
+    BLAS takes transposed as they are: a strided tap of w_d1 is copied per
+    product (same bits, 10% slower), and the other layout does not round
+    its rows alike at some widths (72 in float32).
 
-    transposed=True gives each convolution's input-gradient twin: taps with
-    channels swapped, in reverse order, at reversed and negated shifts. Tap
-    j carries output row t from input row t + shift_j, so the input gradient
-    at row s gathers grad_out[s - shift_j] @ tap_j: the dilated_conv1d of the
-    output gradient with the twin and zero bias."""
+    transposed=True gives the input-gradient twins: channels swapped, taps
+    and shifts reversed, shifts negated. The input gradient at row s gathers
+    grad_out[s - shift_j] @ tap_j: a dilated_conv1d with zero bias."""
     weights = (layer.w_d1, layer.w_d2)
     convs, fills = [], []
     for taps in _tap_plan(layer.dilation_low, layer.dilation_high, fuse_mode):
@@ -360,9 +355,8 @@ def _tap_kernels(layer: DualDilatedLayer, fuse_mode: str, transposed: bool = Fal
 
 def _layer_convs(layer: DualDilatedLayer, fuse_mode: str):
     """The layer's dilated convolutions as (kernel, bias, shifts) triples,
-    each filling the next F columns of the fusion (_tap_kernels); sum's one
-    takes bias b_d1 + b_d2. Built on every call, so they follow every
-    parameter update, and live only while the caller holds them."""
+    each filling the next F columns of the fusion; sum's one takes bias
+    b_d1 + b_d2. Built per call, so they follow every parameter update."""
     convs, fills = _tap_kernels(layer, fuse_mode)
     run_jobs(None, fills)
     biases = (layer.b_d1, layer.b_d2) if fuse_mode == "concat" else (layer.b_d1 + layer.b_d2,)
@@ -472,24 +466,14 @@ def _input_grad_rows(inputs, g_h, rows, ws):
 # memory 1.3-2 MiB higher (glibc, 2 threads), at the first AdamW step after
 # backward: memory freed on a helper thread stays in that thread's arena.
 
-def _tap_grad(h, g_c, shift, taps):
-    """The kernel gradient at one shift, one whole product whatever the
-    thread count, into the first of taps, (Cout, Cin, 1) views of the
-    gradient kernels; the other taps at that shift copy it."""
-    dilated_conv1d_backward(h, (shift,), g_c, taps[0])
-    for tap in taps[1:]:
-        tap[...] = taps[0]
-
-
 def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
                     grad: DualDilatedLayer, g_a, blocks, workspaces, pool):
     """Gradients of one layer, given g_h, the gradient at its output, which
     becomes the gradient at its input in place. Two passes of jobs: the
-    fusion gradient g_a in row blocks, the fuse conv's parameter gradients
-    and the taps of the _tap_kernels twins; then the input gradient in row
-    blocks, one job per tap product of the kernel gradients and one per
-    bias. A parameter gradient is one whole product, so no thread count
-    changes its bits."""
+    fusion gradient g_a in row blocks, the fuse conv's parameter gradients,
+    the taps of the _tap_kernels twins; then the input gradient in row
+    blocks, one job per bias and one per shift of the kernel gradients (one
+    whole product each, so no thread count changes their bits)."""
     w_fuse_t = np.ascontiguousarray(layer.w_fuse.T)
     twins, fills = _tap_kernels(layer, fuse_mode, transposed=True)
     run_jobs(pool, [functools.partial(conv1x1_backward, lc.post_relu, layer.w_fuse, g_h,
@@ -497,19 +481,22 @@ def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
                     *_block_jobs(blocks, workspaces, _fusion_grad_rows, w_fuse_t, g_h,
                                  lc.pre_relu, g_a), *fills])
     f = g_h.shape[1]
-    # the gradient at each convolution's output; concat's halves are made
-    # contiguous once here, not once per block in dilated_conv1d
+    # each conv's output gradient: concat's halves made contiguous once, not per block
     g_convs = ([g_a] if fuse_mode == "sum"
                else [np.ascontiguousarray(g_a[:, i * f:(i + 1) * f]) for i in (0, 1)])
     w_grads = (grad.w_d1, grad.w_d2)
     plan = _tap_plan(layer.dilation_low, layer.dilation_high, fuse_mode)
-    params = [functools.partial(_tap_grad, lc.h_in, g_c, shift,
-                                [w_grads[c][:, :, j:j + 1] for c, j in src])
-              for g_c, taps in zip(g_convs, plan) for shift, src in taps]
+    taps = [(g_c, shift, [w_grads[c][:, :, j:j + 1] for c, j in src])  # (Cout, Cin, 1) views
+            for g_c, conv in zip(g_convs, plan) for shift, src in conv]
+    params = [functools.partial(dilated_conv1d_backward, lc.h_in, (shift,), g_c, views[0])
+              for g_c, shift, views in taps]
     params += [functools.partial(np.sum, g_c, axis=0, out=d_bias)  # sum: both from g_a
                for d_bias, g_c in zip((grad.b_d1, grad.b_d2), g_convs * 2)]
     inputs = [(g_c, *twin) for g_c, twin in zip(g_convs, twins)]
     run_jobs(pool, [*params, *_block_jobs(blocks, workspaces, _input_grad_rows, inputs, g_h)])
+    for _, _, (first, *others) in taps:
+        for view in others:
+            view[...] = first
 
 
 def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int = 1) -> Model:

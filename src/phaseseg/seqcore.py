@@ -5,8 +5,8 @@ frame index. The primitives (dilated 1-D convolution, 1x1 convolution, ReLU,
 row softmax) are functions with hand-written backward passes; they are the
 building blocks the multi-stage temporal model is assembled from. A backward
 pass writes its parameter gradients into arrays the caller passes and
-returns only the input gradient; the dilated convolution's input gradient
-is itself a dilated convolution, which the caller runs.
+returns only the input gradient; the dilated convolution leaves its input
+gradient (a dilated convolution) and bias gradient (a column sum) to the caller.
 
 Arrays are checked where they enter the program (`synthgen.load_features`
 and `mstcnpp.forward` call `as_matrix`); the primitives take them as they
@@ -64,15 +64,13 @@ def tap_shifts(k: int, dilation) -> tuple[int, ...]:
     return shifts
 
 
-def _check_dconv_args(x, weights, bias, dilation):
+def _check_dconv_args(x, weights, dilation):
     if weights.ndim != 3:
         raise ShapeError(f"kernel must be (Cout, Cin, k), got shape {weights.shape}")
     cout, cin, k = weights.shape
     shifts = tap_shifts(k, dilation)
     if x.shape[1] != cin:
         raise ShapeError(f"input has {x.shape[1]} channels but kernel expects {cin}")
-    if bias is not None and bias.shape != (cout,):
-        raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
     return cout, shifts
 
 
@@ -175,15 +173,27 @@ def _row_range(t_len: int, rows) -> tuple[int, int]:
     return lo, hi
 
 
-def _buffer(arr, name: str, rows: int, cols: int, dtype, spare_rows: bool = False):
-    """arr, or a new (rows, cols) array when None; a workspace (spare_rows)
-    may hold more rows than asked for."""
-    if arr is None:
+def _window(lo: int, hi: int, t_len: int) -> tuple[int, int]:
+    """(start, rows) of the rows of x a product over rows [lo, hi) multiplies:
+    [lo, hi) itself, widened to _MIN_GEMM_ROWS rows (or all of x) when shorter."""
+    rows = min(t_len, max(hi - lo, _MIN_GEMM_ROWS))
+    return min(lo, t_len - rows), rows
+
+
+def _workspace(work, rows: int, cols: int, dtype) -> np.ndarray:
+    if work is None:
         return np.empty((rows, cols), dtype=dtype)
-    if (arr.shape[0] < rows if spare_rows else arr.shape[0] != rows) \
-            or arr.shape[1] != cols or arr.dtype != dtype:
-        raise ShapeError(f"{name} {arr.shape} {arr.dtype} cannot hold ({rows}, {cols}) {dtype}")
-    return arr
+    if work.shape[0] < rows or work.shape[1] != cols or work.dtype != dtype:
+        raise ShapeError(f"workspace {work.shape} {work.dtype} cannot hold ({rows}, {cols}) {dtype}")
+    return work
+
+
+def _destination(out, rows: int, cols: int, dtype) -> np.ndarray:
+    if out is None:
+        return np.empty((rows, cols), dtype=dtype)
+    if out.shape != (rows, cols) or out.dtype != dtype:
+        raise ShapeError(f"output {out.shape} {out.dtype} is not ({rows}, {cols}) {dtype}")
+    return out
 
 
 def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
@@ -211,11 +221,13 @@ def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
     x = np.ascontiguousarray(x)
     weights = np.asarray(weights, dtype=x.dtype)
     bias = np.asarray(bias, dtype=x.dtype)
-    cout, shifts = _check_dconv_args(x, weights, bias, dilation)
+    cout, shifts = _check_dconv_args(x, weights, dilation)
+    if bias.shape != (cout,):
+        raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
     t_len = x.shape[0]
     lo, hi = _row_range(t_len, rows)
-    out = _buffer(out, "output", hi - lo, cout, x.dtype)
-    work = _buffer(work, "workspace", workspace_rows(t_len, hi - lo, cout), cout, x.dtype, True)
+    out = _destination(out, hi - lo, cout, x.dtype)
+    work = _workspace(work, workspace_rows(t_len, hi - lo, cout), cout, x.dtype)
     chunk = _chunk_rows(t_len, cout)
     out[...] = bias
     for j, shift in enumerate(shifts):
@@ -223,18 +235,16 @@ def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
         t_lo, t_hi = max(lo, -shift), min(hi, t_len - shift)
         for c_lo in range(t_lo, t_hi, chunk):  # nothing when the tap reads only padding
             c_hi = min(c_lo + chunk, t_hi)
-            # the product's rows, widened to _MIN_GEMM_ROWS (or all of x) when shorter
-            n = min(t_len, max(c_hi - c_lo, _MIN_GEMM_ROWS))
-            start = min(c_lo + shift, t_len - n)
+            start, n = _window(c_lo + shift, c_hi + shift, t_len)
             np.matmul(x[start:start + n], weights[:, :, j].T, out=work[:n])
             out[c_lo - lo:c_hi - lo] += work[c_lo + shift - start:c_hi + shift - start]
     return out
 
 
-def dilated_conv1d_backward(x, dilation, grad_out, d_weights, d_bias=None) -> None:
-    """Analytic gradients of dilated_conv1d w.r.t. kernel and bias, written
-    into d_weights, of the kernel's (Cout, Cin, k) shape, and d_bias (Cout,)
-    unless None (mstcnpp.backward runs one tap at a time, bias apart).
+def dilated_conv1d_backward(x, dilation, grad_out, d_weights) -> None:
+    """Analytic gradient of dilated_conv1d w.r.t. its kernel, written into
+    d_weights, of the kernel's (Cout, Cin, k) shape. The bias gradient is
+    grad_out's column sum, which the caller takes.
 
     No padded copy is built. Tap j's kernel gradient multiplies only the rows
     where the tap reads inside [0, T), as one product whatever the caller's
@@ -244,20 +254,18 @@ def dilated_conv1d_backward(x, dilation, grad_out, d_weights, d_bias=None) -> No
     the caller runs.
     """
     grad_out = np.asarray(grad_out, dtype=x.dtype)
-    cout, shifts = _check_dconv_args(x, d_weights, d_bias, dilation)
+    cout, shifts = _check_dconv_args(x, d_weights, dilation)
     t_len = x.shape[0]
     if grad_out.shape != (t_len, cout):
         raise ShapeError(f"upstream gradient must be ({t_len}, {cout}), got {grad_out.shape}")
-    if any(g is not None and g.dtype != x.dtype for g in (d_weights, d_bias)):
-        raise ShapeError(f"gradients must be {x.dtype}")
+    if d_weights.dtype != x.dtype:
+        raise ShapeError(f"kernel gradient {d_weights.dtype} is not {x.dtype}")
     for j, shift in enumerate(shifts):
         t_lo, t_hi = max(0, -shift), min(t_len, t_len - shift)
         if t_lo < t_hi:
             np.matmul(grad_out[t_lo:t_hi].T, x[t_lo + shift:t_hi + shift], out=d_weights[:, :, j])
         else:  # the tap reads only padding
             d_weights[:, :, j] = 0.0
-    if d_bias is not None:
-        np.sum(grad_out, axis=0, out=d_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +290,8 @@ def conv1x1(x, weights, bias, out=None, rows=None) -> np.ndarray:
     t_len, cout = x.shape[0], weights.shape[0]
     lo, hi = _row_range(t_len, rows)
     if hi - lo < min(_MIN_GEMM_ROWS, t_len):
-        raise ValueError(f"row range [{lo}, {hi}) spans fewer than {_MIN_GEMM_ROWS} rows "
-                         f"and not all {t_len}")
-    out = _buffer(out, "output", hi - lo, cout, x.dtype)
+        raise ValueError(f"row range [{lo}, {hi}) spans < {_MIN_GEMM_ROWS} rows, not all {t_len}")
+    out = _destination(out, hi - lo, cout, x.dtype)
     np.matmul(x[lo:hi], weights.T, out=out)
     out += bias
     return out

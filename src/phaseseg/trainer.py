@@ -98,7 +98,8 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamWState, lr: flo
     that run at once, with the same bits for every thread count.
     """
     if state.m is None:
-        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+        # zero pages from the allocator, first written by update's threads
+        state.m, state.v = np.zeros(params.size, params.dtype), np.zeros(params.size, params.dtype)
     state.step += 1
     t = state.step
     bias1 = 1.0 - _BETA1**t
@@ -255,9 +256,10 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
     of them and one BLAS hold serve the whole run (mstcnpp.thread_pool).
 
     Returns (best_model, report) where best_model is the checkpoint with the
-    lowest validation loss. Raises ValueError, before any step, where
-    check_splits does, and DivergenceError (report attached) on a non-finite
-    loss or gradient.
+    lowest validation loss: model itself when that is the last epoch run,
+    else a snapshot taken before the next epoch's first update. Raises
+    ValueError, before any step, where check_splits does, and DivergenceError
+    (report attached) on a non-finite loss or gradient.
     """
     check_splits(model.config, train_set, val_set)
     n_classes = model.config.n_classes
@@ -268,13 +270,18 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
 
     state = AdamWState()
     report = TrainReport()
-    best_model = mstcnpp.clone(model)  # the snapshot buffer, refilled on each improving epoch
+    best_model = None  # the snapshot buffer, made when an epoch follows the best one
     best_val = math.inf
     rise_streak = 0
     prev_val = math.inf
 
     with mstcnpp.thread_pool(threads):
         for epoch in range(1, cfg.epochs + 1):
+            if epoch > 1 and report.best_epoch == epoch - 1:  # its updates move the best
+                if best_model is None:
+                    best_model = mstcnpp.clone(model)
+                else:
+                    np.copyto(best_model.flat, model.flat)  # in place: no third parameter array
             lr = cosine_lr(epoch - 1, cfg.epochs, cfg.learning_rate)
             order = sample_epoch(train_set, cfg.sampling, seed=cfg.seed + epoch,
                                  n_classes=n_classes)
@@ -328,7 +335,6 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
 
             if val_loss < best_val:
                 best_val = val_loss
-                np.copyto(best_model.flat, model.flat)  # in place: no third parameter array
                 report.best_epoch = epoch
                 report.best_checkpoint = f"epoch{epoch:03d}"
 
@@ -336,4 +342,4 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
             prev_val = val_loss
             if rise_streak >= cfg.patience:
                 break
-    return best_model, report
+    return (model if report.best_epoch == report.stop_epoch else best_model), report

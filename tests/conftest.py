@@ -36,11 +36,13 @@ def assert_grad_close(analytic, numeric, tol=1e-4):
 
 def dilated_conv1d_grads(x, w, dilation, g):
     """(d_x, d_w, d_b) of dilated_conv1d as mstcnpp.backward computes them:
-    d_w and d_b from dilated_conv1d_backward, d_x as the convolution of g
-    with zero bias and the transposed kernel: tap j of k is tap k-1-j of w
-    with its channels swapped, made C-contiguous, at shift -shift_{k-1-j}."""
-    d_w, d_b = np.empty(w.shape, x.dtype), np.empty(w.shape[0], x.dtype)
-    dilated_conv1d_backward(x, dilation, g, d_w, d_b)
+    d_w from dilated_conv1d_backward, d_b as g's column sum, d_x as the
+    convolution of g with zero bias and the transposed kernel: tap j of k is
+    tap k-1-j of w with its channels swapped, made C-contiguous, at shift
+    -shift_{k-1-j}."""
+    d_w = np.empty(w.shape, x.dtype)
+    dilated_conv1d_backward(x, dilation, g, d_w)
+    d_b = g.sum(axis=0)
     kernel = np.ascontiguousarray(w.transpose(2, 1, 0)[::-1]).transpose(1, 2, 0)
     shifts = tuple(-s for s in reversed(tap_shifts(w.shape[2], dilation)))
     return dilated_conv1d(g, kernel, np.zeros(w.shape[1], x.dtype), shifts), d_w, d_b

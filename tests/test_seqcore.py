@@ -166,16 +166,15 @@ class TestPadlessDilatedConv:
                 sliced = dilated_conv1d_grads(x, w, dilation, wide[:, :f])
                 for a, b in zip(sliced, (got_x, got_w, got_b)):
                     assert np.array_equal(a, b)
-                # every entry of the destinations is written, taps that read
+                # every entry of the destination is written, taps that read
                 # only padding included
-                d_w, d_b = np.full_like(w, np.nan), np.full(f, np.nan, dtype)
-                assert dilated_conv1d_backward(x, dilation, g, d_w, d_b) is None
-                assert np.array_equal(d_w, got_w) and np.array_equal(d_b, got_b)
-        for d_w, d_b in ((np.empty((f, f + 1, k), dtype), np.empty(f, dtype)),
-                         (np.empty((f, f, k), dtype), np.empty(f + 1, dtype)),
-                         (np.empty((f, f, k), np.float16), np.empty(f, dtype))):
+                d_w = np.full_like(w, np.nan)
+                assert dilated_conv1d_backward(x, dilation, g, d_w) is None
+                assert np.array_equal(d_w, got_w)
+        for d_w in (np.empty((f, f + 1, k), dtype), np.empty((f + 1, f, k), dtype),
+                    np.empty((f, f, k), np.float16)):
             with pytest.raises(ShapeError):
-                dilated_conv1d_backward(x, 1, g, d_w, d_b)
+                dilated_conv1d_backward(x, 1, g, d_w)
 
 
 @st.composite

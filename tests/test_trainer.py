@@ -218,6 +218,22 @@ class TestFit:
         loss, _ = evaluate(best, val, fc, cfg.smoothing_weight)
         assert abs(loss - min(losses)) < 1e-12
 
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_snapshot_only_before_an_epoch_moves_the_best(self, monkeypatch, epochs):
+        # the best epoch's parameters are copied only when a later epoch is
+        # about to update them, into one buffer made once; a run whose last
+        # epoch is the best returns model itself
+        clones, clone = [], mstcnpp.clone
+        monkeypatch.setattr(mstcnpp, "clone", lambda m: clones.append(m) or clone(m))
+        model = mstcnpp.init(TINY, seed=0)
+        val = make_split(1, sequence_seed=101)
+        cfg = TrainConfig(epochs=epochs, learning_rate=3e-3, patience=4, seed=0)
+        best, report = fit(model, make_split(3, sequence_seed=100), val, cfg)
+        assert len(clones) == (1 if report.stop_epoch > 1 else 0)
+        assert (best is model) == (report.best_epoch == report.stop_epoch)
+        loss, _ = evaluate(best, val, FocalConfig(gamma=cfg.gamma), cfg.smoothing_weight)
+        assert loss == min(e.val_loss for e in report.epochs)
+
     @staticmethod
     def _check_peak_memory(rng, t_len, channels, threads):
         # traced live set while training: the best snapshot, AdamW's m and v and
