@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import accumulator, annotate, evalmetrics, mstcnpp, synthgen, trainer
+from . import accumulator, annotate, evalmetrics, mstcnpp, seqcore, synthgen, trainer
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -217,7 +217,8 @@ def write_manifest(out_dir: Path, command: str, config: dict, sources: dict,
         "environment": {"threads": _threads(),
                         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
                         "numpy": np.__version__,
-                        "blas": _blas()},
+                        "blas": _blas(),
+                        "tap_products": seqcore.tap_products()},
         "input_hashes": input_hashes,
         "artifacts": [str(a) for a in artifacts],
         "phase_s": {phase: round(s, 6) for phase, s in timer.seconds.items()},

@@ -15,6 +15,13 @@ are and check only their own contracts: operand shapes, and finite logits.
 All primitives preserve sequence length: a dilated convolution's tap reads
 zeros wherever its shift takes it outside [0, T), which for the dilation
 ladder is symmetric zero padding of (k-1)/2 * dilation frames per side.
+
+The dilated convolution's tap products accumulate inside BLAS: numpy's
+matmul has no C += A @ B, so each long tap is one call of the cblas GEMM of
+numpy's bundled OpenBLAS (found through ctypes, as its thread count is)
+with beta = 1, into rows of the output that already hold the bias. Short
+taps, layouts BLAS cannot step through, and a numpy without that library
+take numpy's matmul into a workspace and an add.
 """
 
 from __future__ import annotations
@@ -82,11 +89,13 @@ def _check_dconv_args(x, weights, dilation):
 _MIN_GEMM_ROWS = 64
 
 
-# A tap's product is computed and added in chunks of at most this many rows,
-# so its workspace stays small (1 MiB at F=256, float32) whatever T is. At the
-# paper shape (T=5400, F=256, float32, 2 row blocks on a 2-core x86 VM) a
-# segment call peaked at 180 MiB against 184 MiB with whole-block products,
-# at the same speed; 512 rows gave 179 MiB and ran 5-10% slower.
+# A tap that does not go through the direct GEMM (see dilated_conv1d) is
+# computed and added in chunks of at most this many rows, so its workspace
+# stays small (1 MiB at F=256, float32) whatever T is. Measured when every tap
+# took this path, at the paper shape (T=5400, F=256, float32, 2 row blocks on
+# a 2-core x86 VM): a segment call peaked at 180 MiB against 184 MiB with
+# whole-block products, at the same speed; 512 rows gave 179 MiB and ran
+# 5-10% slower.
 _TAP_CHUNK = 1024
 
 
@@ -105,22 +114,62 @@ def rows_round_alike(cout: int) -> bool:
 
 
 @functools.cache
-def openblas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, through
-    ctypes, or None when this numpy carries no such library."""
+def _openblas():
+    """numpy's bundled scipy-openblas library, through ctypes, or None when
+    this numpy carries no such library."""
     root = Path(np.__file__).parent
     for path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
                         *root.glob(".dylibs/*openblas*")]):
         try:  # the library numpy already loaded: CDLL returns the same handle
             lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
+            lib.scipy_openblas_get_num_threads64_
         except (OSError, AttributeError):
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        return lib
     return None
+
+
+@functools.cache
+def openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, through
+    ctypes, or None when this numpy carries no such library."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@functools.cache
+def blas_gemm(dtype):
+    """cblas_sgemm or cblas_dgemm (64-bit integers) of numpy's bundled
+    OpenBLAS for a float32 or float64 dtype, through ctypes, or None when
+    this numpy carries no such library or the dtype is neither. A ctypes
+    call releases the GIL, as numpy's own products do."""
+    lib = _openblas()
+    kind = {np.dtype(np.float32): ("s", ctypes.c_float),
+            np.dtype(np.float64): ("d", ctypes.c_double)}.get(np.dtype(dtype))
+    if lib is None or kind is None:
+        return None
+    prefix, scalar = kind
+    try:
+        gemm = getattr(lib, f"scipy_cblas_{prefix}gemm64_")
+    except AttributeError:
+        return None
+    ptr, dim = ctypes.c_void_p, ctypes.c_int64
+    gemm.argtypes = [ctypes.c_int] * 3 + [dim] * 3 + [scalar, ptr, dim, ptr, dim, scalar, ptr, dim]
+    gemm.restype = None
+    return gemm
+
+
+def tap_products() -> str:
+    """Which kernel multiplies dilated_conv1d's taps in this process:
+    "openblas-gemm" (the direct call, beta = 1) or "numpy-matmul" (a
+    product, then an add)."""
+    found = all(blas_gemm(dtype) is not None for dtype in (np.float32, np.float64))
+    return "openblas-gemm" if found else "numpy-matmul"
 
 
 class _OneBlasThread:
@@ -196,6 +245,37 @@ def _destination(out, rows: int, cols: int, dtype) -> np.ndarray:
     return out
 
 
+# cblas enum values: row-major operands, A as it is, B transposed
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112
+
+
+def _direct_taps(x, weights, out):
+    """add_tap(j, x_row, out_row, rows), which adds the product of rows
+    [x_row, x_row + rows) of x and tap j of the kernel into rows
+    [out_row, out_row + rows) of out by one blas_gemm call with beta = 1,
+    or None when there is no such call for x's dtype or a matrix is not
+    aligned rows of unit-stride entries that BLAS can step through with a
+    leading dimension of at least its width (numpy multiplies unaligned
+    arrays without BLAS). Checked on every call: a wrong leading dimension
+    would corrupt memory instead of raising. The addresses are read once
+    per call, not per tap (1.5 us each)."""
+    gemm = blas_gemm(x.dtype)
+    item = x.itemsize
+    mats = (x, weights, out)
+    if gemm is None or any(not m.flags.aligned or m.strides[1] != item
+                           or m.strides[0] < max(m.shape[1], 1) * item for m in mats):
+        return None
+    (x_at, w_at, out_at), (x_ld, w_ld, out_ld) = ([m.ctypes.data for m in mats],
+                                                  [m.strides[0] // item for m in mats])
+    cin, cout, tap_bytes = x.shape[1], out.shape[1], weights.strides[2]
+
+    def add_tap(j, x_row, out_row, rows):
+        gemm(_ROW_MAJOR, _NO_TRANS, _TRANS, rows, cout, cin,
+             1.0, x_at + x_row * x_ld * item, x_ld, w_at + j * tap_bytes, w_ld,
+             1.0, out_at + out_row * out_ld * item, out_ld)
+    return add_tap
+
+
 def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
                    work=None) -> np.ndarray:
     """Same-length dilated 1-D convolution over the time axis.
@@ -211,11 +291,22 @@ def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
     spans all of x); at other widths, such as 250, the two can differ in the
     last bits, though each stays the same from run to run.
 
+    A tap that reads at least _MIN_GEMM_ROWS rows is one blas_gemm call with
+    beta = 1, straight into its rows of out, when the kernel's taps are
+    C-contiguous (Cout, Cin) matrices, as in a tap-major array, and x, out
+    and those taps step by rows of unit-stride entries. It has the bits of
+    the product-then-add below where BLAS sums all Cin inputs of an entry in
+    one pass: measured bit-equal at Cin up to 384, float32 and float64, and
+    different in the last bits from Cin = 512 on (x86-64 OpenBLAS 0.3.31),
+    where BLAS adds each block of inputs into out. Every other tap, and
+    every tap without the bundled OpenBLAS, is computed into work and added
+    to out in chunks of _TAP_CHUNK rows.
+
     rows = (lo, hi) computes only output rows [lo, hi) (default: all T) into
-    out, an array of shape (hi - lo, Cout), allocated when not given. Each
-    tap's product goes through work, an array of at least
-    workspace_rows(T, hi - lo, Cout) rows and Cout columns, allocated when not
-    given. Every row is bit-equal to that row of the full call when
+    out, an array of shape (hi - lo, Cout), allocated when not given. work,
+    the workspace of the product-then-add taps, has at least
+    workspace_rows(T, hi - lo, Cout) rows and Cout columns, and is allocated
+    when not given. Every row is bit-equal to that row of the full call when
     rows_round_alike(Cout).
     """
     x = np.ascontiguousarray(x)
@@ -229,10 +320,14 @@ def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
     out = _destination(out, hi - lo, cout, x.dtype)
     work = _workspace(work, workspace_rows(t_len, hi - lo, cout), cout, x.dtype)
     chunk = _chunk_rows(t_len, cout)
+    add_tap = _direct_taps(x, weights, out)
     out[...] = bias
     for j, shift in enumerate(shifts):
         # output rows of [lo, hi) where this tap reads inside [0, T)
         t_lo, t_hi = max(lo, -shift), min(hi, t_len - shift)
+        if add_tap is not None and t_hi - t_lo >= _MIN_GEMM_ROWS:
+            add_tap(j, t_lo + shift, t_lo - lo, t_hi - t_lo)
+            continue
         for c_lo in range(t_lo, t_hi, chunk):  # nothing when the tap reads only padding
             c_hi = min(c_lo + chunk, t_hi)
             start, n = _window(c_lo + shift, c_hi + shift, t_len)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from phaseseg import cli, mstcnpp, synthgen, trainer
+from phaseseg import cli, mstcnpp, seqcore, synthgen, trainer
 from phaseseg.annotate import read_label_csv, write_label_csv
 from phaseseg.cli import main
 
@@ -400,14 +400,19 @@ def test_manifest_records_environment_and_phase_times(workspace, tmp_path, monke
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["environment"] == {
         "threads": 3, "openblas_num_threads": "1", "numpy": np.__version__,
-        "blas": {"name": blas["name"], "version": blas["version"]}}
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        # the kernel of the convolution taps: the direct GEMM wherever
+        # numpy's own OpenBLAS is found, else numpy's matmul
+        "tap_products": ("openblas-gemm" if seqcore.openblas_threads() is not None
+                         else "numpy-matmul")}
     phases = manifest["phase_s"]
     assert set(phases) == {"load", "forward", "post", "write", "hash"}
     assert all(seconds >= 0 for seconds in phases.values())
     assert sum(phases.values()) <= manifest["wall_clock_s"]
     # every command records its environment and the time it spent hashing inputs
     trained = json.loads((workspace["run"] / "manifest.json").read_text())
-    assert set(trained["environment"]) == {"threads", "openblas_num_threads", "numpy", "blas"}
+    assert set(trained["environment"]) == {"threads", "openblas_num_threads", "numpy", "blas",
+                                           "tap_products"}
     assert set(trained["phase_s"]) == {"load", "fit", "save", "hash"}
     assert sum(trained["phase_s"].values()) <= trained["wall_clock_s"]
 

@@ -283,6 +283,20 @@ class TestRowBlocks:
                     assert np.array_equal(a, b) and np.array_equal(a, c), (channels, threads)
                 assert np.array_equal(serial_grad, grad), (channels, threads)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("fuse_mode", ["sum", "concat"])
+    def test_direct_gemm_gives_the_bits_of_product_then_add(self, monkeypatch, fuse_mode,
+                                                            dtype):
+        # every forward tap, and every tap of backward's input gradient, at
+        # 1, 2 and 3 threads, with and without the direct BLAS call
+        for threads in (1, 2, 3):
+            direct = self._run(3000, fuse_mode, dtype, threads, 64)
+            with monkeypatch.context() as m:
+                m.setattr(seqcore, "blas_gemm", lambda dtype: None)
+                loop = self._run(3000, fuse_mode, dtype, threads, 64)
+            for a, b in zip([*direct[0], *direct[1], direct[2]], [*loop[0], *loop[1], loop[2]]):
+                assert a.tobytes() == b.tobytes(), threads
+
     @given(st.sampled_from([(40, 8), (150, 64), (300, 64)]), st.sampled_from(["sum", "concat"]),
            st.sampled_from([np.float64, np.float32]), st.integers(0, 9), st.data())
     @settings(max_examples=40, deadline=None)
@@ -663,6 +677,18 @@ class TestBlasThreads:
                 assert state["set"] == [1, 4] and set(seen) == {1}
                 assert max(workers) == threads - 1
                 assert state["threads"] == 4
+
+    def test_fake_thread_api_leaves_the_gemm(self, monkeypatch):
+        # the GEMM comes from the loader openblas_threads shares, not through
+        # openblas_threads: neither this class's fake nor a missing thread
+        # API turns the direct call off or swaps it
+        dtypes = (np.float32, np.float64)
+        real = [seqcore.blas_gemm(dtype) for dtype in dtypes]
+        for fake in (self._fake_blas,
+                     lambda m: m.setattr(seqcore, "openblas_threads", lambda: None)):
+            fake(monkeypatch)
+            seqcore.blas_gemm.cache_clear()
+            assert all(seqcore.blas_gemm(d) is g for d, g in zip(dtypes, real))
 
     def test_nested_regions_restore_once(self, monkeypatch):
         state = self._fake_blas(monkeypatch, count=3)

@@ -239,6 +239,71 @@ class TestRowRange:
         assert np.array_equal(x, want)
 
 
+class TestDirectGemm:
+    """A tap multiplied by one BLAS call with beta = 1 into out has the bits
+    of the product-then-add loop, the path without the bundled OpenBLAS."""
+
+    @staticmethod
+    def _both(monkeypatch, *args, **kwargs):
+        """(direct, product-then-add) results of one dilated_conv1d call; an
+        out given is filled by each in turn."""
+        out = kwargs.pop("out", None)
+        direct = dilated_conv1d(*args, out=out, **kwargs).copy()
+        with monkeypatch.context() as m:
+            m.setattr(seqcore, "blas_gemm", lambda dtype: None)
+            loop = dilated_conv1d(*args, out=out, **kwargs).copy()
+        return direct, loop
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("f", [64, 72, 250, 256])
+    def test_same_bits_as_product_then_add(self, rng, monkeypatch, dtype, f):
+        for t_len in (1, 65, 173, 1350, 3000):
+            x = rng.normal(size=(t_len, f)).astype(dtype)
+            # tap-major, as mstcnpp builds its kernels
+            kernel = rng.normal(size=(5, f, f)).astype(dtype).transpose(1, 2, 0)
+            b = rng.normal(size=f).astype(dtype)
+            # valid ranges: none, 64 rows, all but one, 63 rows, T - 2 rows
+            shifts = (-t_len, t_len - 64, -1, t_len - 63, 2)
+            wide = np.empty((t_len, 2 * f), dtype)
+            for lo, hi in {(0, t_len), (t_len // 3, t_len - t_len // 5)}:
+                for out in (None, wide[lo:hi, f:]):  # or concat's column half
+                    direct, loop = self._both(monkeypatch, x, kernel, b, shifts,
+                                              out=out, rows=(lo, hi))
+                    assert direct.tobytes() == loop.tobytes(), (t_len, lo, hi, out is None)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_frame_goes_through_the_loop(self, monkeypatch, dtype):
+        # a one-row product is numpy's gemv, not a GEMM of one row: ranges
+        # under _MIN_GEMM_ROWS keep the widened product
+        x = np.random.default_rng(0).normal(size=(1, 64)).astype(dtype)
+        w = np.random.default_rng(1).normal(size=(64, 64, 1)).astype(dtype)
+        direct, loop = self._both(monkeypatch, x, w, np.zeros(64, dtype), 1)
+        assert direct.tobytes() == loop.tobytes()
+        assert direct.tobytes() == (x @ w[:, :, 0].T).tobytes()
+
+    def test_found_with_numpys_openblas(self):
+        if seqcore.openblas_threads() is None:
+            pytest.skip("this numpy carries no scipy-openblas library")
+        assert seqcore.blas_gemm(np.float32) is not None
+        assert seqcore.blas_gemm(np.float64) is not None
+        assert seqcore.blas_gemm(np.float16) is None
+        assert seqcore.tap_products() == "openblas-gemm"
+
+    def test_layouts_blas_cannot_step_through_take_the_loop(self, rng):
+        x = rng.normal(size=(100, 8))
+        out = np.empty((100, 8))
+        tap_major = rng.normal(size=(1, 8, 8)).transpose(1, 2, 0)
+        found = seqcore._direct_taps(x, tap_major, out)
+        assert (found is None) == (seqcore.blas_gemm(np.float64) is None)
+        c_order = rng.normal(size=(8, 8, 3))  # taps 24 bytes apart within a row
+        reversed_rows = rng.normal(size=(3, 8, 8)).transpose(1, 2, 0)[::-1]
+        unaligned = np.frombuffer(np.zeros(100 * 8 * 8 + 1, np.uint8)[1:], np.float64)
+        for operands in ((x, c_order, out), (x, reversed_rows, out),
+                         (x, tap_major, np.empty((8, 100)).T),  # out's columns strided
+                         (unaligned.reshape(100, 8), tap_major, out)):
+            assert seqcore._direct_taps(*operands) is None
+
+
 class TestConv1x1:
     def test_identity(self, rng):
         x = rng.normal(size=(4, 3))
