@@ -16,12 +16,19 @@ and artifacts, and uses stable exit codes: 0 success, 2 input/validation
 error, 3 numeric failure. Every command computes on PHASESEG_THREADS threads
 (default: the usable cores), with numpy's BLAS held to one thread inside
 each forward, backward and AdamW step; results depend on neither count.
+train, eval and segment each open one pool of those threads and one BLAS
+hold for the whole command (mstcnpp.thread_pool); init, forward, fit and
+evaluate reuse them. One worker of the pool hashes the inputs while the
+command loads them, and the command waits for the hashes before it writes
+its first output, so the manifest hashes the inputs as they were before the
+command wrote anything.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -154,25 +161,38 @@ def resolve_config(defaults: dict, args: argparse.Namespace) -> tuple[dict, dict
     return resolved, sources
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path: Path, buf: memoryview) -> str:
+    """sha256 of the file at path, read through buf."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(buf[:n])
     return h.hexdigest()
 
 
 def _hash_inputs(paths) -> dict:
+    """sha256 of every file of paths, a directory's files in sorted order,
+    all read through one 256 KiB buffer."""
+    buf = memoryview(bytearray(1 << 18))
     hashes = {}
     for p in paths:
         p = Path(p)
         if p.is_dir():
             for f in sorted(p.rglob("*")):
                 if f.is_file():
-                    hashes[str(f)] = _sha256(f)
+                    hashes[str(f)] = _sha256(f, buf)
         elif p.is_file():
-            hashes[str(p)] = _sha256(p)
+            hashes[str(p)] = _sha256(p, buf)
     return hashes
+
+
+def _hashing(pool, paths):
+    """A call that returns _hash_inputs(paths): with a pool, one of its
+    workers hashes from now on and the call waits for it; without one, the
+    call hashes."""
+    if pool is None:
+        return functools.partial(_hash_inputs, paths)
+    return pool.submit(_hash_inputs, paths).result
 
 
 class PhaseTimer:
@@ -202,13 +222,10 @@ def _blas() -> dict | None:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, sources: dict,
-                   inputs, artifacts, started: float, timer: PhaseTimer | None = None) -> Path:
-    """Write manifest.json; with a timer, its phases plus "hash" (hashing the
-    inputs) go under phase_s. Times are in microseconds' precision, so the
-    phases never sum past wall_clock_s."""
-    timer = timer or PhaseTimer()
-    with timer("hash"):
-        input_hashes = _hash_inputs(inputs)
+                   input_hashes: dict, artifacts, started: float, timer: PhaseTimer) -> Path:
+    """Write manifest.json; input_hashes are the _hash_inputs of the
+    command's inputs, and the timer's phases go under phase_s. Times are in
+    microseconds' precision, so the phases never sum past wall_clock_s."""
     manifest = {
         "command": command,
         "argv": sys.argv[1:],
@@ -249,6 +266,14 @@ GEN_DEFAULTS = {
 }
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name here
+        return None
+
+
 def cmd_gen_synth(args) -> int:
     started = time.perf_counter()
     cfg, sources = resolve_config(GEN_DEFAULTS, args)
@@ -268,6 +293,16 @@ def cmd_gen_synth(args) -> int:
         include_all_phases=cfg["include_all_phases"],
         seed=cfg["seed"],
     )
+    # every split is held in memory before any file is written: refuse, before
+    # any work, splits whose float64 features at mean durations cannot fit
+    n_sequences = cfg["n_train"] + cfg["n_val"] + cfg["n_test"]
+    need = n_sequences * sum(scfg.duration_mean) * cfg["dim"] * 8
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ValueError(f"n_train + n_val + n_test = {n_sequences} sequences at dim = "
+                         f"{cfg['dim']} "
+                         f"need about {need / 2**30:.3g} GiB of features, more than the "
+                         f"{memory / 2**30:.3g} GiB of physical memory")
     # every split is generated, and so checked, before any file is written
     splits = [(split, synthgen.generate(scfg, count,
                                         sequence_seed=cfg["seed"] * 3 + 100 + offset))
@@ -278,7 +313,10 @@ def cmd_gen_synth(args) -> int:
     artifacts = []
     for split, sequences in splits:
         artifacts += synthgen.save_dataset(sequences, out_dir / split)
-    write_manifest(out_dir, "gen-synth", cfg, sources, [], artifacts, started)
+    timer = PhaseTimer()
+    with timer("hash"):
+        input_hashes = _hash_inputs([])
+    write_manifest(out_dir, "gen-synth", cfg, sources, input_hashes, artifacts, started, timer)
     print(f"wrote {cfg['n_train']}/{cfg['n_val']}/{cfg['n_test']} sequences under {out_dir}")
     return EXIT_OK
 
@@ -319,51 +357,56 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data)
     out_dir = Path(args.out)
     dtype = _DTYPES[cfg["precision"]]
-    timer = PhaseTimer()
+    threads, timer = _threads(), PhaseTimer()
 
-    with timer("load"):
-        train_set = synthgen.load_dataset(data_dir / "train", dtype=dtype)
-        val_set = synthgen.load_dataset(data_dir / "val", dtype=dtype)
+    with mstcnpp.thread_pool(threads) as pool:
+        hashes = _hashing(pool, [data_dir])
+        with timer("load"):
+            train_set = synthgen.load_dataset(data_dir / "train", dtype=dtype)
+            val_set = synthgen.load_dataset(data_dir / "val", dtype=dtype)
 
-    model_cfg = mstcnpp.StageConfig(
-        in_dim=train_set[0][0].shape[1],
-        channels=cfg["channels"],
-        n_classes=cfg["n_classes"],
-        stages=cfg["stages"],
-        layers_prediction=cfg["layers_prediction"],
-        layers_refinement=cfg["layers_refinement"],
-        fuse_mode=cfg["fuse_mode"],
-    )
-    model = mstcnpp.init(model_cfg, seed=cfg["seed"], dtype=dtype)
-    train_cfg = trainer.TrainConfig(
-        epochs=cfg["epochs"],
-        learning_rate=cfg["lr"],
-        smoothing_weight=cfg["lambda_smooth"],
-        patience=cfg["patience"],
-        seed=cfg["seed"],
-        weight_decay=cfg["weight_decay"],
-        sampling=cfg["sampling"],
-        gamma=0.0 if bce else cfg["gamma"],
-        alpha_mode="uniform" if bce else cfg["alpha_mode"],
-    )
-    trainer.check_splits(model_cfg, train_set, val_set)
-    out_dir.mkdir(parents=True, exist_ok=True)  # the inputs checked: a bad one leaves no directory
-    report_path = out_dir / "train_report.json"
-    try:
-        with timer("fit"):
-            best_model, report = trainer.fit(model, train_set, val_set, train_cfg,
-                                             threads=_threads())
-    except trainer.DivergenceError as exc:  # keep the finished epochs; main exits 3
-        report_path.write_text(json.dumps(exc.report.as_dict(), indent=2), encoding="utf-8")
-        write_manifest(out_dir, "train", cfg, sources, [data_dir], [report_path],
-                       started, timer)
-        raise
+        model_cfg = mstcnpp.StageConfig(
+            in_dim=train_set[0][0].shape[1],
+            channels=cfg["channels"],
+            n_classes=cfg["n_classes"],
+            stages=cfg["stages"],
+            layers_prediction=cfg["layers_prediction"],
+            layers_refinement=cfg["layers_refinement"],
+            fuse_mode=cfg["fuse_mode"],
+        )
+        model = mstcnpp.init(model_cfg, seed=cfg["seed"], dtype=dtype, threads=threads)
+        train_cfg = trainer.TrainConfig(
+            epochs=cfg["epochs"],
+            learning_rate=cfg["lr"],
+            smoothing_weight=cfg["lambda_smooth"],
+            patience=cfg["patience"],
+            seed=cfg["seed"],
+            weight_decay=cfg["weight_decay"],
+            sampling=cfg["sampling"],
+            gamma=0.0 if bce else cfg["gamma"],
+            alpha_mode="uniform" if bce else cfg["alpha_mode"],
+        )
+        trainer.check_splits(model_cfg, train_set, val_set)
+        with timer("hash"):  # the data as it was before --out, perhaps inside it, was made
+            input_hashes = hashes()
+        # the inputs checked: a bad one leaves no directory
+        out_dir.mkdir(parents=True, exist_ok=True)
+        report_path = out_dir / "train_report.json"
+        try:
+            with timer("fit"):
+                best_model, report = trainer.fit(model, train_set, val_set, train_cfg,
+                                                 threads=threads)
+        except trainer.DivergenceError as exc:  # keep the finished epochs; main exits 3
+            report_path.write_text(json.dumps(exc.report.as_dict(), indent=2), encoding="utf-8")
+            write_manifest(out_dir, "train", cfg, sources, input_hashes, [report_path],
+                           started, timer)
+            raise
 
     with timer("save"):
         model_path = out_dir / "model.bin"
         mstcnpp.save_model(best_model, model_path)
         report_path.write_text(json.dumps(report.as_dict(), indent=2), encoding="utf-8")
-    write_manifest(out_dir, "train", cfg, sources, [data_dir],
+    write_manifest(out_dir, "train", cfg, sources, input_hashes,
                    [model_path, report_path], started, timer)
     last = report.epochs[-1]
     print(f"stopped at epoch {report.stop_epoch} (best {report.best_epoch}); "
@@ -403,18 +446,22 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     threads, timer = _threads(), PhaseTimer()
 
-    with timer("load"):
-        model = mstcnpp.load_model(model_path, dtype=dtype)
-        dataset = synthgen.load_dataset(data_dir, dtype=dtype)
-    n_classes = model.config.n_classes
+    with mstcnpp.thread_pool(threads) as pool:
+        hashes = _hashing(pool, [model_path, data_dir])
+        with timer("load"):
+            model = mstcnpp.load_model(model_path, dtype=dtype)
+            dataset = synthgen.load_dataset(data_dir, dtype=dtype)
+        n_classes = model.config.n_classes
 
-    pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
-    segment_counts = []
-    for features, labels in dataset:
-        _, pred = predict(model, features, cfg, threads, timer)
-        with timer("post"):
-            pooled += evalmetrics.confusion(labels, pred, n_classes)
-            segment_counts.append(evalmetrics.segment_count(pred))
+        pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
+        segment_counts = []
+        for features, labels in dataset:
+            _, pred = predict(model, features, cfg, threads, timer)
+            with timer("post"):
+                pooled += evalmetrics.confusion(labels, pred, n_classes)
+                segment_counts.append(evalmetrics.segment_count(pred))
+        with timer("hash"):
+            input_hashes = hashes()
     with timer("post"):
         rep = evalmetrics.report(pooled)
 
@@ -429,7 +476,7 @@ def cmd_eval(args) -> int:
         json_path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
         txt_path = out_dir / "report.txt"
         txt_path.write_text(table + "\n", encoding="utf-8")
-    write_manifest(out_dir, "eval", cfg, sources, [model_path, data_dir],
+    write_manifest(out_dir, "eval", cfg, sources, input_hashes,
                    [json_path, txt_path], started, timer)
     print(table)
     return EXIT_OK
@@ -453,19 +500,23 @@ def cmd_segment(args) -> int:
     model_path = Path(args.model)
     feat_path = Path(args.ssl_features)
     out_dir = Path(args.out)
-    timer = PhaseTimer()
+    threads, timer = _threads(), PhaseTimer()
 
-    with timer("load"):
-        model = mstcnpp.load_model(model_path, dtype=dtype)
-        features = synthgen.load_features(feat_path, dtype)
-    raw, final = predict(model, features, cfg, _threads(), timer)
+    with mstcnpp.thread_pool(threads) as pool:
+        hashes = _hashing(pool, [model_path, feat_path])
+        with timer("load"):
+            model = mstcnpp.load_model(model_path, dtype=dtype)
+            features = synthgen.load_features(feat_path, dtype)
+        raw, final = predict(model, features, cfg, threads, timer)
+        with timer("hash"):
+            input_hashes = hashes()
 
     with timer("write"):
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "phases.csv"
         annotate.write_label_csv(csv_path, final)
         svg_path, ribbon_csv = evalmetrics.export_ribbon(raw, final, out_dir / "ribbon.svg")
-    write_manifest(out_dir, "segment", cfg, sources, [model_path, feat_path],
+    write_manifest(out_dir, "segment", cfg, sources, input_hashes,
                    [csv_path, svg_path, ribbon_csv], started, timer)
     print(f"phase timeline: {csv_path} ({final.size} frames, "
           f"{evalmetrics.segment_count(final)} segments)")
@@ -500,6 +551,9 @@ def cmd_parse_notes(args) -> int:
     timeline = None
     if cfg["frames"] > 0:
         timeline = annotate.build_timeline(boundaries, cfg["frames"], cfg["fps"], ontology)
+    timer = PhaseTimer()
+    with timer("hash"):
+        input_hashes = _hash_inputs([notes_path])
 
     out_dir.mkdir(parents=True, exist_ok=True)
     bounds_path = out_dir / "boundaries.csv"
@@ -513,7 +567,7 @@ def cmd_parse_notes(args) -> int:
         annotate.write_label_csv(labels_path, timeline.labels)
         artifacts.append(labels_path)
 
-    write_manifest(out_dir, "parse-notes", cfg, sources, [notes_path], artifacts, started)
+    write_manifest(out_dir, "parse-notes", cfg, sources, input_hashes, artifacts, started, timer)
     for seconds, phase in boundaries:
         print(f"{annotate.format_timestamp(seconds)}  {ontology.names[phase]}")
     return EXIT_OK

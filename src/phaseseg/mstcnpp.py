@@ -33,6 +33,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
+import itertools
 import math
 import os
 import struct
@@ -176,22 +177,43 @@ def _bind(cfg: StageConfig, flat: np.ndarray) -> Model:
     return Model(config=cfg, stages=stages, flat=flat, params=params)
 
 
-def init(cfg: StageConfig, seed: int, dtype=np.float64) -> Model:
+# draws per float64 temporary of init (512 KiB): a whole weight block per draw,
+# up to 4 MiB on each of two threads, left train-paper's peak RSS 1 MiB higher
+# (glibc, 2 threads)
+_INIT_DRAWS = 1 << 16
+
+
+def init(cfg: StageConfig, seed: int, dtype=np.float64, threads: int = 1) -> Model:
     """Seed-deterministic model: fan-in-scaled uniform weights, zero biases.
 
     The draw order (per stage: each layer's w_d1, w_d2, w_fuse, then proj_w,
     then head_w) differs from the file order and fixes every seeded model.
+    Each weight takes one 64-bit PCG64 output, so the stream is cut into
+    threads contiguous ranges, each drawn on its own thread by a generator
+    advanced to the range's start (O'Neill 2014): every thread count gives
+    the same bits.
     """
-    rng = np.random.default_rng(seed)
     model = _bind(cfg, np.zeros(_param_count(cfg), dtype=dtype))
     weights = []
     for stage in model.stages:
         for layer in stage.layers:
             weights += [layer.w_d1, layer.w_d2, layer.w_fuse]
         weights += [stage.proj_w, stage.head_w]
-    for w in weights:  # fan-in is every axis but the output one
-        limit = np.sqrt(1.0 / math.prod(w.shape[1:]))
-        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    starts = [0, *itertools.accumulate(w.size for w in weights)]  # each block's first draw
+
+    def draw(lo, hi):  # draws [lo, hi) of the stream, into the blocks they fall in
+        rng = np.random.Generator(np.random.PCG64(seed))  # what default_rng(seed) builds
+        rng.bit_generator.advance(lo)
+        for w, start in zip(weights, starts):
+            limit = np.sqrt(1.0 / math.prod(w.shape[1:]))  # fan-in: every axis but the output one
+            stop = min(hi, start + w.size)
+            for a in range(max(lo, start), stop, _INIT_DRAWS):
+                b = min(stop, a + _INIT_DRAWS)
+                w.reshape(-1)[a - start:b - start] = rng.uniform(-limit, limit, size=b - a)
+
+    edges = [starts[-1] * i // threads for i in range(threads + 1)]
+    with thread_pool(threads) if threads > 1 else contextlib.nullcontext() as pool:
+        run_jobs(pool, [functools.partial(draw, lo, hi) for lo, hi in zip(edges, edges[1:])])
     return model
 
 
@@ -259,8 +281,10 @@ def thread_pool(threads: int):
     a pool of threads - 1 workers, or None for one thread. numpy's BLAS is
     held to one thread while it is open, so no product's bits depend on
     BLAS's thread count. Opened on a thread that holds a pool of at least
-    threads threads (trainer.fit holds one for its whole run), it reuses
-    that pool and BLAS hold and starts no thread."""
+    threads threads, it reuses that pool and BLAS hold and starts no
+    thread: each computing CLI command holds one for the whole command, as
+    trainer.fit does for its run, so init, forward, backward, evaluate and
+    the AdamW steps inside start none."""
     held = getattr(_open_pool, "held", None)
     if held is not None and held[1] >= threads:
         yield held[0] if threads > 1 else None
@@ -277,7 +301,9 @@ def thread_pool(threads: int):
 def run_jobs(pool, jobs) -> None:
     """Call every job (a zero-argument callable) once, on this thread and on
     pool's workers: each thread takes the next job in list order when it is
-    free. Returns when all are done; a job's exception is raised here."""
+    free. Returns when all are done, without waiting for a worker that is
+    busy with other work (this thread then runs the jobs alone); a job's
+    exception is raised here."""
     todo = collections.deque(jobs)
 
     def drain():
@@ -291,8 +317,9 @@ def run_jobs(pool, jobs) -> None:
     # a drain per job beyond the first: the surplus ones find nothing left
     helpers = [] if pool is None else [pool.submit(drain) for _ in range(len(todo) - 1)]
     drain()
-    for helper in helpers:
-        helper.result()
+    for helper in helpers:  # one that has not started would find nothing left
+        if not helper.cancel():
+            helper.result()
 
 
 def _block_jobs(blocks, workspaces, kernel, *args):

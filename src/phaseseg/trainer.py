@@ -253,7 +253,9 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
 
     threads bounds the threads that compute at once in forward and backward
     passes and the AdamW update; the result does not depend on it. One pool
-    of them and one BLAS hold serve the whole run (mstcnpp.thread_pool).
+    of them and one BLAS hold serve the whole run (mstcnpp.thread_pool): the
+    caller's, when it holds one (the train command does, for init and the
+    input hashing too), else one fit opens.
 
     Returns (best_model, report) where best_model is the checkpoint with the
     lowest validation loss: model itself when that is the last epoch run,

@@ -1,11 +1,14 @@
 import argparse
+import hashlib
 import json
+import os
 import re
 import shutil
 import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -69,6 +72,24 @@ class TestGenSynth:
         out = tmp_path / "ds"
         assert main(["gen-synth", "--out", str(out), "--dim", "10000000000000"]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_splits_beyond_physical_memory_exit_2(self, tmp_path):
+        # 10^12 sequences would be generated in memory for hours; the estimate
+        # refuses them before any work. The child's address space is capped at
+        # 2 GiB, so without the estimate it fails fast, on a MemoryError that
+        # names no setting, instead of filling the machine; one BLAS thread
+        # keeps numpy's own buffers far below the cap on any core count
+        out = tmp_path / "ds"
+        code = ("import resource, sys; from phaseseg.cli import main; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                f"sys.exit(main(['gen-synth', '--out', {str(out)!r}, "
+                "'--n-train', '1000000000000']))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "n_train" in proc.stderr
+        assert "physical memory" in proc.stderr
         assert not out.exists()
 
     def test_missing_output_dir_created(self, tmp_path):
@@ -283,6 +304,12 @@ SMALL_SETTINGS = {"gen-synth": {"dim": "8", "n_train": "1", "n_val": "1", "n_tes
                             "layers_refinement": "2", "epochs": "3"}}
 
 
+def _notes_file(tmp_path):
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text('{"t": "00:00:10", "note": "nasal"}\n', encoding="utf-8")
+    return notes
+
+
 def _setting_argv(workspace, tmp_path, command, out, key, value, how):
     """command with the path arguments it needs, on the shared workspace, and
     key = value given as a flag or as a config-file line."""
@@ -291,9 +318,7 @@ def _setting_argv(workspace, tmp_path, command, out, key, value, how):
     elif command == "train":
         argv = ["train", "--data", str(workspace["data"]), "--out", str(out)]
     elif command == "parse-notes":
-        notes = tmp_path / "notes.jsonl"
-        notes.write_text('{"t": "00:00:10", "note": "nasal"}\n', encoding="utf-8")
-        argv = ["parse-notes", "--notes", str(notes), "--out", str(out)]
+        argv = ["parse-notes", "--notes", str(_notes_file(tmp_path)), "--out", str(out)]
     else:
         argv = _inference_argv(workspace, command, out)
     for small, small_value in SMALL_SETTINGS.get(command, {}).items():
@@ -1134,6 +1159,194 @@ class TestThreadsSetting:
         rc = main(["eval", "--model", str(workspace["model"]),
                    "--data", str(workspace["data"] / "test"), "--out", str(tmp_path / "e")])
         assert rc == 0
+
+
+def _file_hashes(*paths):
+    """sha256 of each input file, a directory's files included, read whole."""
+    files = []
+    for path in paths:
+        files += sorted(f for f in path.rglob("*") if f.is_file()) if path.is_dir() else [path]
+    return {str(f): hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+
+
+def _hashed_argv(workspace, tmp_path, command, out):
+    """command's argv on the shared workspace, and the input paths its manifest hashes."""
+    model, data = workspace["model"], workspace["data"]
+    if command == "train":
+        return ["train", "--data", str(data), "--out", str(out), *TRAIN_FLAGS], [data]
+    if command == "parse-notes":
+        notes = _notes_file(tmp_path)
+        return ["parse-notes", "--notes", str(notes), "--out", str(out)], [notes]
+    source = data / "test" if command == "eval" else data / "test" / "seq_000.npy"
+    return _inference_argv(workspace, command, out), [model, source]
+
+
+class TestInputHashes:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", ["train", "eval", "segment", "parse-notes"])
+    def test_manifest_hashes_every_input_file(self, workspace, tmp_path, monkeypatch,
+                                              command, threads):
+        monkeypatch.setenv("PHASESEG_THREADS", threads)
+        out = tmp_path / "out"
+        argv, inputs = _hashed_argv(workspace, tmp_path, command, out)
+        expected = _file_hashes(*inputs)
+        assert len(expected) > (2 if command in ("train", "eval") else 0)
+        assert main(argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["input_hashes"] == expected
+
+    def test_train_out_inside_data_hashes_the_data_before_the_run(self, workspace, tmp_path,
+                                                                  monkeypatch):
+        # the run writes into the directory it hashes; its manifest holds the
+        # data as it was before the run, at either thread count
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        before = _file_hashes(data)
+        hashes = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PHASESEG_THREADS", threads)
+            assert main(["train", "--data", str(data), "--out", str(data / "run"),
+                         *TRAIN_FLAGS]) == 0
+            assert (data / "run" / "model.bin").exists()
+            hashes[threads] = json.loads((data / "run" / "manifest.json").read_text())[
+                "input_hashes"]
+            shutil.rmtree(data / "run")
+        assert hashes["1"] == hashes["2"] == before
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", ["train", "eval", "segment", "parse-notes"])
+    def test_unreadable_input_exits_2_before_any_output(self, workspace, tmp_path, monkeypatch,
+                                                        capsys, command, threads):
+        monkeypatch.setenv("PHASESEG_THREADS", threads)
+
+        def unreadable(path, buf):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "_sha256", unreadable)
+        out = tmp_path / "out"
+        argv, _ = _hashed_argv(workspace, tmp_path, command, out)
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def pooled_split(infer_inputs, tmp_path_factory):
+    """A split of two sequences of infer_inputs' features, which run in two
+    row blocks at two threads."""
+    root = tmp_path_factory.mktemp("pooled")
+    labels = np.repeat(np.arange(4), INFER_FRAMES // 4)
+    features = np.load(infer_inputs[1])
+    synthgen.save_dataset([(features, labels), (features[::-1], labels)], root)
+    return root
+
+
+class TestOnePoolPerCommand:
+    """train, eval and segment each open one pool and one BLAS hold, which
+    every forward, step and the input hashing share; no worker outlives the
+    command, and at one thread no command starts a thread."""
+
+    @staticmethod
+    def _argv(command, infer_inputs, pooled_split, long_split, out):
+        model, features = map(str, infer_inputs)
+        return {"train": ["train", "--data", str(long_split), "--channels", "64",
+                          "--stages", "2", "--layers-prediction", "2",
+                          "--layers-refinement", "2", "--epochs", "1"],
+                "eval": ["eval", "--model", model, "--data", str(pooled_split)],
+                "segment": ["segment", "--model", model, "--ssl-features", features],
+                }[command] + ["--out", str(out)]
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """(pools, blas, seen): each pool's constructor arguments, the fake
+        BLAS thread count and its settings, and the live thread count at
+        every dilated convolution; blas["hashed_on_main"] says where the
+        inputs were hashed."""
+        pools, seen, blas = [], [], {"threads": 4, "set": []}
+        hash_inputs = cli._hash_inputs
+
+        def hashing(paths):
+            blas["hashed_on_main"] = threading.current_thread() is threading.main_thread()
+            return hash_inputs(paths)
+
+        class CountedPool(mstcnpp.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        def set_threads(n):
+            blas["set"].append(n)
+            blas["threads"] = n
+
+        conv = mstcnpp.dilated_conv1d
+
+        def counting(*args):
+            seen.append(threading.active_count())
+            return conv(*args)
+
+        monkeypatch.setattr(mstcnpp, "ThreadPoolExecutor", CountedPool)
+        monkeypatch.setattr(mstcnpp, "dilated_conv1d", counting)
+        monkeypatch.setattr(cli, "_hash_inputs", hashing)
+        monkeypatch.setattr(seqcore, "openblas_threads",
+                            lambda: (lambda: blas["threads"], set_threads))
+        return pools, blas, seen
+
+    @pytest.mark.parametrize("command", ["train", "eval", "segment"])
+    def test_two_threads_one_pool(self, infer_inputs, pooled_split, long_split, tmp_path,
+                                  monkeypatch, command):
+        assert len(mstcnpp._row_blocks(INFER_FRAMES, INFER_CFG.channels, 2)) == 2
+        assert len(mstcnpp._row_blocks(TRAIN_THREADS_FRAMES, 64, 2)) == 2
+        monkeypatch.setenv("PHASESEG_THREADS", "2")
+        pools, blas, seen = self._watch(monkeypatch)
+        before = threading.active_count()
+        assert main(self._argv(command, infer_inputs, pooled_split, long_split,
+                               tmp_path / "out")) == 0
+        assert pools == [(1,)]
+        assert blas == {"threads": 4, "set": [1, 4], "hashed_on_main": False}
+        assert seen and max(seen) <= before + 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("command", ["eval", "segment"])
+    def test_truncated_model_exit_2_leaves_no_worker(self, infer_inputs, pooled_split, tmp_path,
+                                                     monkeypatch, command):
+        model = tmp_path / "model.bin"
+        model.write_bytes(infer_inputs[0].read_bytes()[:1000])
+        monkeypatch.setenv("PHASESEG_THREADS", "2")
+        pools, blas, _ = self._watch(monkeypatch)
+        before = threading.active_count()
+        argv = self._argv(command, (model, infer_inputs[1]), pooled_split, None,
+                          tmp_path / "out")
+        assert main(argv) == 2
+        assert pools == [(1,)]
+        assert blas == {"threads": 4, "set": [1, 4], "hashed_on_main": False}
+        assert threading.active_count() == before
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gen-synth", "train", "eval", "segment",
+                                         "parse-notes"])
+    def test_one_thread_starts_no_thread(self, infer_inputs, pooled_split, long_split,
+                                         tmp_path, monkeypatch, command):
+        monkeypatch.setenv("PHASESEG_THREADS", "1")
+        pools, blas, _ = self._watch(monkeypatch)
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        out = tmp_path / "out"
+        if command == "gen-synth":
+            argv = ["gen-synth", "--out", str(out), "--dim", "8", "--n-train", "1",
+                    "--n-val", "1", "--n-test", "1"]
+        elif command == "parse-notes":
+            argv = ["parse-notes", "--notes", str(_notes_file(tmp_path)), "--out", str(out)]
+        else:
+            argv = self._argv(command, infer_inputs, pooled_split, long_split, out)
+        assert main(argv) == 0
+        assert pools == [] and started == []
+        assert blas["set"] == ([] if command in ("gen-synth", "parse-notes") else [1, 4])
+        assert blas["hashed_on_main"]
 
 
 class TestParseNotes:

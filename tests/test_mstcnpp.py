@@ -746,6 +746,39 @@ class TestInit:
             if name.endswith("_b") or "/b_" in name:
                 assert not p.any()
 
+    @staticmethod
+    def _serial_init(cfg, seed, dtype):
+        """The oracle: one generator drawing each weight block whole, in
+        init's draw order."""
+        rng = np.random.default_rng(seed)
+        model = mstcnpp._bind(cfg, np.zeros(mstcnpp._param_count(cfg), dtype=dtype))
+        weights = []
+        for stage in model.stages:
+            for layer in stage.layers:
+                weights += [layer.w_d1, layer.w_d2, layer.w_fuse]
+            weights += [stage.proj_w, stage.head_w]
+        for w in weights:
+            limit = np.sqrt(1.0 / math.prod(w.shape[1:]))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+        return model
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cfg, thread_counts", [
+        # the paper architecture: every range cuts some weight block
+        (StageConfig(), (1, 2, 3, 8)),
+        # 10 draws: 2 and 8 threads cut blocks, and 16 leave six ranges empty
+        (StageConfig(in_dim=1, channels=1, n_classes=2, stages=1,
+                     layers_prediction=1, layers_refinement=1), (1, 2, 3, 8, 16)),
+        (TINY, (1, 2, 3, 8)),
+    ], ids=["paper", "ten-draws", "tiny"])
+    def test_threads_draw_the_serial_bits(self, cfg, thread_counts, dtype):
+        expected = self._serial_init(cfg, 11, dtype).flat
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        for threads in thread_counts:
+            got = init(cfg, seed=11, dtype=dtype, threads=threads).flat
+            assert got.dtype == dtype
+            assert np.array_equal(got.view(bits), expected.view(bits)), threads
+
 
 class TestSerialization:
     def test_round_trip_preserves_forward(self, rng, tmp_path):
