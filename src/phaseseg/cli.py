@@ -21,7 +21,10 @@ hold for the whole command (mstcnpp.thread_pool); init, forward, fit and
 evaluate reuse them. One worker of the pool hashes the inputs while the
 command loads them, and the command waits for the hashes before it writes
 its first output, so the manifest hashes the inputs as they were before the
-command wrote anything.
+command wrote anything; a command that fails stops the hashing. segment
+opens its feature file without loading it: forward's stage-1 projection
+reads, checks and drops its rows a chunk at a time, so a bad value found
+there still exits 2 before the output directory is made.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ import math
 import os
 import resource
 import sys
+import threading
 import time
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -161,11 +166,18 @@ def resolve_config(defaults: dict, args: argparse.Namespace) -> tuple[dict, dict
     return resolved, sources
 
 
+_hash_stop = threading.local()  # .event: set when the command awaiting this thread's hashes fails
+
+
 def _sha256(path: Path, buf: memoryview) -> str:
-    """sha256 of the file at path, read through buf."""
+    """sha256 of the file at path, read through buf; raises CancelledError
+    after a read once the thread's stop event (see _hashing) is set."""
+    stop = getattr(_hash_stop, "event", None) or threading.Event()
     h = hashlib.sha256()
     with open(path, "rb", buffering=0) as fh:
         while n := fh.readinto(buf):
+            if stop.is_set():
+                raise futures.CancelledError(f"hashing {path} stopped")
             h.update(buf[:n])
     return h.hexdigest()
 
@@ -186,13 +198,29 @@ def _hash_inputs(paths) -> dict:
     return hashes
 
 
+@contextlib.contextmanager
 def _hashing(pool, paths):
-    """A call that returns _hash_inputs(paths): with a pool, one of its
-    workers hashes from now on and the call waits for it; without one, the
-    call hashes."""
+    """Yields a call that returns _hash_inputs(paths): with a pool, one of
+    its workers hashes from now on and the call waits for it; without one,
+    the call hashes. Leaving the block stops a hash still running, within
+    one 256 KiB read, so a command that fails on an input does not wait for
+    the rest of the hash when its pool closes."""
     if pool is None:
-        return functools.partial(_hash_inputs, paths)
-    return pool.submit(_hash_inputs, paths).result
+        yield functools.partial(_hash_inputs, paths)
+        return
+    stop = threading.Event()
+
+    def job():
+        _hash_stop.event = stop
+        try:
+            return _hash_inputs(paths)
+        finally:
+            del _hash_stop.event
+
+    try:
+        yield pool.submit(job).result
+    finally:
+        stop.set()
 
 
 class PhaseTimer:
@@ -359,8 +387,7 @@ def cmd_train(args) -> int:
     dtype = _DTYPES[cfg["precision"]]
     threads, timer = _threads(), PhaseTimer()
 
-    with mstcnpp.thread_pool(threads) as pool:
-        hashes = _hashing(pool, [data_dir])
+    with mstcnpp.thread_pool(threads) as pool, _hashing(pool, [data_dir]) as hashes:
         with timer("load"):
             train_set = synthgen.load_dataset(data_dir / "train", dtype=dtype)
             val_set = synthgen.load_dataset(data_dir / "val", dtype=dtype)
@@ -446,8 +473,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     threads, timer = _threads(), PhaseTimer()
 
-    with mstcnpp.thread_pool(threads) as pool:
-        hashes = _hashing(pool, [model_path, data_dir])
+    with mstcnpp.thread_pool(threads) as pool, _hashing(pool, [model_path, data_dir]) as hashes:
         with timer("load"):
             model = mstcnpp.load_model(model_path, dtype=dtype)
             dataset = synthgen.load_dataset(data_dir, dtype=dtype)
@@ -502,12 +528,12 @@ def cmd_segment(args) -> int:
     out_dir = Path(args.out)
     threads, timer = _threads(), PhaseTimer()
 
-    with mstcnpp.thread_pool(threads) as pool:
-        hashes = _hashing(pool, [model_path, feat_path])
-        with timer("load"):
+    with mstcnpp.thread_pool(threads) as pool, _hashing(pool, [model_path, feat_path]) as hashes:
+        with timer("load"):  # the header alone: forward reads the rows, a chunk at a time
             model = mstcnpp.load_model(model_path, dtype=dtype)
-            features = synthgen.load_features(feat_path, dtype)
-        raw, final = predict(model, features, cfg, threads, timer)
+            features = synthgen.FeatureFile(feat_path, dtype)
+        with features:
+            raw, final = predict(model, features, cfg, threads, timer)
         with timer("hash"):
             input_hashes = hashes()
 
@@ -553,7 +579,7 @@ def cmd_parse_notes(args) -> int:
         timeline = annotate.build_timeline(boundaries, cfg["frames"], cfg["fps"], ontology)
     timer = PhaseTimer()
     with timer("hash"):
-        input_hashes = _hash_inputs([notes_path])
+        input_hashes = _hash_inputs([p for p in (notes_path, args.lexicon) if p])
 
     out_dir.mkdir(parents=True, exist_ok=True)
     bounds_path = out_dir / "boundaries.csv"

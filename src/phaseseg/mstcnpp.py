@@ -303,7 +303,8 @@ def run_jobs(pool, jobs) -> None:
     pool's workers: each thread takes the next job in list order when it is
     free. Returns when all are done, without waiting for a worker that is
     busy with other work (this thread then runs the jobs alone); a job's
-    exception is raised here."""
+    exception is raised here once no job runs any more, the jobs not yet
+    taken left undone."""
     todo = collections.deque(jobs)
 
     def drain():
@@ -316,10 +317,16 @@ def run_jobs(pool, jobs) -> None:
 
     # a drain per job beyond the first: the surplus ones find nothing left
     helpers = [] if pool is None else [pool.submit(drain) for _ in range(len(todo) - 1)]
-    drain()
-    for helper in helpers:  # one that has not started would find nothing left
-        if not helper.cancel():
-            helper.result()
+    try:
+        drain()
+    finally:
+        todo.clear()  # after a failed job, no thread takes another
+        # one that has not started would find nothing left
+        running = [helper for helper in helpers if not helper.cancel()]
+        for helper in running:
+            helper.exception()  # waits, and raises nothing
+    for helper in running:
+        helper.result()
 
 
 def _block_jobs(blocks, workspaces, kernel, *args):
@@ -337,9 +344,30 @@ def _block_workspaces(blocks, t_len: int, f: int, dtype, n_rows: int):
             for _ in blocks]
 
 
-def _project_rows(stage: Stage, x, h, rows, ws):
-    lo, hi = rows
-    conv1x1(x, stage.proj_w, stage.proj_b, h[lo:hi], rows)
+# Rows of a stage's input that one projection product reads: about 2 MiB at
+# the compute precision (256 rows of a 2048-wide float32 input), so stage 1
+# never holds more of a feature file than one such chunk per thread.
+_PROJECT_CHUNK_BYTES = 1 << 21
+
+
+def _row_chunks(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
+    """[lo, hi) cut into ranges of size rows, the last one taking in a
+    remainder shorter than _MIN_GEMM_ROWS."""
+    starts = list(range(lo, hi, size))
+    if len(starts) > 1 and hi - starts[-1] < _MIN_GEMM_ROWS:
+        del starts[-1]
+    return list(zip(starts, [*starts[1:], hi]))
+
+
+def _slice_rows(x, lo, hi):
+    return x[lo:hi]
+
+
+def _project_rows(stage: Stage, read, chunk: int, h, rows, ws):
+    """Rows [lo, hi) of the stage's input projection into h, one product per
+    chunk of rows; read(a, b) gives rows [a, b) of the stage's input."""
+    for a, b in _row_chunks(*rows, chunk):
+        conv1x1(read(a, b), stage.proj_w, stage.proj_b, h[a:b])
 
 
 @functools.cache
@@ -429,12 +457,27 @@ def forward(model: Model, x, return_cache: bool = False, threads: int = 1):
     and each layer are cut into that many row blocks when the sequence is
     long enough (see _row_blocks). The result is bit-identical for every
     thread count.
+
+    x is a (T, in_dim) array or a reader of one, such as
+    synthgen.FeatureFile: an object with .shape, .dtype (the model's) and
+    .rows(lo, hi). Each projection reads its input in chunks of about
+    _PROJECT_CHUNK_BYTES, so a reader's rows are never all in memory; it
+    takes return_cache=False, since backward reads the whole input.
     """
     cfg = model.config
-    x = as_matrix(x, "features", model.dtype)
+    if hasattr(x, "rows"):  # a reader: its rows are read, checked and dropped per chunk
+        if return_cache:
+            raise ValueError("backward needs the whole stage-1 input: pass an array, "
+                             "not a reader, with return_cache=True")
+        if x.dtype != model.dtype:
+            raise ValueError(f"the reader hands out {x.dtype}, the model computes in "
+                             f"{model.dtype}")
+        read = x.rows
+    else:
+        x = as_matrix(x, "features", model.dtype).astype(model.dtype, copy=False)
+        read = functools.partial(_slice_rows, x)
     if x.shape[1] != cfg.in_dim:
         raise ShapeError(f"input has {x.shape[1]} channels, model expects {cfg.in_dim}")
-    x = x.astype(model.dtype, copy=False)
 
     t_len, f = x.shape[0], cfg.channels
     blocks = _row_blocks(t_len, f, threads)
@@ -445,7 +488,12 @@ def forward(model: Model, x, return_cache: bool = False, threads: int = 1):
     with thread_pool(len(blocks)) as pool:
         for stage in model.stages:
             h = np.empty((t_len, f), dtype=model.dtype)
-            run_jobs(pool, _block_jobs(blocks, workspaces, _project_rows, stage, current, h))
+            # rows round alike over other spans than the block's only at some
+            # widths; elsewhere each block stays one product
+            chunk = (max(_MIN_GEMM_ROWS, _PROJECT_CHUNK_BYTES
+                         // (current.shape[1] * model.dtype.itemsize))
+                     if rows_round_alike(f) else t_len)
+            run_jobs(pool, _block_jobs(blocks, workspaces, _project_rows, stage, read, chunk, h))
             layer_caches = []
             for layer in stage.layers:
                 h, lc = _layer_forward(layer, h, cfg.fuse_mode, blocks, workspaces, pool)
@@ -458,7 +506,7 @@ def forward(model: Model, x, return_cache: bool = False, threads: int = 1):
                 cache.stage_caches.append(_StageCache(
                     stage_input=current, layer_caches=layer_caches, final_h=h, probs=probs))
             stage_probs.append(probs)
-            current = probs
+            current, read = probs, functools.partial(_slice_rows, probs)
     if return_cache:
         return stage_probs, cache
     return stage_probs

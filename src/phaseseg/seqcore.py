@@ -8,9 +8,10 @@ pass writes its parameter gradients into arrays the caller passes and
 returns only the input gradient; the dilated convolution leaves its input
 gradient (a dilated convolution) and bias gradient (a column sum) to the caller.
 
-Arrays are checked where they enter the program (`synthgen.load_features`
-and `mstcnpp.forward` call `as_matrix`); the primitives take them as they
-are and check only their own contracts: operand shapes, and finite logits.
+Arrays are checked where they enter the program (`synthgen.FeatureFile`
+checks a feature file's header and the rows it reads, and `mstcnpp.forward`
+calls `as_matrix` on an array); the primitives take them as they are and
+check only their own contracts: operand shapes, and finite logits.
 
 All primitives preserve sequence length: a dilated convolution's tap reads
 zeros wherever its shift takes it outside [0, T), which for the dilation

@@ -12,17 +12,24 @@ timing-imprecise, not class-shuffled), which keeps every generated timeline
 monotone with unit steps. Boundary blur instead mixes adjacent cluster
 centers in a window around each true transition, making frames near
 boundaries genuinely ambiguous.
+
+Feature files on disk are .npy arrays, read through FeatureFile: opening one
+checks its header, and rows(lo, hi) reads, casts and checks a row range, so
+a caller can project a long sequence without holding it (mstcnpp.forward
+does for segment). load_features reads every row at once.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .annotate import read_label_csv, write_label_csv
-from .seqcore import ShapeError, as_matrix
+from .seqcore import ShapeError
 
 
 @dataclass(frozen=True)
@@ -166,28 +173,94 @@ def save_dataset(sequences, directory) -> list[str]:
     return written
 
 
-def load_features(path, dtype=np.float64) -> np.ndarray:
-    """Load a (T, d) feature file as dtype; a file already in dtype is not copied.
+class FeatureFile:
+    """A (T, d) feature file (.npy) opened for reading row ranges at dtype.
 
-    Bool and integer files are cast straight to dtype. Raises ShapeError
-    unless the array is 2-D with T >= 1 and d >= 1, and ValueError if the
-    file is not a readable array of real numbers or any entry is non-finite
-    in dtype (a float64 value beyond the float32 range counts as infinite);
-    every message names the file.
+    Opening reads and checks the header alone. Raises ShapeError unless the
+    array is 2-D with T >= 1 and d >= 1, and ValueError unless the file is a
+    .npy file (not an .npz archive or a pickle) of real numbers (bool, int
+    or float; not objects) in C order and this machine's byte order, with as
+    many data bytes as its header describes. rows() then checks the values
+    it hands out. Every message names the file. Use it in a `with` block,
+    or close() it.
     """
-    try:
-        features = as_matrix(np.load(path), "features", dtype)
-    except ShapeError as exc:
-        raise ShapeError(f"{path}: {exc}") from None
-    except (ValueError, EOFError) as exc:  # EOFError: a zero-byte file
-        raise ValueError(f"{path}: {exc}") from None
-    if features.shape[0] < 1 or features.shape[1] < 1:
-        raise ShapeError(f"{path}: features need T >= 1 and d >= 1, got {features.shape}")
-    with np.errstate(over="ignore"):  # overflow shows as inf, rejected below
-        features = features.astype(dtype, copy=False)
-    if not np.all(np.isfinite(features)):
-        raise ValueError(f"{path}: features contain non-finite entries")
-    return features
+
+    def __init__(self, path, dtype=np.float64):
+        self.path, self.dtype = path, np.dtype(dtype)
+        self._lock = threading.Lock()  # rows() seeks and reads one file handle
+        self._fh = open(path, "rb", buffering=0)
+        try:
+            self._stored, self.shape, self._offset = self._read_header()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _read_header(self):
+        fmt, path = np.lib.format, self.path
+        try:
+            version = fmt.read_magic(self._fh)  # an .npz or a pickle fails here
+            if version not in ((1, 0), (2, 0)):
+                raise ValueError(f"unsupported .npy format version {version}")
+            read = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+            shape, fortran_order, stored = read(self._fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a readable .npy file: {exc}") from None
+        if stored.kind not in "biuf":  # complex, dates, strings, objects, records
+            raise ValueError(f"{path}: features must be real numbers, got dtype {stored}")
+        if not stored.isnative:
+            raise ValueError(f"{path}: features must be stored in this machine's byte "
+                             f"order, got dtype {stored.str}")
+        if len(shape) != 2:
+            raise ShapeError(f"{path}: features must be 2-D (T, channels), got shape {shape}")
+        if fortran_order:
+            raise ValueError(f"{path}: features must be stored in C order, not Fortran order")
+        if shape[0] < 1 or shape[1] < 1:
+            raise ShapeError(f"{path}: features need T >= 1 and d >= 1, got {shape}")
+        offset = self._fh.tell()
+        need = shape[0] * shape[1] * stored.itemsize
+        have = os.fstat(self._fh.fileno()).st_size - offset
+        if have < need:
+            raise ValueError(f"{path}: the header describes {need} data bytes, "
+                             f"the file holds {have}")
+        return stored, shape, offset
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows [lo, hi) as a new (hi - lo, d) array of dtype, read at their
+        offset: bool and integer rows are cast straight to dtype, rows
+        already in dtype are not copied. Raises ValueError if an entry is
+        non-finite in dtype (a float64 value beyond the float32 range
+        counts as infinite) or the file has shrunk since it was opened.
+        Threads may call it at once."""
+        d = self.shape[1]
+        raw = np.empty((hi - lo, d), dtype=self._stored)
+        buf = memoryview(raw.reshape(-1).view(np.uint8))
+        got = 0
+        with self._lock:
+            self._fh.seek(self._offset + lo * d * self._stored.itemsize)
+            while got < len(buf) and (n := self._fh.readinto(buf[got:])):
+                got += n
+        if got < len(buf):
+            raise ValueError(f"{self.path}: the file ends before row {hi}")
+        with np.errstate(over="ignore"):  # overflow shows as inf, rejected below
+            rows = raw.astype(self.dtype, copy=False)
+        if not np.isfinite(rows).all():
+            raise ValueError(f"{self.path}: features contain non-finite entries")
+        return rows
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def load_features(path, dtype=np.float64) -> np.ndarray:
+    """Every row of the FeatureFile at path, as one (T, d) array of dtype."""
+    with FeatureFile(path, dtype) as features:
+        return features.rows(0, features.shape[0])
 
 
 def load_dataset(directory, dtype=np.float64) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import pickle
 import re
 import shutil
 import struct
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -726,11 +728,11 @@ def _segment_argv(infer_inputs, out, *extra):
 class TestFloat32Inference:
     @staticmethod
     def _check_peak_memory(infer_inputs, tmp_path, extra):
-        # the parameters, the features and a few (T, F) activations, all float32:
-        # a 6.9 MB bound; the default peaks at 5.5 MB and float64 at 11.0 MB
+        # the parameters and a few (T, F) activations, all float32; the
+        # features are read a chunk at a time and never held whole: a 4.9 MB
+        # bound; the default peaks at 4.0-4.4 MB and float64 at 6.6-10.1 MB
         activation = 4 * INFER_FRAMES * INFER_CFG.channels
-        bound = (4 * mstcnpp._param_count(INFER_CFG) + 4 * INFER_FRAMES * INFER_CFG.in_dim
-                 + 8 * activation)
+        bound = 4 * mstcnpp._param_count(INFER_CFG) + 8 * activation
         tracemalloc.start()
         try:
             assert main(_segment_argv(infer_inputs, tmp_path / "seg", *extra)) == 0
@@ -926,6 +928,58 @@ class TestMalformedFeatureFiles:
                    "--ssl-features", str(feat_file), "--out", str(tmp_path / "seg")])
         assert rc == 2
         assert "bad.npy" in capsys.readouterr().err
+
+    @staticmethod
+    def _write_bad(path, features, case):
+        if case == "fortran-order":
+            np.save(path, np.asfortranarray(features))
+        elif case == "big-endian":
+            np.save(path, features.astype(">f4"))
+        elif case == "short-data":
+            np.save(path, features)
+            path.write_bytes(path.read_bytes()[:-4])
+        elif case == "npz":
+            with open(path, "wb") as fh:  # np.savez would append .npz to the name
+                np.savez(fh, features=features)
+        elif case == "object-array":
+            np.save(path, features.astype(object), allow_pickle=True)
+        else:  # a pickle
+            path.write_bytes(pickle.dumps(features))
+
+    @pytest.mark.parametrize("case", ["fortran-order", "big-endian", "short-data", "npz",
+                                      "object-array", "pickle"])
+    def test_segment_on_rejected_file_exits_2(self, infer_inputs, tmp_path, capsys, case):
+        feat_file = tmp_path / "bad.npy"
+        self._write_bad(feat_file, np.load(infer_inputs[1]), case)
+        rc = main(["segment", "--model", str(infer_inputs[0]),
+                   "--ssl-features", str(feat_file), "--out", str(tmp_path / "seg")])
+        assert rc == 2
+        assert "bad.npy" in capsys.readouterr().err
+        assert not (tmp_path / "seg").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("case", ["nan-in-last-row", "float64-beyond-float32"])
+    def test_segment_on_value_in_a_late_chunk_exits_2(self, infer_inputs, tmp_path, capsys,
+                                                      monkeypatch, case, threads):
+        # 128-row chunks: the bad value is found by the projection, in the
+        # last chunk or in one of the last block's
+        monkeypatch.setattr(mstcnpp, "_PROJECT_CHUNK_BYTES", 128 * INFER_CFG.in_dim * 4)
+        assert len(mstcnpp._row_chunks(0, INFER_FRAMES, 128)) > 8
+        monkeypatch.setenv("PHASESEG_THREADS", threads)
+        features = np.load(infer_inputs[1])
+        if case == "nan-in-last-row":
+            features[-1, 3] = np.nan
+        else:
+            features = features.astype(np.float64)
+            features[1900, 0] = 1e39
+        feat_file = tmp_path / "bad.npy"
+        np.save(feat_file, features)
+        rc = main(["segment", "--model", str(infer_inputs[0]),
+                   "--ssl-features", str(feat_file), "--out", str(tmp_path / "seg")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad.npy" in err and "non-finite" in err
+        assert not (tmp_path / "seg").exists()
 
 
 FUZZ_IN_DIM = 3
@@ -1227,6 +1281,54 @@ class TestInputHashes:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_parse_notes_hashes_its_lexicon(self, tmp_path):
+        notes, lexicon = _notes_file(tmp_path), tmp_path / "lexicon.txt"
+        lexicon.write_text("nasal: nasal, septum\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["parse-notes", "--notes", str(notes), "--lexicon", str(lexicon),
+                     "--out", str(out)]) == 0
+        assert (json.loads((out / "manifest.json").read_text())["input_hashes"]
+                == _file_hashes(notes, lexicon))
+
+    def test_failed_command_stops_its_hash(self, infer_inputs, tmp_path, monkeypatch):
+        # the worker hashes 256 KiB every 50 ms while segment meets a NaN in
+        # its first chunk: leaving the pool waits for at most the read in hand
+        monkeypatch.setenv("PHASESEG_THREADS", "2")
+        features = np.load(infer_inputs[1])
+        features[0, 0] = np.nan
+        feat_file = tmp_path / "x.npy"
+        np.save(feat_file, features)
+        chunks = -(-feat_file.stat().st_size // (1 << 18))
+        assert chunks >= 8
+        hashed, failed_at = [], []
+        sha256, rows = hashlib.sha256, synthgen.FeatureFile.rows
+
+        class SlowHash:
+            def __init__(self):
+                self._h = sha256()
+
+            def update(self, data):
+                hashed.append(len(data))
+                time.sleep(0.05)
+                self._h.update(data)
+
+            def hexdigest(self):
+                return self._h.hexdigest()
+
+        def failing_rows(reader, lo, hi):
+            failed_at.append(len(hashed))
+            return rows(reader, lo, hi)
+
+        monkeypatch.setattr(cli.hashlib, "sha256", SlowHash)
+        monkeypatch.setattr(synthgen.FeatureFile, "rows", failing_rows)
+        before = threading.active_count()
+        assert main(["segment", "--model", str(infer_inputs[0]), "--ssl-features",
+                     str(feat_file), "--out", str(tmp_path / "seg")]) == 2
+        assert threading.active_count() == before
+        assert failed_at and failed_at[0] < chunks - 4
+        assert len(hashed) <= failed_at[0] + 2
 
 
 @pytest.fixture(scope="module")

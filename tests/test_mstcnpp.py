@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseseg import mstcnpp, seqcore
+from phaseseg import mstcnpp, seqcore, synthgen
 from phaseseg.losses import FocalConfig, total_loss
 from phaseseg.mstcnpp import (
     ModelFormatError,
@@ -378,6 +378,66 @@ class TestRowBlocks:
             for lc in sc.layer_caches:
                 assert lc.pre_relu is lc.post_relu
                 assert (lc.post_relu >= 0).all()
+
+
+class TestFeatureReader:
+    """forward on a synthgen.FeatureFile, whose rows stage 1 reads a chunk at
+    a time, gives the bits of forward on the loaded array."""
+
+    IN_DIM = 16
+    CHUNK = 100  # rows per projection chunk, set small through the chunk bytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [64, 256, 250])
+    @pytest.mark.parametrize("t_len", [1930, 90, 40])
+    def test_reader_gives_the_bits_of_the_loaded_array(self, tmp_path, monkeypatch, dtype,
+                                                       channels, t_len):
+        # 1930: one block's chunks end in a 30-row remainder, which the last
+        # chunk takes in, and 64 and 256 channels cut 2 and 3 row blocks; 90
+        # and 40 are shorter than a chunk, 40 shorter than _MIN_GEMM_ROWS;
+        # rows do not round alike at 250 channels, so a block is one product
+        cfg = StageConfig(in_dim=self.IN_DIM, channels=channels, n_classes=4, stages=2,
+                          layers_prediction=2, layers_refinement=1)
+        model = init(cfg, seed=3, dtype=dtype)
+        path = tmp_path / "x.npy"
+        x = np.random.default_rng(t_len).normal(size=(t_len, self.IN_DIM))
+        np.save(path, x.astype(np.float32))
+        want = forward(model, np.load(path))  # 2 MiB chunks: one product per block
+        if t_len == 1930:
+            assert mstcnpp._row_chunks(0, t_len, self.CHUNK)[-1] == (1800, 1930)
+            if channels != 250:
+                assert len(mstcnpp._row_blocks(t_len, channels, 3)) == 3
+        monkeypatch.setattr(mstcnpp, "_PROJECT_CHUNK_BYTES",
+                            self.CHUNK * self.IN_DIM * np.dtype(dtype).itemsize)
+        for threads in (1, 2, 3):
+            reads = []
+            with synthgen.FeatureFile(path, dtype) as reader:
+                rows = reader.rows
+                monkeypatch.setattr(reader, "rows",
+                                    lambda lo, hi: reads.append((lo, hi)) or rows(lo, hi))
+                got = forward(model, reader, threads=threads)
+            loaded = forward(model, np.load(path), threads=threads)
+            for a, b, c in zip(want, got, loaded):
+                assert a.dtype == b.dtype == dtype
+                assert a.tobytes() == b.tobytes() == c.tobytes(), threads
+            edges = sorted(reads)  # every row read once
+            assert edges[0][0] == 0 and edges[-1][1] == t_len
+            assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+            if channels == 250:
+                assert reads == [(0, t_len)]
+            else:
+                assert all(min(t_len, seqcore._MIN_GEMM_ROWS) <= hi - lo
+                           < self.CHUNK + seqcore._MIN_GEMM_ROWS for lo, hi in reads)
+
+    def test_reader_needs_no_cache_and_the_model_dtype(self, tmp_path):
+        model = init(TINY, seed=0, dtype=np.float32)
+        np.save(tmp_path / "x.npy", np.ones((8, TINY.in_dim), np.float32))
+        with synthgen.FeatureFile(tmp_path / "x.npy", np.float32) as reader:
+            with pytest.raises(ValueError, match="return_cache"):
+                forward(model, reader, return_cache=True)
+        with synthgen.FeatureFile(tmp_path / "x.npy", np.float64) as reader:
+            with pytest.raises(ValueError, match="float64"):
+                forward(model, reader)
 
 
 class TestBackward:

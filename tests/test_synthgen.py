@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from phaseseg.seqcore import ShapeError
 from phaseseg.synthgen import (
+    FeatureFile,
     SynthConfig,
     generate,
     load_dataset,
@@ -202,3 +205,67 @@ class TestLoadFeatures:
         x = load_features(self._saved(tmp_path, np.ones((2, 3), dtype=dtype)), np.float32)
         assert x.dtype == np.float32
         np.testing.assert_array_equal(x, np.ones((2, 3)))
+
+
+class TestFeatureFile:
+    def _saved(self, tmp_path, arr):
+        path = tmp_path / "x.npy"
+        np.save(path, arr)
+        return path
+
+    @pytest.mark.parametrize("stored", [np.float32, np.float64, np.int64, np.bool_])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_equal_the_loaded_rows_cast(self, tmp_path, stored, dtype):
+        arr = (np.random.default_rng(0).normal(size=(37, 5)) * 10).astype(stored)
+        with FeatureFile(self._saved(tmp_path, arr), dtype) as features:
+            assert features.shape == (37, 5)
+            for lo, hi in [(0, 37), (0, 1), (36, 37), (5, 29)]:
+                rows = features.rows(lo, hi)
+                assert rows.dtype == dtype and rows.flags.c_contiguous
+                assert rows.tobytes() == arr[lo:hi].astype(dtype).tobytes()
+
+    def test_values_are_checked_in_the_rows_read(self, tmp_path):
+        arr = np.ones((50, 3))
+        arr[47, 1] = np.nan
+        arr[20, 0] = 1e39  # beyond the float32 range
+        with FeatureFile(self._saved(tmp_path, arr), np.float64) as features:
+            features.rows(0, 47)
+            with pytest.raises(ValueError, match="x.npy.*non-finite"):
+                features.rows(40, 50)
+        with FeatureFile(tmp_path / "x.npy", np.float32) as features:
+            features.rows(0, 20)
+            with pytest.raises(ValueError, match="x.npy.*non-finite"):
+                features.rows(20, 21)
+
+    def test_file_shrunk_after_open_raises(self, tmp_path):
+        path = self._saved(tmp_path, np.ones((100, 8), np.float32))
+        with FeatureFile(path, np.float32) as features:
+            with open(path, "r+b") as fh:
+                fh.truncate(path.stat().st_size - 40 * 8 * 4)
+            features.rows(0, 50)
+            with pytest.raises(ValueError, match="x.npy"):
+                features.rows(50, 100)
+
+    def test_threads_reading_at_once_get_their_rows(self, tmp_path):
+        # eight threads seek and read one handle, the interpreter switching
+        # threads every microsecond
+        arr = np.random.default_rng(1).normal(size=(400, 7))
+        rng = np.random.default_rng(2)
+        ranges = [tuple(sorted(rng.choice(401, 2, replace=False))) for _ in range(400)]
+        wrong = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with FeatureFile(self._saved(tmp_path, arr)) as features:
+                def read(share):
+                    wrong.extend(r for r in share
+                                 if not np.array_equal(features.rows(*r), arr[slice(*r)]))
+                workers = [threading.Thread(target=read, args=(ranges[i::8],)) for i in range(8)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
