@@ -58,7 +58,6 @@ from .seqcore import (
     softmax_rows,
     softmax_rows_backward,
     tap_shifts,
-    workspace_rows,
 )
 
 KERNEL_SIZE = 3
@@ -212,6 +211,7 @@ def init(cfg: StageConfig, seed: int, dtype=np.float64, threads: int = 1) -> Mod
                 w.reshape(-1)[a - start:b - start] = rng.uniform(-limit, limit, size=b - a)
 
     edges = [starts[-1] * i // threads for i in range(threads + 1)]
+    # not thread_pool(1): it would hold BLAS to one thread, and the draws use no BLAS
     with thread_pool(threads) if threads > 1 else contextlib.nullcontext() as pool:
         run_jobs(pool, [functools.partial(draw, lo, hi) for lo, hi in zip(edges, edges[1:])])
     return model
@@ -329,19 +329,9 @@ def run_jobs(pool, jobs) -> None:
         helper.result()
 
 
-def _block_jobs(blocks, workspaces, kernel, *args):
-    """One job per row block: kernel(*args, rows, workspace)."""
-    return [functools.partial(kernel, *args, rows, ws) for rows, ws in zip(blocks, workspaces)]
-
-
-def _block_workspaces(blocks, t_len: int, f: int, dtype, n_rows: int):
-    """Per block: a tap workspace and n_rows arrays of the longest block's
-    rows, f columns each. They live for a whole forward or backward:
-    allocating them per layer churns the heap of every thread."""
-    longest = max(hi - lo for lo, hi in blocks)
-    return [(np.empty((workspace_rows(t_len, longest, f), f), dtype=dtype),
-             *(np.empty((longest, f), dtype=dtype) for _ in range(n_rows)))
-            for _ in blocks]
+def _block_jobs(blocks, kernel, *args):
+    """One job per row block: kernel(*args, rows)."""
+    return [functools.partial(kernel, *args, rows) for rows in blocks]
 
 
 # Rows of a stage's input that one projection product reads: about 2 MiB at
@@ -363,7 +353,7 @@ def _slice_rows(x, lo, hi):
     return x[lo:hi]
 
 
-def _project_rows(stage: Stage, read, chunk: int, h, rows, ws):
+def _project_rows(stage: Stage, read, chunk: int, h, rows):
     """Rows [lo, hi) of the stage's input projection into h, one product per
     chunk of rows; read(a, b) gives rows [a, b) of the stage's input."""
     for a, b in _row_chunks(*rows, chunk):
@@ -418,7 +408,7 @@ def _layer_convs(layer: DualDilatedLayer, fuse_mode: str):
     return [(kernel, bias, shifts) for (kernel, shifts), bias in zip(convs, biases)]
 
 
-def _layer_rows(layer: DualDilatedLayer, convs, h, a, out, rows, ws):
+def _layer_rows(layer: DualDilatedLayer, convs, h, a, out, rows):
     """Rows [lo, hi) of one layer into the layer's full-length fusion a and
     output out; reads only h and, for the fuse conv, rows [lo, hi) of a.
     convs are the layer's _layer_convs."""
@@ -427,14 +417,13 @@ def _layer_rows(layer: DualDilatedLayer, convs, h, a, out, rows, ws):
     lo, hi = rows
     f = h.shape[1]
     for i, (kernel, bias, dilation) in enumerate(convs):
-        dilated_conv1d(h, kernel, bias, dilation, a[lo:hi, i * f:(i + 1) * f], rows, ws[0])
+        dilated_conv1d(h, kernel, bias, dilation, a[lo:hi, i * f:(i + 1) * f], rows)
     relu(a[lo:hi], a[lo:hi])
     conv1x1(a, layer.w_fuse, layer.b_fuse, out[lo:hi], rows)
     out[lo:hi] += h[lo:hi]
 
 
-def _layer_forward(layer: DualDilatedLayer, h: np.ndarray, fuse_mode: str,
-                   blocks, workspaces, pool):
+def _layer_forward(layer: DualDilatedLayer, h: np.ndarray, fuse_mode: str, blocks, pool):
     t_len, f = h.shape
     a = np.empty((t_len, f if fuse_mode == "sum" else 2 * f), dtype=h.dtype)
     out = np.empty_like(h)
@@ -442,7 +431,7 @@ def _layer_forward(layer: DualDilatedLayer, h: np.ndarray, fuse_mode: str,
     # heap space it frees is not a hole below them: built first, it left
     # train-paper's peak 5 MiB higher (glibc, 2 threads)
     convs = _layer_convs(layer, fuse_mode)
-    run_jobs(pool, _block_jobs(blocks, workspaces, _layer_rows, layer, convs, h, a, out))
+    run_jobs(pool, _block_jobs(blocks, _layer_rows, layer, convs, h, a, out))
     return out, _LayerCache(h_in=h, pre_relu=a, post_relu=a)
 
 
@@ -481,7 +470,6 @@ def forward(model: Model, x, return_cache: bool = False, threads: int = 1):
 
     t_len, f = x.shape[0], cfg.channels
     blocks = _row_blocks(t_len, f, threads)
-    workspaces = _block_workspaces(blocks, t_len, f, model.dtype, 0)
     cache = ForwardCache()
     stage_probs = []
     current = x
@@ -493,10 +481,10 @@ def forward(model: Model, x, return_cache: bool = False, threads: int = 1):
             chunk = (max(_MIN_GEMM_ROWS, _PROJECT_CHUNK_BYTES
                          // (current.shape[1] * model.dtype.itemsize))
                      if rows_round_alike(f) else t_len)
-            run_jobs(pool, _block_jobs(blocks, workspaces, _project_rows, stage, read, chunk, h))
+            run_jobs(pool, _block_jobs(blocks, _project_rows, stage, read, chunk, h))
             layer_caches = []
             for layer in stage.layers:
-                h, lc = _layer_forward(layer, h, cfg.fuse_mode, blocks, workspaces, pool)
+                h, lc = _layer_forward(layer, h, cfg.fuse_mode, blocks, pool)
                 if return_cache:
                     layer_caches.append(lc)
                 del lc  # otherwise this layer's activations live through the next layer
@@ -512,7 +500,7 @@ def forward(model: Model, x, return_cache: bool = False, threads: int = 1):
     return stage_probs
 
 
-def _fusion_grad_rows(w_fuse_t, g_out, a, g_a, rows, ws):
+def _fusion_grad_rows(w_fuse_t, g_out, a, g_a, rows):
     """Rows [lo, hi) of the gradient at the fusion, (g_out @ w_fuse) where
     the fusion a is positive, into g_a; w_fuse_t is w_fuse.T made
     C-contiguous, so the product is laid out as forward's."""
@@ -521,16 +509,17 @@ def _fusion_grad_rows(w_fuse_t, g_out, a, g_a, rows, ws):
     relu_backward(a[lo:hi], g_a[lo:hi], out=g_a[lo:hi])
 
 
-def _input_grad_rows(inputs, g_h, rows, ws):
+def _input_grad_rows(inputs, g_h, dxs, rows):
     """Rows [lo, hi) of the layer's input gradient into g_h in place, where
     g_h holds the gradient at the layer's output. Each of inputs, a
     (gradient at a dilated conv's output, _tap_kernels twin, shifts),
-    gives that conv's input gradient; two are summed before g_h takes them."""
+    gives that conv's input gradient into rows [lo, hi) of its array of
+    dxs; two are summed before g_h takes them."""
     lo, hi = rows
     zero = np.zeros(g_h.shape[1], dtype=g_h.dtype)
-    dxs = [dx[:hi - lo] for dx in ws[1:1 + len(inputs)]]
+    dxs = [dx[lo:hi] for dx in dxs]
     for (g_c, kernel, shifts), dx in zip(inputs, dxs):
-        dilated_conv1d(g_c, kernel, zero, shifts, dx, rows, ws[0])
+        dilated_conv1d(g_c, kernel, zero, shifts, dx, rows)
     for dx in dxs[1:]:
         dxs[0] += dx
     g_h[lo:hi] += dxs[0]
@@ -542,7 +531,7 @@ def _input_grad_rows(inputs, g_h, rows, ws):
 # backward: memory freed on a helper thread stays in that thread's arena.
 
 def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
-                    grad: DualDilatedLayer, g_a, blocks, workspaces, pool):
+                    grad: DualDilatedLayer, g_a, dxs, blocks, pool):
     """Gradients of one layer, given g_h, the gradient at its output, which
     becomes the gradient at its input in place. Two passes of jobs: the
     fusion gradient g_a in row blocks, the fuse conv's parameter gradients,
@@ -553,8 +542,8 @@ def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
     twins, fills = _tap_kernels(layer, fuse_mode, transposed=True)
     run_jobs(pool, [functools.partial(conv1x1_backward, lc.post_relu, layer.w_fuse, g_h,
                                       grad.w_fuse, grad.b_fuse, d_input=False),
-                    *_block_jobs(blocks, workspaces, _fusion_grad_rows, w_fuse_t, g_h,
-                                 lc.pre_relu, g_a), *fills])
+                    *_block_jobs(blocks, _fusion_grad_rows, w_fuse_t, g_h, lc.pre_relu, g_a),
+                    *fills])
     f = g_h.shape[1]
     # each conv's output gradient: concat's halves made contiguous once, not per block
     g_convs = ([g_a] if fuse_mode == "sum"
@@ -568,7 +557,7 @@ def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
     params += [functools.partial(np.sum, g_c, axis=0, out=d_bias)  # sum: both from g_a
                for d_bias, g_c in zip((grad.b_d1, grad.b_d2), g_convs * 2)]
     inputs = [(g_c, *twin) for g_c, twin in zip(g_convs, twins)]
-    run_jobs(pool, [*params, *_block_jobs(blocks, workspaces, _input_grad_rows, inputs, g_h)])
+    run_jobs(pool, [*params, *_block_jobs(blocks, _input_grad_rows, inputs, g_h, dxs)])
     for _, _, (first, *others) in taps:
         for view in others:
             view[...] = first
@@ -593,12 +582,12 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int 
     cfg = model.config
     grads = _bind(cfg, np.empty_like(model.flat))  # backward writes every entry
     t_len, f = cache.stage_caches[0].final_h.shape
-    # the fusion gradient of the layer in hand; every layer refills it
+    # the fusion gradient of the layer in hand, and the input gradient of each
+    # of its dilated convs; every layer refills them
     g_a = np.empty((t_len, f if cfg.fuse_mode == "sum" else 2 * f), dtype=model.dtype)
+    dxs = [np.empty((t_len, f), dtype=model.dtype) for _ in range(g_a.shape[1] // f)]
     g_probs_next = None  # gradient arriving at this stage's output probabilities
     blocks = _row_blocks(t_len, f, threads)
-    workspaces = _block_workspaces(blocks, t_len, f, model.dtype,
-                                  1 if cfg.fuse_mode == "sum" else 2)
     with thread_pool(len(blocks)) as pool:
         for s in range(n_stages - 1, -1, -1):
             stage, grad = model.stages[s], grads.stages[s]
@@ -615,7 +604,7 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int 
             g_h = conv1x1_backward(sc.final_h, stage.head_w, g_logits, grad.head_w, grad.head_b)
             for l in range(len(stage.layers) - 1, -1, -1):
                 _layer_backward(stage.layers[l], sc.layer_caches[l], g_h, cfg.fuse_mode,
-                                grad.layers[l], g_a, blocks, workspaces, pool)
+                                grad.layers[l], g_a, dxs, blocks, pool)
 
             # stage 1's input is the features: nothing reads their gradient
             g_probs_next = conv1x1_backward(sc.stage_input, stage.proj_w, g_h,

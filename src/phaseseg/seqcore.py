@@ -22,7 +22,7 @@ matmul has no C += A @ B, so each long tap is one call of the cblas GEMM of
 numpy's bundled OpenBLAS (found through ctypes, as its thread count is)
 with beta = 1, into rows of the output that already hold the bias. Short
 taps, layouts BLAS cannot step through, and a numpy without that library
-take numpy's matmul into a workspace and an add.
+take numpy's matmul, chunk by chunk, and an add.
 """
 
 from __future__ import annotations
@@ -91,12 +91,12 @@ _MIN_GEMM_ROWS = 64
 
 
 # A tap that does not go through the direct GEMM (see dilated_conv1d) is
-# computed and added in chunks of at most this many rows, so its workspace
-# stays small (1 MiB at F=256, float32) whatever T is. Measured when every tap
-# took this path, at the paper shape (T=5400, F=256, float32, 2 row blocks on
-# a 2-core x86 VM): a segment call peaked at 180 MiB against 184 MiB with
-# whole-block products, at the same speed; 512 rows gave 179 MiB and ran
-# 5-10% slower.
+# multiplied and added in chunks of at most this many rows, so each product
+# it allocates stays small (1 MiB at F=256, float32) whatever T is. Measured
+# with blas_gemm forced to None, so that every tap took this path, on a
+# paper-size float32 forward (T=5400, F=256, features read in row chunks, 2
+# row blocks on a 2-core x86 VM): peak RSS 133.0 MiB with the chunks against
+# 139-142 MiB with one product per tap.
 _TAP_CHUNK = 1024
 
 
@@ -206,16 +206,6 @@ class _OneBlasThread:
 one_blas_thread = _OneBlasThread()
 
 
-def _chunk_rows(t_len: int, cout: int) -> int:
-    return _TAP_CHUNK if rows_round_alike(cout) else t_len
-
-
-def workspace_rows(t_len: int, n_rows: int, cout: int) -> int:
-    """Rows of a work array that serves a dilated_conv1d call over n_rows of
-    T output rows with cout output columns."""
-    return min(t_len, max(min(n_rows, _chunk_rows(t_len, cout)), _MIN_GEMM_ROWS))
-
-
 def _row_range(t_len: int, rows) -> tuple[int, int]:
     lo, hi = (0, t_len) if rows is None else rows
     if not 0 <= lo < hi <= t_len:
@@ -228,14 +218,6 @@ def _window(lo: int, hi: int, t_len: int) -> tuple[int, int]:
     [lo, hi) itself, widened to _MIN_GEMM_ROWS rows (or all of x) when shorter."""
     rows = min(t_len, max(hi - lo, _MIN_GEMM_ROWS))
     return min(lo, t_len - rows), rows
-
-
-def _workspace(work, rows: int, cols: int, dtype) -> np.ndarray:
-    if work is None:
-        return np.empty((rows, cols), dtype=dtype)
-    if work.shape[0] < rows or work.shape[1] != cols or work.dtype != dtype:
-        raise ShapeError(f"workspace {work.shape} {work.dtype} cannot hold ({rows}, {cols}) {dtype}")
-    return work
 
 
 def _destination(out, rows: int, cols: int, dtype) -> np.ndarray:
@@ -277,8 +259,7 @@ def _direct_taps(x, weights, out):
     return add_tap
 
 
-def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
-                   work=None) -> np.ndarray:
+def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None) -> np.ndarray:
     """Same-length dilated 1-D convolution over the time axis.
 
     out[t, co] = bias[co] + sum_{ci,j} weights[co, ci, j] * x[t + shift_j, ci]
@@ -300,15 +281,12 @@ def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
     one pass: measured bit-equal at Cin up to 384, float32 and float64, and
     different in the last bits from Cin = 512 on (x86-64 OpenBLAS 0.3.31),
     where BLAS adds each block of inputs into out. Every other tap, and
-    every tap without the bundled OpenBLAS, is computed into work and added
-    to out in chunks of _TAP_CHUNK rows.
+    every tap without the bundled OpenBLAS, is computed by numpy's matmul
+    and added to out in chunks of _TAP_CHUNK rows.
 
     rows = (lo, hi) computes only output rows [lo, hi) (default: all T) into
-    out, an array of shape (hi - lo, Cout), allocated when not given. work,
-    the workspace of the product-then-add taps, has at least
-    workspace_rows(T, hi - lo, Cout) rows and Cout columns, and is allocated
-    when not given. Every row is bit-equal to that row of the full call when
-    rows_round_alike(Cout).
+    out, an array of shape (hi - lo, Cout), allocated when not given. Every
+    row is bit-equal to that row of the full call when rows_round_alike(Cout).
     """
     x = np.ascontiguousarray(x)
     weights = np.asarray(weights, dtype=x.dtype)
@@ -319,8 +297,7 @@ def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
     t_len = x.shape[0]
     lo, hi = _row_range(t_len, rows)
     out = _destination(out, hi - lo, cout, x.dtype)
-    work = _workspace(work, workspace_rows(t_len, hi - lo, cout), cout, x.dtype)
-    chunk = _chunk_rows(t_len, cout)
+    chunk = _TAP_CHUNK if rows_round_alike(cout) else t_len
     add_tap = _direct_taps(x, weights, out)
     out[...] = bias
     for j, shift in enumerate(shifts):
@@ -332,8 +309,8 @@ def dilated_conv1d(x, weights, bias, dilation, out=None, rows=None,
         for c_lo in range(t_lo, t_hi, chunk):  # nothing when the tap reads only padding
             c_hi = min(c_lo + chunk, t_hi)
             start, n = _window(c_lo + shift, c_hi + shift, t_len)
-            np.matmul(x[start:start + n], weights[:, :, j].T, out=work[:n])
-            out[c_lo - lo:c_hi - lo] += work[c_lo + shift - start:c_hi + shift - start]
+            product = x[start:start + n] @ weights[:, :, j].T
+            out[c_lo - lo:c_hi - lo] += product[c_lo + shift - start:c_hi + shift - start]
     return out
 
 

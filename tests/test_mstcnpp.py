@@ -297,6 +297,35 @@ class TestRowBlocks:
             for a, b in zip([*direct[0], *direct[1], direct[2]], [*loop[0], *loop[1], loop[2]]):
                 assert a.tobytes() == b.tobytes(), threads
 
+    @pytest.mark.skipif(seqcore.tap_products() != "openblas-gemm",
+                        reason="only numpy's bundled OpenBLAS has the direct call")
+    def test_paper_width_taps_all_take_the_direct_call(self, monkeypatch):
+        # F=256 in float32 on two threads: a forward at T=5400 and a forward
+        # plus backward at T=1350 widen no product (_window) and add none
+        # from a separate one
+        windows, direct = [], []
+        window, gemm = seqcore._window, seqcore.blas_gemm
+
+        def counting_window(*args):
+            windows.append(args)
+            return window(*args)
+
+        def counting_gemm(dtype):
+            call = gemm(dtype)
+            return lambda *args: direct.append(args) or call(*args)
+
+        monkeypatch.setattr(seqcore, "_window", counting_window)
+        monkeypatch.setattr(seqcore, "blas_gemm", counting_gemm)
+        cfg = StageConfig(in_dim=8, channels=256, n_classes=4, stages=1, layers_prediction=11,
+                          layers_refinement=1)
+        model = init(cfg, seed=0, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        forward(model, rng.normal(size=(5400, 8)).astype(np.float32), threads=2)
+        probs, cache = forward(model, rng.normal(size=(1350, 8)).astype(np.float32),
+                               return_cache=True, threads=2)
+        mstcnpp.backward(model, cache, [np.ones_like(probs[0])], threads=2)
+        assert windows == [] and len(direct) > 0
+
     @given(st.sampled_from([(40, 8), (150, 64), (300, 64)]), st.sampled_from(["sum", "concat"]),
            st.sampled_from([np.float64, np.float32]), st.integers(0, 9), st.data())
     @settings(max_examples=40, deadline=None)
@@ -317,12 +346,11 @@ class TestRowBlocks:
         order = data.draw(st.permutations(range(len(blocks))))
 
         def run(blocks):
-            ws = (np.empty((t_len, f), dtype),)
             a = np.empty((t_len, f if fuse_mode == "sum" else 2 * f), dtype)
             out = np.empty_like(h)
             convs = mstcnpp._layer_convs(layer, fuse_mode)
             for rows in blocks:
-                mstcnpp._layer_rows(layer, convs, h, a, out, rows, ws)
+                mstcnpp._layer_rows(layer, convs, h, a, out, rows)
             return a, out
 
         want_a, want_out = run([(0, t_len)])
@@ -618,13 +646,12 @@ class TestMergedSumLayer:
         cfg = StageConfig(in_dim=5, channels=64, n_classes=3, stages=1,
                           layers_prediction=n_layers, layers_refinement=1)
         h = rng.normal(size=(t_len, 64))
-        ws = (np.empty((t_len, 64)),)
         for layer in init(cfg, seed=1).stages[0].layers:
             layer.b_d1[...] = rng.normal(size=64)  # init zeroes the biases
             layer.b_d2[...] = rng.normal(size=64)
             a, out = np.empty((t_len, 64)), np.empty((t_len, 64))
             mstcnpp._layer_rows(layer, mstcnpp._layer_convs(layer, "sum"), h, a, out,
-                                (0, t_len), ws)
+                                (0, t_len))
             for got, want in zip((a, out), self._unmerged(layer, h)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 

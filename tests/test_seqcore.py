@@ -202,8 +202,7 @@ class TestRowRange:
         w = rng.normal(size=(f, f, k)).astype(dtype)
         b = rng.normal(size=f).astype(dtype)
         out = np.full((hi - lo, f), np.nan, dtype=dtype)
-        work = np.full((t_len, f), np.nan, dtype=dtype)
-        got = dilated_conv1d(x, w, b, dilation, out, (lo, hi), work)
+        got = dilated_conv1d(x, w, b, dilation, out, (lo, hi))
         assert got is out
         assert np.array_equal(got, dilated_conv1d(x, w, b, dilation)[lo:hi])
 
@@ -229,8 +228,6 @@ class TestRowRange:
                 dilated_conv1d(x, w, b, 1, None, rows)
         with pytest.raises(ShapeError, match="output"):
             dilated_conv1d(x, w, b, 1, np.empty((4, 3)), (0, 5))
-        with pytest.raises(ShapeError, match="workspace"):
-            dilated_conv1d(x, w, b, 1, None, (0, 5), np.empty((4, 3)))
 
     def test_relu_in_place(self, rng):
         x = rng.normal(size=(6, 3))
