@@ -529,10 +529,11 @@ def cmd_segment(args) -> int:
     threads, timer = _threads(), PhaseTimer()
 
     with mstcnpp.thread_pool(threads) as pool, _hashing(pool, [model_path, feat_path]) as hashes:
-        with timer("load"):  # the header alone: forward reads the rows, a chunk at a time
-            model = mstcnpp.load_model(model_path, dtype=dtype)
-            features = synthgen.FeatureFile(feat_path, dtype)
-        with features:
+        with contextlib.ExitStack() as files:
+            # the headers alone: forward reads the stages in turn, the rows a chunk at a time
+            with timer("load"):
+                model = files.enter_context(mstcnpp.ModelFile(model_path, dtype))
+                features = files.enter_context(synthgen.FeatureFile(feat_path, dtype))
             raw, final = predict(model, features, cfg, threads, timer)
         with timer("hash"):
             input_hashes = hashes()

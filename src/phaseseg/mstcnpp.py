@@ -24,8 +24,10 @@ for every parameter and chains correctly through the probability handoff
 between stages.
 
 A model's parameters live in one contiguous array, `Model.flat`, in file
-order; every weight and bias field is a writeable view into it, laid out by
-`_bind` alone. Gradients come back as a Model of the same layout.
+order; every weight and bias field is a writeable view into it, laid out
+stage by stage by `_bind_stage` alone. Gradients come back as a Model of the
+same layout. The one exception is a `ModelFile`, which hands forward one
+stage at a time from a single buffer that every stage reuses.
 """
 
 from __future__ import annotations
@@ -137,15 +139,28 @@ class Model:
         return self.flat.dtype
 
 
-def _bind(cfg: StageConfig, flat: np.ndarray) -> Model:
-    """The parameter layout: a model whose every parameter is a view of flat.
+def _stage_param_count(cfg: StageConfig, s: int) -> int:
+    """Number of parameters of stage s (from 0), computed without building it."""
+    f, c = cfg.channels, cfg.n_classes
+    fuse_in = f if cfg.fuse_mode == "sum" else 2 * f
+    layer = 2 * (f * f * KERNEL_SIZE + f) + f * fuse_in + f
+    return f * (cfg.in_dim if s == 0 else c) + f + cfg.layers_for_stage(s) * layer + c * f + c
 
-    This is the only code that knows the file order; flat holds exactly
-    _param_count(cfg) elements.
-    """
+
+def _param_count(cfg: StageConfig) -> int:
+    """Number of parameters of the architecture: every refinement stage has
+    stage 2's count."""
+    return _stage_param_count(cfg, 0) + (cfg.stages - 1) * _stage_param_count(cfg, 1)
+
+
+def _bind_stage(cfg: StageConfig, s: int, flat: np.ndarray, params: list) -> Stage:
+    """The parameter layout of stage s (from 0): a Stage whose every
+    parameter is a view of flat, which holds exactly _stage_param_count(cfg, s)
+    elements; appends each (name, view) to params in file order.
+
+    This is the only code that knows the file order."""
     f, k = cfg.channels, KERNEL_SIZE
     fuse_in = f if cfg.fuse_mode == "sum" else 2 * f
-    params = []
     pos = 0
 
     def take(name, *shape):  # the next parameter in file order
@@ -155,24 +170,32 @@ def _bind(cfg: StageConfig, flat: np.ndarray) -> Model:
         params.append((name, view))
         return view
 
-    stages = []
+    p = f"stage{s + 1}/"
+    n_layers = cfg.layers_for_stage(s)
+    proj_w = take(p + "proj_w", f, cfg.in_dim if s == 0 else cfg.n_classes)
+    proj_b = take(p + "proj_b", f)
+    layers = []
+    for l in range(n_layers):
+        lp = f"{p}layer{l + 1}/"
+        layers.append(DualDilatedLayer(
+            w_d1=take(lp + "w_d1", f, f, k), b_d1=take(lp + "b_d1", f),
+            w_d2=take(lp + "w_d2", f, f, k), b_d2=take(lp + "b_d2", f),
+            w_fuse=take(lp + "w_fuse", f, fuse_in), b_fuse=take(lp + "b_fuse", f),
+            dilation_low=2**l, dilation_high=2 ** (n_layers - 1 - l),
+        ))
+    return Stage(proj_w=proj_w, proj_b=proj_b, layers=layers,
+                 head_w=take(p + "head_w", cfg.n_classes, f),
+                 head_b=take(p + "head_b", cfg.n_classes))
+
+
+def _bind(cfg: StageConfig, flat: np.ndarray) -> Model:
+    """A model whose every parameter is a view of flat, which holds exactly
+    _param_count(cfg) elements: the stages' _bind_stage layouts in turn."""
+    params, stages, pos = [], [], 0
     for s in range(cfg.stages):
-        p = f"stage{s + 1}/"
-        n_layers = cfg.layers_for_stage(s)
-        proj_w = take(p + "proj_w", f, cfg.in_dim if s == 0 else cfg.n_classes)
-        proj_b = take(p + "proj_b", f)
-        layers = []
-        for l in range(n_layers):
-            lp = f"{p}layer{l + 1}/"
-            layers.append(DualDilatedLayer(
-                w_d1=take(lp + "w_d1", f, f, k), b_d1=take(lp + "b_d1", f),
-                w_d2=take(lp + "w_d2", f, f, k), b_d2=take(lp + "b_d2", f),
-                w_fuse=take(lp + "w_fuse", f, fuse_in), b_fuse=take(lp + "b_fuse", f),
-                dilation_low=2**l, dilation_high=2 ** (n_layers - 1 - l),
-            ))
-        stages.append(Stage(proj_w=proj_w, proj_b=proj_b, layers=layers,
-                            head_w=take(p + "head_w", cfg.n_classes, f),
-                            head_b=take(p + "head_b", cfg.n_classes)))
+        n = _stage_param_count(cfg, s)
+        stages.append(_bind_stage(cfg, s, flat[pos:pos + n], params))
+        pos += n
     return Model(config=cfg, stages=stages, flat=flat, params=params)
 
 
@@ -435,7 +458,7 @@ def _layer_forward(layer: DualDilatedLayer, h: np.ndarray, fuse_mode: str, block
     return out, _LayerCache(h_in=h, pre_relu=a, post_relu=a)
 
 
-def forward(model: Model, x, return_cache: bool = False, threads: int = 1):
+def forward(model: Model | ModelFile, x, return_cache: bool = False, threads: int = 1):
     """Run all stages; returns the list of per-stage probability matrices.
 
     With return_cache=True also returns the activations backward() needs.
@@ -452,7 +475,15 @@ def forward(model: Model, x, return_cache: bool = False, threads: int = 1):
     .rows(lo, hi). Each projection reads its input in chunks of about
     _PROJECT_CHUNK_BYTES, so a reader's rows are never all in memory; it
     takes return_cache=False, since backward reads the whole input.
+
+    model is a Model, whose parameters are one flat array, or a ModelFile,
+    whose stages are read in turn into one buffer that each reuses; only
+    config, dtype and stages (once, in order) are read. A ModelFile takes
+    return_cache=False too, since backward reads every stage again.
     """
+    if return_cache and not isinstance(model, Model):
+        raise ValueError("backward needs every stage's parameters: pass a Model, "
+                         "not a ModelFile, with return_cache=True")
     cfg = model.config
     if hasattr(x, "rows"):  # a reader: its rows are read, checked and dropped per chunk
         if return_cache:
@@ -617,29 +648,15 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int 
 # ---------------------------------------------------------------------------
 
 _CONFIG_STRUCT = struct.Struct("<7I")  # in_dim, channels, classes, stages, L_pred, L_ref, fuse
+_HEADER_SIZE = 8 + _CONFIG_STRUCT.size  # magic, version, config
 
 
-def _param_count(cfg: StageConfig) -> int:
-    """Number of parameters of the architecture, computed without building it."""
-    f, c = cfg.channels, cfg.n_classes
-    fuse_in = f if cfg.fuse_mode == "sum" else 2 * f
-    layer = 2 * (f * f * KERNEL_SIZE + f) + f * fuse_in + f
-
-    def stage(in_width, n_layers):
-        return f * in_width + f + n_layers * layer + c * f + c
-
-    return (stage(cfg.in_dim, cfg.layers_prediction)
-            + (cfg.stages - 1) * stage(c, cfg.layers_refinement))
-
-
-def model_from_bytes(buf, offset: int = 0, dtype=np.float64) -> tuple[Model, int]:
-    """Parse a serialized model; returns (model, offset past the model).
-
-    The header alone fixes the parameter byte count, so a short buffer is
-    rejected before any parameter is allocated. Bytes after the model are
-    left to the caller. A float32 model parsed from a writeable buffer keeps
-    its parameters in that buffer.
-    """
+def _read_header(buf, offset: int, end: int) -> tuple[StageConfig, int]:
+    """The config of the model header at buf[offset:], and the offset of its
+    parameters: raises ModelFormatError unless the header is whole and valid
+    and bytes [offset, end) of the model's source hold every parameter byte
+    it describes. The header alone fixes that count, so nothing is allocated
+    for a hostile one."""
     if buf[offset:offset + 4] != MAGIC:
         raise ModelFormatError("not a model file: bad magic bytes")
     try:
@@ -650,7 +667,7 @@ def model_from_bytes(buf, offset: int = 0, dtype=np.float64) -> tuple[Model, int
         fields = _CONFIG_STRUCT.unpack_from(buf, offset + 8)
     except struct.error as exc:
         raise ModelFormatError(f"truncated model header: {exc}") from None
-    offset += 8 + _CONFIG_STRUCT.size
+    offset += _HEADER_SIZE
     if fields[6] >= len(FUSE_MODES):
         raise ModelFormatError(f"unknown fusion mode id {fields[6]}")
     try:
@@ -660,9 +677,28 @@ def model_from_bytes(buf, offset: int = 0, dtype=np.float64) -> tuple[Model, int
     except ValueError as exc:
         raise ModelFormatError(f"invalid model header: {exc}") from None
     count = _param_count(cfg)
-    if offset + 4 * count > len(buf):
+    if offset + 4 * count > end:
         raise ModelFormatError(f"model file truncated: header describes {4 * count} "
-                               f"parameter bytes, {len(buf) - offset} present")
+                               f"parameter bytes, {end - offset} present")
+    return cfg, offset
+
+
+def _check_end(end: int, size: int) -> None:
+    """Raises ModelFormatError unless the model ending at offset end fills
+    its file of size bytes."""
+    if end != size:
+        raise ModelFormatError(f"{size - end} unexpected trailing bytes in model file")
+
+
+def model_from_bytes(buf, offset: int = 0, dtype=np.float64) -> tuple[Model, int]:
+    """Parse a serialized model; returns (model, offset past the model).
+
+    A short buffer is rejected before any parameter is allocated. Bytes
+    after the model are left to the caller. A float32 model parsed from a
+    writeable buffer keeps its parameters in that buffer.
+    """
+    cfg, offset = _read_header(buf, offset, len(buf))
+    count = _param_count(cfg)
     flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
     flat = flat.astype(dtype, copy=not flat.flags.writeable)
     return _bind(cfg, flat), offset + 4 * count
@@ -695,6 +731,61 @@ def load_model(path, dtype=np.float64) -> Model:
         buf = memoryview(np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8))
         buf = buf[:fh.readinto(buf)]
     model, offset = model_from_bytes(buf, dtype=dtype)
-    if offset != len(buf):
-        raise ModelFormatError(f"{len(buf) - offset} unexpected trailing bytes in model file")
+    _check_end(offset, len(buf))
     return model
+
+
+class ModelFile:
+    """A model file opened for forward to read one stage at a time, at dtype.
+
+    Opening reads and checks the header and the file's length as load_model
+    does, with the same ModelFormatError; config, dtype and stages then
+    stand in for a Model's in forward(return_cache=False). stages yields
+    each Stage in order, read at its file offset into one float32 buffer
+    sized for the largest stage (at float64 also cast into one float64
+    buffer of that size) that every stage reuses: a stage's arrays stay
+    valid only until the next stage is taken. A stage the file no longer
+    holds whole, since it shrank after opening, raises ModelFormatError.
+    Use it in a `with` block, or close() it.
+    """
+
+    def __init__(self, path, dtype=np.float64):
+        self.path, self.dtype = path, np.dtype(dtype)
+        self._fh = open(path, "rb", buffering=0)
+        try:
+            size = os.fstat(self._fh.fileno()).st_size
+            self.config, self._offset = _read_header(self._fh.read(_HEADER_SIZE), 0, size)
+            _check_end(self._offset + 4 * _param_count(self.config), size)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    @property
+    def stages(self):
+        cfg = self.config
+        counts = [_stage_param_count(cfg, s) for s in range(cfg.stages)]
+        raw = np.empty(max(counts), dtype="<f4")
+        flat = raw if raw.dtype == self.dtype else np.empty(raw.size, dtype=self.dtype)
+        pos = self._offset
+        for s, n in enumerate(counts):
+            buf = memoryview(raw[:n].view(np.uint8))
+            got = 0
+            self._fh.seek(pos)
+            while got < len(buf) and (k := self._fh.readinto(buf[got:])):
+                got += k
+            if got < len(buf):
+                raise ModelFormatError(f"model file truncated since it was opened: "
+                                       f"stage {s + 1} ends after {got} of {len(buf)} bytes")
+            if flat is not raw:
+                flat[:n] = raw[:n]
+            pos += len(buf)
+            yield _bind_stage(cfg, s, flat[:n], [])
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()

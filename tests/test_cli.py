@@ -356,9 +356,9 @@ def test_every_bad_setting_exits_2_naming_its_key(workspace, tmp_path, monkeypat
     # a flag and a config line take one parse and one check: exit 2 with the
     # key named, before any input is read or made, a fit starts or --out is created
     calls = []
-    for module, name in ((mstcnpp, "load_model"), (trainer, "fit"), (synthgen, "generate"),
-                         (synthgen, "load_dataset"), (synthgen, "load_features"),
-                         (cli.annotate, "read_notes_file")):
+    for module, name in ((mstcnpp, "load_model"), (mstcnpp, "ModelFile"), (trainer, "fit"),
+                         (synthgen, "generate"), (synthgen, "load_dataset"),
+                         (synthgen, "load_features"), (cli.annotate, "read_notes_file")):
         monkeypatch.setattr(module, name, lambda *args, name=name, **kw: calls.append(name))
     out = tmp_path / "out"
     assert main(_setting_argv(workspace, tmp_path, command, out, key, value, how)) == 2
@@ -508,7 +508,7 @@ def test_seed_exists_only_on_gen_synth_and_train(workspace, tmp_path, capsys, co
 def test_bad_inference_setting_exits_2_before_any_work(workspace, tmp_path, monkeypatch,
                                                        capsys, command, flags, line, key):
     calls = []
-    for name in ("load_model", "forward"):
+    for name in ("load_model", "ModelFile", "forward"):
         monkeypatch.setattr(mstcnpp, name, lambda *args, name=name, **kw: calls.append(name))
     if line is not None:
         cfg_file = tmp_path / "bad.cfg"
@@ -684,6 +684,27 @@ class TestSegment:
                    "--out", str(tmp_path / "seg")])
         assert rc == 2
         assert "truncated" in capsys.readouterr().err
+
+    def test_model_cut_after_open_exits_2(self, workspace, tmp_path, monkeypatch, capsys):
+        # the stages are read during forward: a file that shrinks after the
+        # header check is still rejected, and --out is not created
+        model = tmp_path / "model.bin"
+        model.write_bytes(workspace["model"].read_bytes())
+        opened = mstcnpp.ModelFile
+
+        def cut_after_open(path, dtype):
+            reader = opened(path, dtype)
+            os.truncate(path, path.stat().st_size - 4)
+            return reader
+
+        monkeypatch.setattr(mstcnpp, "ModelFile", cut_after_open)
+        feat_file = next((workspace["data"] / "test").glob("seq_*.npy"))
+        out = tmp_path / "seg"
+        rc = main(["segment", "--model", str(model), "--ssl-features", str(feat_file),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "since it was opened" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_post_mode_from_config_validated(self, workspace, tmp_path, capsys):
         cfg_file = tmp_path / "seg.cfg"

@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 import sys
 import threading
@@ -1051,3 +1052,107 @@ class TestHostileModelBytes:
             for (na, pa), (nb, pb) in zip(named_parameters(model), named_parameters(loaded)):
                 assert na == nb and pa.shape == pb.shape and pb.flags.writeable
                 assert np.array_equal(pb, pa.astype(np.float32))
+
+
+class TestModelFile:
+    """forward on a ModelFile, which reads one stage at a time into one
+    buffer that every stage reuses, gives the bits of forward on load_model's
+    Model, and opening one rejects what load_model rejects."""
+
+    # stage 1 reads 24 input channels and has 3 layers, the refinement
+    # stages 2: the stages differ in size
+    CFG = dict(in_dim=24, channels=64, n_classes=3, stages=3,
+               layers_prediction=3, layers_refinement=2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fuse_mode", ["sum", "concat"])
+    def test_probs_bit_equal_to_load_model(self, tmp_path, dtype, fuse_mode):
+        cfg = StageConfig(**self.CFG, fuse_mode=fuse_mode)
+        assert mstcnpp._stage_param_count(cfg, 0) != mstcnpp._stage_param_count(cfg, 1)
+        path = tmp_path / "model.bin"
+        save_model(init(cfg, seed=4), path)
+        t_len = _gate_frames(cfg.channels, blocks=3)
+        assert len(mstcnpp._row_blocks(t_len, cfg.channels, 3)) == 3
+        x = np.random.default_rng(5).normal(size=(t_len, cfg.in_dim)).astype(dtype)
+        model = load_model(path, dtype)
+        for threads in (1, 2, 3):
+            with mstcnpp.ModelFile(path, dtype) as reader:
+                assert reader.config == cfg and reader.dtype == dtype
+                got = forward(reader, x, threads=threads)
+            want = forward(model, x, threads=threads)
+            assert len(got) == cfg.stages
+            for a, b in zip(want, got):
+                assert a.dtype == b.dtype == dtype
+                assert a.tobytes() == b.tobytes(), threads
+
+    def test_hostile_files_raise_load_models_error_and_close(self, tmp_path, monkeypatch):
+        good = tmp_path / "good.bin"
+        save_model(init(TINY, seed=0), good)
+        good = good.read_bytes()
+        # every header TestHostileModelBytes rejects, then the faults of a whole file
+        blobs = [_header()[:size] for size in (4, 6, 8, 12, 35)]
+        blobs += [_header(**fields) + bytes(64) for fields in (
+            dict(channels=2**31), dict(stages=2**31),
+            dict(layers_prediction=2**31, layers_refinement=2**31))]
+        blobs += [_header(n_classes=1), _header(fuse=7), b"NOPE" + good[4:],
+                  good[:4] + (99).to_bytes(4, "little") + good[8:], good + b"xx", good[:-8]]
+        handles = []
+
+        def recording(*args, **kw):
+            handles.append(open(*args, **kw))
+            return handles[-1]
+
+        monkeypatch.setattr(mstcnpp, "open", recording, raising=False)
+        path = tmp_path / "model.bin"
+        for blob in blobs:
+            path.write_bytes(blob)
+            with pytest.raises(ModelFormatError) as loaded:
+                load_model(path)
+            with pytest.raises(ModelFormatError) as opened:
+                mstcnpp.ModelFile(path)
+            assert type(opened.value) is type(loaded.value), blob[:40]
+            assert str(opened.value) == str(loaded.value), blob[:40]
+        assert len(handles) == 2 * len(blobs) and all(fh.closed for fh in handles)
+
+    def test_file_cut_after_open_raises(self, tmp_path):
+        cfg = StageConfig(**self.CFG)
+        path = tmp_path / "model.bin"
+        save_model(init(cfg, seed=1), path)
+        size = path.stat().st_size
+        stage1 = mstcnpp._HEADER_SIZE + 4 * mstcnpp._stage_param_count(cfg, 0)
+        x = np.ones((8, cfg.in_dim), np.float32)
+        # inside stage 1, at the end of stage 1, inside stage 2, in the last stage
+        for keep in (mstcnpp._HEADER_SIZE + 100, stage1, stage1 + 4, size - 4):
+            save_model(init(cfg, seed=1), path)
+            with mstcnpp.ModelFile(path, np.float32) as reader:
+                os.truncate(path, keep)
+                with pytest.raises(ModelFormatError, match="since it was opened"):
+                    forward(reader, x)
+
+    def test_return_cache_refused(self, tmp_path):
+        save_model(init(TINY, seed=0), tmp_path / "model.bin")
+        with mstcnpp.ModelFile(tmp_path / "model.bin") as reader:
+            with pytest.raises(ValueError, match="return_cache"):
+                forward(reader, np.ones((8, TINY.in_dim)), return_cache=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_holds_one_stage_of_parameters(self, tmp_path, dtype):
+        # 16 frames: the parameters outweigh the activations and the merged
+        # kernels, so a second live stage shows
+        cfg = StageConfig(in_dim=64, channels=64, n_classes=3, stages=4,
+                          layers_prediction=6, layers_refinement=6)
+        save_model(init(cfg, seed=0), tmp_path / "model.bin")
+        largest = max(mstcnpp._stage_param_count(cfg, s) for s in range(cfg.stages))
+        # the read buffer, and at float64 the buffer it is cast into
+        held = largest * (4 if dtype == np.float32 else 12)
+        x = np.random.default_rng(0).normal(size=(16, cfg.in_dim)).astype(dtype)
+        with mstcnpp.ModelFile(tmp_path / "model.bin", dtype) as reader:
+            tracemalloc.start()
+            try:
+                forward(reader, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert mstcnpp._param_count(cfg) > 3 * largest  # the sum is far above one stage
+        # a fresh buffer per stage holds two stages while the next one is read
+        assert held < peak < held + largest * np.dtype(dtype).itemsize // 2, (peak, held)
