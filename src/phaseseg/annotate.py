@@ -17,6 +17,7 @@ File formats:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -86,7 +87,7 @@ class PhaseOntology:
     def from_file(cls, path) -> "PhaseOntology":
         """Load a lexicon override; phase order stays fixed."""
         lexicon = {}
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -231,11 +232,23 @@ def build_timeline(boundaries, total_frames: int, fps: float,
 # file IO
 # ---------------------------------------------------------------------------
 
+def open_text(path, newline=None) -> io.StringIO:
+    """The UTF-8 text of path, as a file that splits lines as
+    open(path, newline=newline) does. A byte that is not UTF-8 raises
+    ValueError naming path, where open's own error names no file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def read_notes_file(path) -> list[tuple[str, str]]:
     """Parse a JSON-lines notes file into (timestamp, text) pairs; errors carry
     the offending line number."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -276,7 +289,7 @@ def read_label_csv(path, total_frames: int | None = None) -> np.ndarray:
     boundary mode, consecutive rows differ in phase_id.
     """
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -85,7 +85,7 @@ def _parse_value(raw: str):
 def read_config_file(path) -> dict:
     """Line-oriented `key = value` settings; # starts a comment."""
     cfg = {}
-    with open(path, encoding="utf-8") as fh:
+    with annotate.open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -215,10 +215,11 @@ class LossBreakdown:
 
 
 def total_loss(stage_probs, labels, cfg: FocalConfig = FocalConfig(),
-               smoothing_weight: float = 0.15):
+               smoothing_weight: float = 0.15, out=None):
     """Sum of focal + weighted smoothing loss over all stages.
 
-    Returns (LossBreakdown, per-stage gradients w.r.t. each stage's logits).
+    Returns (LossBreakdown, per-stage gradients w.r.t. each stage's logits),
+    written into the rows of out, a (stages, T, C) array, when given.
     """
     if smoothing_weight < 0:
         raise ValueError(f"smoothing weight must be >= 0, got {smoothing_weight}")
@@ -230,10 +231,10 @@ def total_loss(stage_probs, labels, cfg: FocalConfig = FocalConfig(),
             raise ShapeError(f"stage {i + 1} shape {m.shape} differs from stage 1 {shape}")
 
     focals, smooths, grads = [], [], []
-    for m in stage_probs:
+    for i, m in enumerate(stage_probs):
         f_val, f_grad = focal_loss(m, labels, cfg)
         s_val, s_grad = smoothing_loss(m)
         focals.append(f_val)
         smooths.append(s_val)
-        grads.append(f_grad + smoothing_weight * s_grad)
+        grads.append(np.add(f_grad, smoothing_weight * s_grad, out=None if out is None else out[i]))
     return LossBreakdown(focals, smooths, smoothing_weight), grads

@@ -25,9 +25,10 @@ between stages.
 
 A model's parameters live in one contiguous array, `Model.flat`, in file
 order; every weight and bias field is a writeable view into it, laid out
-stage by stage by `_bind_stage` alone. Gradients come back as a Model of the
-same layout. The one exception is a `ModelFile`, which hands forward one
-stage at a time from a single buffer that every stage reuses.
+stage by stage by `_bind_stage` alone. backward writes each stage's gradient
+in that stage's layout: into a gradient Model of the same layout, or into one
+buffer that every stage reuses, handed to a consumer stage by stage. Likewise
+a `ModelFile` hands forward one stage at a time from a single buffer.
 """
 
 from __future__ import annotations
@@ -153,6 +154,13 @@ def _param_count(cfg: StageConfig) -> int:
     return _stage_param_count(cfg, 0) + (cfg.stages - 1) * _stage_param_count(cfg, 1)
 
 
+def stage_slices(cfg: StageConfig) -> list[slice]:
+    """The range of Model.flat (and of the file's parameters) that each stage
+    holds, in stage order."""
+    ends = list(itertools.accumulate(_stage_param_count(cfg, s) for s in range(cfg.stages)))
+    return [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+
+
 def _bind_stage(cfg: StageConfig, s: int, flat: np.ndarray, params: list) -> Stage:
     """The parameter layout of stage s (from 0): a Stage whose every
     parameter is a view of flat, which holds exactly _stage_param_count(cfg, s)
@@ -191,11 +199,8 @@ def _bind_stage(cfg: StageConfig, s: int, flat: np.ndarray, params: list) -> Sta
 def _bind(cfg: StageConfig, flat: np.ndarray) -> Model:
     """A model whose every parameter is a view of flat, which holds exactly
     _param_count(cfg) elements: the stages' _bind_stage layouts in turn."""
-    params, stages, pos = [], [], 0
-    for s in range(cfg.stages):
-        n = _stage_param_count(cfg, s)
-        stages.append(_bind_stage(cfg, s, flat[pos:pos + n], params))
-        pos += n
+    params = []
+    stages = [_bind_stage(cfg, s, flat[part], params) for s, part in enumerate(stage_slices(cfg))]
     return Model(config=cfg, stages=stages, flat=flat, params=params)
 
 
@@ -556,7 +561,7 @@ def _input_grad_rows(inputs, g_h, dxs, rows):
     g_h[lo:hi] += dxs[0]
 
 
-# Every parameter gradient is written straight into the gradient Model.
+# Every parameter gradient is written straight into the stage's gradient.
 # Products made as temporaries and copied in left train-paper's peak
 # memory 1.3-2 MiB higher (glibc, 2 threads), at the first AdamW step after
 # backward: memory freed on a helper thread stays in that thread's arena.
@@ -594,42 +599,86 @@ def _layer_backward(layer: DualDilatedLayer, lc: _LayerCache, g_h, fuse_mode,
             view[...] = first
 
 
-def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int = 1) -> Model:
+@dataclass
+class BackwardBuffers:
+    """backward's work arrays for one T-frame sequence; every stage and layer
+    refills them. Allocated before the forward whose cache backward reads,
+    they lie below that cache in the heap (see backward)."""
+
+    grad: np.ndarray  # one stage's gradient, sized for the largest stage
+    g_a: np.ndarray  # the fusion gradient of the layer in hand
+    dxs: list[np.ndarray]  # the input gradient of each of its dilated convs
+    g_probs: np.ndarray  # the gradient arriving at a stage's probabilities
+
+
+def backward_buffers(cfg: StageConfig, t_len: int, dtype) -> BackwardBuffers:
+    f = cfg.channels
+    width = f if cfg.fuse_mode == "sum" else 2 * f
+    return BackwardBuffers(
+        grad=np.empty(max(_stage_param_count(cfg, s) for s in range(cfg.stages)), dtype=dtype),
+        g_a=np.empty((t_len, width), dtype=dtype),
+        dxs=[np.empty((t_len, f), dtype=dtype) for _ in range(width // f)],
+        g_probs=np.empty((t_len, cfg.n_classes), dtype=dtype))
+
+
+def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int = 1,
+             apply=None, buffers: BackwardBuffers | None = None) -> Model | None:
     """Full-model gradients given each stage's direct dL/dlogits.
 
     Gradients flow backward through the probability handoff: the loss applied
     to stage s also reaches every earlier stage via the refinement inputs.
-    Returns a gradient Model with the parameter layout of model.
+    The stages run from last to first, each writing its gradient with
+    _bind_stage's layout.
+
+    A cache serves one backward: each stage's entry of cache.stage_caches is
+    dropped (set to None) as soon as the stage is done. Without apply,
+    returns a gradient Model with the parameter layout of model, each
+    stage's gradient written into its range of one flat array. With apply,
+    returns None: each stage's gradient goes into one buffer that every
+    stage reuses, and is handed over as apply(s, flat) once the gradient
+    that leaves stage s for stage s - 1 exists and stage s's cache is
+    dropped. Nothing reads stage s's parameters after that, so apply may
+    update them; the buffer is refilled by the next stage.
+
+    buffers are backward_buffers for the cache's T frames; without, backward
+    allocates its own. A stage's cache goes back to the system when it is
+    dropped only if nothing allocated after it is still live: glibc returns
+    only the top of its heap. So a caller that wants this allocates the
+    buffers and the logit gradients before the forward, and drops its own
+    references to forward's probabilities; every array backward allocates
+    for a stage dies before the stage's cache does.
 
     threads bounds the threads that compute at once, over the row blocks
     forward uses; the gradients are bit-identical for every thread count.
     """
-    if cache is None or not cache.stage_caches:
-        raise ValueError("forward cache missing: run forward(..., return_cache=True)")
+    if cache is None or not cache.stage_caches or cache.stage_caches[-1] is None:
+        raise ValueError("forward cache missing or used: run forward(..., return_cache=True) "
+                         "for each backward")
     n_stages = len(model.stages)
     if len(stage_logit_grads) != n_stages:
         raise ShapeError(f"expected {n_stages} per-stage gradients, got {len(stage_logit_grads)}")
 
     cfg = model.config
-    grads = _bind(cfg, np.empty_like(model.flat))  # backward writes every entry
     t_len, f = cache.stage_caches[0].final_h.shape
-    # the fusion gradient of the layer in hand, and the input gradient of each
-    # of its dilated convs; every layer refills them
-    g_a = np.empty((t_len, f if cfg.fuse_mode == "sum" else 2 * f), dtype=model.dtype)
-    dxs = [np.empty((t_len, f), dtype=model.dtype) for _ in range(g_a.shape[1] // f)]
-    g_probs_next = None  # gradient arriving at this stage's output probabilities
+    if buffers is None:
+        buffers = backward_buffers(cfg, t_len, model.dtype)
+    g_a, dxs, g_probs = buffers.g_a, buffers.dxs, buffers.g_probs
+    flat = buffers.grad if apply else np.empty_like(model.flat)  # backward writes every entry
     blocks = _row_blocks(t_len, f, threads)
+    parts = stage_slices(cfg)
     with thread_pool(len(blocks)) as pool:
         for s in range(n_stages - 1, -1, -1):
-            stage, grad = model.stages[s], grads.stages[s]
-            sc = cache.stage_caches[s]
+            part = parts[s]
+            g_flat = flat[:part.stop - part.start] if apply else flat[part]
+            stage, grad = model.stages[s], _bind_stage(cfg, s, g_flat, [])
+            sc, cache.stage_caches[s] = cache.stage_caches[s], None
 
             g_logits = np.asarray(stage_logit_grads[s], dtype=model.dtype)
             if g_logits.shape != sc.probs.shape:
                 raise ShapeError(f"stage {s + 1} gradient shape {g_logits.shape} "
                                  f"does not match logits {sc.probs.shape}")
-            if g_probs_next is not None:
-                g_logits = g_logits + softmax_rows_backward(sc.probs, g_probs_next)
+            if s < n_stages - 1:  # what stage s + 1 left in g_probs
+                g_logits = g_logits + softmax_rows_backward(sc.probs, g_probs)
 
             # a fresh array, so the layers may update it in place
             g_h = conv1x1_backward(sc.final_h, stage.head_w, g_logits, grad.head_w, grad.head_b)
@@ -637,10 +686,14 @@ def backward(model: Model, cache: ForwardCache, stage_logit_grads, threads: int 
                 _layer_backward(stage.layers[l], sc.layer_caches[l], g_h, cfg.fuse_mode,
                                 grad.layers[l], g_a, dxs, blocks, pool)
 
-            # stage 1's input is the features: nothing reads their gradient
-            g_probs_next = conv1x1_backward(sc.stage_input, stage.proj_w, g_h,
-                                            grad.proj_w, grad.proj_b, d_input=s > 0)
-    return grads
+            conv1x1_backward(sc.stage_input, stage.proj_w, g_h, grad.proj_w, grad.proj_b,
+                             d_input=False)
+            if s > 0:  # stage 1's input is the features: nothing reads their gradient
+                np.matmul(g_h, stage.proj_w, out=g_probs)
+            del sc, g_h, g_logits
+            if apply:
+                apply(s, g_flat)
+    return None if apply else _bind(cfg, flat)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ AdamW with decoupled weight decay, a cosine-annealed learning rate over
 epochs, per-epoch sequence shuffling (uniform or class-balanced with
 replacement), early stopping on rising validation loss and in-memory
 checkpointing of the best epoch. Each optimizer step takes the gradient
-of one sequence.
+of one sequence, and updates each stage as soon as backward has finished
+that stage's gradient (as LOMO does per parameter; Lv et al. 2023,
+arXiv:2306.09782): AdamW is elementwise, so the bits are those of one
+whole-model update, and only one stage's gradient is held at a time.
 
 Everything is deterministic for a fixed seed: in either precision, float32
 or float64, two identical runs produce bit-identical parameters, whatever
@@ -257,25 +260,49 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
     caller's, when it holds one (the train command does, for init and the
     input hashing too), else one fit opens.
 
+    Each step allocates backward's buffers and the loss gradients before its
+    forward, and hands backward a consumer that takes each stage's gradient,
+    last stage first: it checks that the gradient is finite, then runs AdamW
+    on that stage's range of model.flat, with one AdamWState per stage over
+    its range of m and v, each counting one step per sequence.
+
     Returns (best_model, report) where best_model is the checkpoint with the
     lowest validation loss: model itself when that is the last epoch run,
     else a snapshot taken before the next epoch's first update. Raises
     ValueError, before any step, where check_splits does, and DivergenceError
-    (report attached) on a non-finite loss or gradient.
+    (report attached) on a non-finite loss or gradient. A non-finite
+    gradient raises before its stage moves and names the parameter block
+    that holds its first non-finite entry (e.g. 'stage2/head_w'); the later
+    stages, updated earlier in the same step, have moved. The train command
+    writes no model.bin when it exits 3 on this error, so no output holds
+    such a half-updated model.
     """
     check_splits(model.config, train_set, val_set)
-    n_classes = model.config.n_classes
+    n_classes, n_stages = model.config.n_classes, model.config.stages
     alpha = None
     if cfg.alpha_mode == "inverse-frequency":
         alpha = inverse_frequency_alpha([labels for _, labels in train_set], n_classes)
     focal_cfg = FocalConfig(gamma=cfg.gamma, alpha=alpha)
 
-    state = AdamWState()
+    parts = mstcnpp.stage_slices(model.config)
+    # one AdamW state per stage, over its range of the moments: each counts
+    # one step per sequence. np.zeros gives pages that stay unmapped until a
+    # stage's first update writes them
+    moments = np.zeros((2, model.flat.size), model.dtype)
+    states = [AdamWState(m=moments[0, part], v=moments[1, part]) for part in parts]
     report = TrainReport()
     best_model = None  # the snapshot buffer, made when an epoch follows the best one
     best_val = math.inf
     rise_streak = 0
     prev_val = math.inf
+
+    def update(lr, s, grad):  # backward's apply: stage s's gradient, before stage s - 1 runs
+        if not np.isfinite(grad).all():  # before the update, so this stage does not move
+            at = parts[s].start + int(np.argmin(np.isfinite(grad)))  # first non-finite entry
+            bad = next(name for name, p in mstcnpp.named_parameters(model)
+                       if np.shares_memory(p, model.flat[at:at + 1]))
+            raise DivergenceError(f"non-finite gradient in parameter block {bad!r}", report)
+        adamw_step(model.flat[parts[s]], grad, states[s], lr, cfg.weight_decay, threads=threads)
 
     with mstcnpp.thread_pool(threads):
         for epoch in range(1, cfg.epochs + 1):
@@ -291,32 +318,32 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
             focal_sum = smooth_sum = total_sum = 0.0
             for idx in order:
                 features, labels = train_set[idx]
+                # before the forward, so they lie below its cache in the heap and
+                # backward hands each stage's cache back to the system
+                buffers = mstcnpp.backward_buffers(model.config, len(labels), model.dtype)
+                stage_grads = np.empty((n_stages, len(labels), n_classes), model.dtype)
                 try:
                     probs, cache = mstcnpp.forward(model, features, return_cache=True,
                                                    threads=threads)
-                    breakdown, stage_grads = total_loss(probs, labels, focal_cfg,
-                                                        cfg.smoothing_weight)
+                    breakdown = total_loss(probs, labels, focal_cfg, cfg.smoothing_weight,
+                                           out=stage_grads)[0]
                 except ValueError as exc:  # inputs were validated: this is numeric blowup
                     raise DivergenceError(
                         f"numeric failure at epoch {epoch}: {exc}", report) from exc
+                # the cache holds them until backward drops each stage; held here,
+                # the last one, forward's last array, would keep every stage resident
+                del probs
                 if not math.isfinite(breakdown.total):
                     raise DivergenceError(f"non-finite training loss at epoch {epoch}", report)
                 focal_sum += sum(breakdown.per_stage_focal)
                 smooth_sum += sum(breakdown.per_stage_smooth)
                 total_sum += breakdown.total
 
-                grads = mstcnpp.backward(model, cache, stage_grads, threads=threads)
-                # free this step's forward cache here and its gradient after the
-                # update, not when the next step rebinds the names: otherwise two
-                # of each are live
-                del probs, cache, stage_grads
-                if not np.isfinite(grads.flat).all():  # before the update, so no block moves
-                    bad = next(name for name, g in mstcnpp.named_parameters(grads)
-                               if not np.isfinite(g).all())
-                    raise DivergenceError(f"non-finite gradient in parameter block {bad!r}",
-                                          report)
-                adamw_step(model.flat, grads.flat, state, lr, cfg.weight_decay, threads=threads)
-                del grads
+                mstcnpp.backward(model, cache, stage_grads, threads=threads,
+                                 apply=functools.partial(update, lr), buffers=buffers)
+                # backward dropped the cache stage by stage; the names go too,
+                # so nothing of this step is live at the next forward
+                del cache, stage_grads, buffers
 
             try:
                 val_loss, val_acc = evaluate(model, val_set, focal_cfg,

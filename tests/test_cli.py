@@ -472,6 +472,29 @@ def test_bad_input_exits_2_without_output_dir(workspace, tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["config", "notes", "lexicon", "labels"])
+def test_text_input_not_utf8_exits_2_naming_the_file(workspace, tmp_path, capsys, bad):
+    # a byte that is not UTF-8 in any text input exits 2 with the file named,
+    # before --out is created
+    notes, lexicon, config = _notes_file(tmp_path), tmp_path / "lex.txt", tmp_path / "t.cfg"
+    lexicon.write_text("nasal: nasal, septum\n", encoding="utf-8")
+    config.write_text("epochs = 1\n", encoding="utf-8")
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    target = {"config": config, "notes": notes, "lexicon": lexicon,
+              "labels": data / "train" / "seq_000.csv"}[bad]
+    target.write_bytes(b"\xff" + target.read_bytes())
+    argv = (["parse-notes", "--notes", notes, "--lexicon", lexicon]
+            if bad in ("notes", "lexicon") else ["train", "--data", data, *TRAIN_FLAGS])
+    if bad == "config":
+        argv += ["--config", config]
+    out = tmp_path / "out"
+    assert main([*map(str, argv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{target}: not UTF-8 text" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "segment", "parse-notes"])
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_seed_exists_only_on_gen_synth_and_train(workspace, tmp_path, capsys, command, how):

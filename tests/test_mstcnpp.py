@@ -538,25 +538,39 @@ class TestBackward:
     @pytest.mark.parametrize("stages", [1, 3])
     @pytest.mark.parametrize("fuse_mode", ["sum", "concat"])
     def test_every_gradient_entry_written(self, monkeypatch, fuse_mode, stages, dtype):
-        # the gradient Model starts uninitialised: filled with NaN it must
-        # come out equal to one filled with zeros. Three layers have
-        # dilations (1, 4), (2, 2) and (4, 1); at T=3 the taps at shift 4
-        # read only padding
+        # the gradient Model and backward's buffers start uninitialised:
+        # filled with NaN they must give what zeros give, in the returned
+        # Model and in the one stage buffer handed to apply, which every
+        # stage reuses. A cache serves one backward, so each run has a fresh
+        # forward. Three layers have dilations (1, 4), (2, 2) and (4, 1); at
+        # T=3 the taps at shift 4 read only padding
         cfg = StageConfig(in_dim=5, channels=8, n_classes=3, stages=stages,
                           layers_prediction=3, layers_refinement=3, fuse_mode=fuse_mode)
         model = init(cfg, seed=1, dtype=dtype)
         rng = np.random.default_rng(stages)
+
+        def gradient(x, labels, fill, consumer):
+            probs, cache = forward(model, x, return_cache=True)
+            _, stage_grads = total_loss(probs, labels, FocalConfig(gamma=2.0), 0.15)
+            handed = {}
+            with monkeypatch.context() as m:
+                m.setattr(np, "empty_like", lambda a, fill=fill: np.full_like(a, fill))
+                m.setattr(np, "empty", lambda *a, fill=fill, **k: np.full(a[0], fill, *a[1:], **k))
+                if not consumer:
+                    return mstcnpp.backward(model, cache, stage_grads).flat
+                assert mstcnpp.backward(model, cache, stage_grads,
+                                        apply=lambda s, g: handed.setdefault(s, g.copy())) is None
+            assert sorted(handed) == list(range(stages))
+            return np.concatenate([handed[s] for s in range(stages)])
+
         for t_len in (3, 40):
-            probs, cache = forward(model, rng.normal(size=(t_len, 5)), return_cache=True)
-            _, stage_grads = total_loss(probs, rng.integers(0, 3, size=t_len),
-                                        FocalConfig(gamma=2.0), 0.15)
-            flats = []
-            for fill in (np.nan, 0.0):
-                with monkeypatch.context() as m:
-                    m.setattr(np, "empty_like", lambda a, fill=fill: np.full_like(a, fill))
-                    flats.append(mstcnpp.backward(model, cache, stage_grads).flat)
+            x, labels = rng.normal(size=(t_len, 5)), rng.integers(0, 3, size=t_len)
+            flats = [gradient(x, labels, fill, consumer)
+                     for consumer in (False, True) for fill in (np.nan, 0.0)]
             assert flats[0].dtype == dtype
-            assert np.array_equal(flats[0], flats[1]), t_len
+            assert np.isfinite(flats[1]).all()
+            for flat in flats[1:]:
+                assert np.array_equal(flats[0], flat), t_len
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_concat_equals_two_convolutions_on_model_kernels(self, rng, dtype):

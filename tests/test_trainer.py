@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -272,23 +275,33 @@ class TestFit:
         self._check_peak_memory(rng, 1300, 64, threads=2)
 
     def test_step_buffers_die_before_next_forward(self, monkeypatch):
-        # a forward cache dies once backward has read it and a gradient once
-        # AdamW has applied it, so no earlier step's buffers are live at a forward
+        # backward drops each stage's cache before that stage's update, and
+        # nothing of a step (its cache and stage caches, the loss gradients,
+        # backward's buffers and the stage gradient buffer) is live at the
+        # next forward, so no two of each are live at once
         forward, backward = mstcnpp.forward, mstcnpp.backward
-        caches, grads = [], []
+        step_refs, updates = [], []
 
         def watched_forward(model, x, return_cache=False, threads=1):
-            assert all(ref() is None for ref in caches), "an earlier forward cache is live"
-            assert all(ref() is None for ref in grads), "an earlier gradient is live"
+            live = [ref for ref in step_refs if ref() is not None]
+            assert not live, f"an earlier step's {type(live[0]()).__name__} is live"
             out = forward(model, x, return_cache, threads)
             if return_cache:
-                caches.append(weakref.ref(out[1]))
+                step_refs.extend(weakref.ref(c) for c in [out[1], *out[1].stage_caches])
             return out
 
-        def watched_backward(model, cache, stage_grads, threads=1):
-            out = backward(model, cache, stage_grads, threads)
-            grads.append(weakref.ref(out))
-            return out
+        def watched_backward(model, cache, stage_grads, threads=1, apply=None, buffers=None):
+            stage_refs = [weakref.ref(sc) for sc in cache.stage_caches]
+            grad_ref = weakref.ref(buffers.grad)
+            step_refs.extend([weakref.ref(stage_grads), weakref.ref(buffers), grad_ref])
+
+            def watched_apply(s, grad):
+                assert stage_refs[s]() is None, f"stage {s + 1}'s cache is live at its update"
+                assert grad.base is grad_ref()  # the one stage buffer, reused
+                updates.append(s)
+                apply(s, grad)
+
+            return backward(model, cache, stage_grads, threads, watched_apply, buffers)
 
         monkeypatch.setattr(mstcnpp, "forward", watched_forward)
         monkeypatch.setattr(mstcnpp, "backward", watched_backward)
@@ -296,7 +309,49 @@ class TestFit:
         val = make_split(1, sequence_seed=101)
         fit(mstcnpp.init(TINY, seed=0), train, val,
             TrainConfig(epochs=2, learning_rate=1e-3))
-        assert len(grads) == 8
+        assert updates == [1, 0] * 8  # last stage first, in each of 8 steps
+        assert all(ref() is None for ref in step_refs)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, glibc's heap")
+    def test_peak_rss_holds_the_cache_and_one_stage_gradient(self):
+        # one step at paper depth in a fresh process (F=128, T=1348, float32,
+        # 2 threads): above what the process held before fit, its peak is
+        # the forward cache, one stage's gradient (the largest, stage 1's)
+        # and backward's buffers, with a slack of 6 (T, F) arrays for
+        # backward's temporaries. A whole gradient Model beside the cache
+        # (13 MiB more than one stage's), or a cache whose stages stay
+        # resident after backward drops them, does not fit
+        t_len, f = 1348, 128
+        cfg = mstcnpp.StageConfig(in_dim=f, channels=f, n_classes=4)
+        assert (cfg.stages, cfg.layers_prediction, cfg.layers_refinement) == (4, 11, 10)
+        row = t_len * f * 4  # one (T, F) float32 array
+        # per stage: the projection, then each layer's fusion and output
+        cache = sum(2 * cfg.layers_for_stage(s) + 1 for s in range(cfg.stages)) * row
+        stage_grad = 4 * max(mstcnpp._stage_param_count(cfg, s) for s in range(cfg.stages))
+        bound = cache + stage_grad + 2 * row + 6 * row
+        # 8 MiB below the same live set with a whole gradient Model in place of one stage's
+        assert bound + 8 * 2**20 < cache + 4 * mstcnpp._param_count(cfg) + 2 * row
+        code = f"""
+import resource
+import numpy as np
+from phaseseg import mstcnpp
+from phaseseg.trainer import TrainConfig, fit
+rng = np.random.default_rng(0)
+labels = np.repeat(np.arange(4), {t_len} // 4)
+data = [((rng.normal(size=({t_len}, {f})) + labels[:, None]).astype(np.float32), labels)
+        for _ in range(2)]
+model = mstcnpp.init(mstcnpp.StageConfig(in_dim={f}, channels={f}, n_classes=4), seed=0,
+                     dtype=np.float32)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+fit(model, data[:1], data[1:], TrainConfig(epochs=1), threads=2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+        assert proc.returncode == 0, proc.stderr
+        grown = int(proc.stdout) * 1024
+        assert grown <= bound, f"peak RSS grew by {grown / 2**20:.1f} MiB in fit, " \
+                               f"bound {bound / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("t_len", [1300, 173])
     def test_fit_starts_one_pool_and_restores_blas(self, rng, monkeypatch, t_len):
@@ -347,24 +402,45 @@ class TestFit:
             fit(model, train, val, TrainConfig(epochs=2, learning_rate=1e-3))
         assert exc_info.value.report.diverged
 
-    def test_nonfinite_gradient_names_block(self, monkeypatch):
-        # the check runs before the update, so no parameter moves
+    @staticmethod
+    def _fit_poisoned(monkeypatch, stage, block):
+        """fit with the first gradient of block of stage (from 1) poisoned
+        through backward's consumer; returns (parameters before, model)."""
         train = make_split(2, sequence_seed=100)
         val = make_split(1, sequence_seed=101)
         model = mstcnpp.init(TINY, seed=0)
         before = model.flat.copy()
         backward = mstcnpp.backward
 
-        def poisoned(model, cache, stage_grads, threads=1):
-            grads = backward(model, cache, stage_grads, threads)
-            grads.stages[1].head_w[0, 0] = np.nan
-            return grads
+        def poisoned(model, cache, stage_grads, threads=1, apply=None, buffers=None):
+            def poison(s, grad):
+                if s == stage - 1:
+                    names = []
+                    mstcnpp._bind_stage(model.config, s, grad, names)
+                    dict(names)[f"stage{stage}/{block}"].flat[0] = np.nan
+                apply(s, grad)
+
+            return backward(model, cache, stage_grads, threads, poison, buffers)
 
         monkeypatch.setattr(mstcnpp, "backward", poisoned)
-        with pytest.raises(DivergenceError, match="stage2/head_w") as exc_info:
+        with pytest.raises(DivergenceError, match=f"'stage{stage}/{block}'") as exc_info:
             fit(model, train, val, TrainConfig(epochs=2, learning_rate=1e-3))
         assert exc_info.value.report.diverged
+        return before, model
+
+    def test_nonfinite_gradient_names_block(self, monkeypatch):
+        # each stage's gradient is checked before its update; stage 2 is
+        # handed over first, so no parameter moves
+        before, model = self._fit_poisoned(monkeypatch, 2, "head_w")
         assert np.array_equal(model.flat, before)
+
+    def test_nonfinite_stage1_gradient_leaves_stage1_unmoved(self, monkeypatch):
+        # stage 1 is handed over last: it does not move, while stage 2,
+        # updated earlier in the same step, has moved
+        before, model = self._fit_poisoned(monkeypatch, 1, "layer1/w_d2")
+        stage_1, stage_2 = mstcnpp.stage_slices(TINY)
+        assert np.array_equal(model.flat[stage_1], before[stage_1])
+        assert not np.array_equal(model.flat[stage_2], before[stage_2])
 
     def test_empty_sets_rejected(self):
         model = mstcnpp.init(TINY, seed=0)
