@@ -418,20 +418,22 @@ def cmd_train(args) -> int:
             input_hashes = hashes()
         # the inputs checked: a bad one leaves no directory
         out_dir.mkdir(parents=True, exist_ok=True)
-        report_path = out_dir / "train_report.json"
+        model_path, report_path = out_dir / "model.bin", out_dir / "train_report.json"
         try:
-            with timer("fit"):
-                best_model, report = trainer.fit(model, train_set, val_set, train_cfg,
-                                                 threads=threads)
+            with timer("fit"):  # which writes model.bin at each new best epoch
+                report = trainer.fit(model, train_set, val_set, train_cfg,
+                                     functools.partial(mstcnpp.save_model, path=model_path),
+                                     threads=threads)
         except trainer.DivergenceError as exc:  # keep the finished epochs; main exits 3
+            best = exc.report.best_epoch  # 0 when no epoch was validated, so none saved
             report_path.write_text(json.dumps(exc.report.as_dict(), indent=2), encoding="utf-8")
-            write_manifest(out_dir, "train", cfg, sources, input_hashes, [report_path],
-                           started, timer)
+            write_manifest(out_dir, "train", cfg, sources, input_hashes,
+                           [model_path, report_path] if best else [report_path], started, timer)
+            if best:
+                print(f"kept {model_path}: epoch {best}, the best validated", file=sys.stderr)
             raise
 
     with timer("save"):
-        model_path = out_dir / "model.bin"
-        mstcnpp.save_model(best_model, model_path)
         report_path.write_text(json.dumps(report.as_dict(), indent=2), encoding="utf-8")
     write_manifest(out_dir, "train", cfg, sources, input_hashes,
                    [model_path, report_path], started, timer)

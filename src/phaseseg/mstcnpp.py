@@ -250,10 +250,6 @@ def named_parameters(model: Model) -> list[tuple[str, np.ndarray]]:
     return list(model.params)
 
 
-def clone(model: Model) -> Model:
-    return _bind(model.config, model.flat.copy())
-
-
 # ---------------------------------------------------------------------------
 # forward / backward
 # ---------------------------------------------------------------------------
@@ -704,23 +700,22 @@ _CONFIG_STRUCT = struct.Struct("<7I")  # in_dim, channels, classes, stages, L_pr
 _HEADER_SIZE = 8 + _CONFIG_STRUCT.size  # magic, version, config
 
 
-def _read_header(buf, offset: int, end: int) -> tuple[StageConfig, int]:
-    """The config of the model header at buf[offset:], and the offset of its
-    parameters: raises ModelFormatError unless the header is whole and valid
-    and bytes [offset, end) of the model's source hold every parameter byte
-    it describes. The header alone fixes that count, so nothing is allocated
+def _read_header(buf, end: int) -> StageConfig:
+    """The config of the model header at the start of buf: raises
+    ModelFormatError unless the header is whole and valid and the model's
+    source, end bytes long, holds every parameter byte it describes after
+    the header. The header alone fixes that count, so nothing is allocated
     for a hostile one."""
-    if buf[offset:offset + 4] != MAGIC:
+    if buf[:4] != MAGIC:
         raise ModelFormatError("not a model file: bad magic bytes")
     try:
-        (version,) = struct.unpack_from("<I", buf, offset + 4)
+        (version,) = struct.unpack_from("<I", buf, 4)
         if version != FORMAT_VERSION:
             raise ModelVersionError(f"unsupported model format version {version} "
                                     f"(expected {FORMAT_VERSION})")
-        fields = _CONFIG_STRUCT.unpack_from(buf, offset + 8)
+        fields = _CONFIG_STRUCT.unpack_from(buf, 8)
     except struct.error as exc:
         raise ModelFormatError(f"truncated model header: {exc}") from None
-    offset += _HEADER_SIZE
     if fields[6] >= len(FUSE_MODES):
         raise ModelFormatError(f"unknown fusion mode id {fields[6]}")
     try:
@@ -730,10 +725,10 @@ def _read_header(buf, offset: int, end: int) -> tuple[StageConfig, int]:
     except ValueError as exc:
         raise ModelFormatError(f"invalid model header: {exc}") from None
     count = _param_count(cfg)
-    if offset + 4 * count > end:
+    if _HEADER_SIZE + 4 * count > end:
         raise ModelFormatError(f"model file truncated: header describes {4 * count} "
-                               f"parameter bytes, {end - offset} present")
-    return cfg, offset
+                               f"parameter bytes, {end - _HEADER_SIZE} present")
+    return cfg
 
 
 def _check_end(end: int, size: int) -> None:
@@ -743,18 +738,19 @@ def _check_end(end: int, size: int) -> None:
         raise ModelFormatError(f"{size - end} unexpected trailing bytes in model file")
 
 
-def model_from_bytes(buf, offset: int = 0, dtype=np.float64) -> tuple[Model, int]:
-    """Parse a serialized model; returns (model, offset past the model).
+def model_from_bytes(buf, dtype=np.float64) -> tuple[Model, int]:
+    """Parse a serialized model at the start of buf; returns (model, offset
+    past the model).
 
     A short buffer is rejected before any parameter is allocated. Bytes
     after the model are left to the caller. A float32 model parsed from a
     writeable buffer keeps its parameters in that buffer.
     """
-    cfg, offset = _read_header(buf, offset, len(buf))
+    cfg = _read_header(buf, len(buf))
     count = _param_count(cfg)
-    flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
+    flat = np.frombuffer(buf, dtype="<f4", count=count, offset=_HEADER_SIZE)
     flat = flat.astype(dtype, copy=not flat.flags.writeable)
-    return _bind(cfg, flat), offset + 4 * count
+    return _bind(cfg, flat), _HEADER_SIZE + 4 * count
 
 
 def save_model(model: Model, path) -> None:
@@ -783,8 +779,8 @@ def load_model(path, dtype=np.float64) -> Model:
     with open(path, "rb") as fh:  # np.empty: the buffer is not zero-filled before the read
         buf = memoryview(np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8))
         buf = buf[:fh.readinto(buf)]
-    model, offset = model_from_bytes(buf, dtype=dtype)
-    _check_end(offset, len(buf))
+    model, end = model_from_bytes(buf, dtype=dtype)
+    _check_end(end, len(buf))
     return model
 
 
@@ -807,8 +803,8 @@ class ModelFile:
         self._fh = open(path, "rb", buffering=0)
         try:
             size = os.fstat(self._fh.fileno()).st_size
-            self.config, self._offset = _read_header(self._fh.read(_HEADER_SIZE), 0, size)
-            _check_end(self._offset + 4 * _param_count(self.config), size)
+            self.config = _read_header(self._fh.read(_HEADER_SIZE), size)
+            _check_end(_HEADER_SIZE + 4 * _param_count(self.config), size)
         except BaseException:
             self._fh.close()
             raise
@@ -819,7 +815,7 @@ class ModelFile:
         counts = [_stage_param_count(cfg, s) for s in range(cfg.stages)]
         raw = np.empty(max(counts), dtype="<f4")
         flat = raw if raw.dtype == self.dtype else np.empty(raw.size, dtype=self.dtype)
-        pos = self._offset
+        pos = _HEADER_SIZE
         for s, n in enumerate(counts):
             buf = memoryview(raw[:n].view(np.uint8))
             got = 0

@@ -2,10 +2,11 @@
 
 AdamW with decoupled weight decay, a cosine-annealed learning rate over
 epochs, per-epoch sequence shuffling (uniform or class-balanced with
-replacement), early stopping on rising validation loss and in-memory
-checkpointing of the best epoch. Each optimizer step takes the gradient
-of one sequence, and updates each stage as soon as backward has finished
-that stage's gradient (as LOMO does per parameter; Lv et al. 2023,
+replacement), and early stopping on rising validation loss. The best epoch
+is handed to the caller to save as soon as it is validated, so no copy of
+the parameters is kept. Each optimizer step takes the gradient of one
+sequence, and updates each stage as soon as backward has finished that
+stage's gradient (as LOMO does per parameter; Lv et al. 2023,
 arXiv:2306.09782): AdamW is elementwise, so the bits are those of one
 whole-model update, and only one stage's gradient is held at a time.
 
@@ -87,22 +88,20 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamWState:
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
 
 
 def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamWState, lr: float,
                weight_decay: float = 0.0, threads: int = 1) -> AdamWState:
     """One decoupled-weight-decay Adam update of the flat array params, in place.
 
-    grads is a flat array of the same size; the moments start at zero. The
-    update is elementwise, so the slices are cut into up to threads ranges
-    that run at once, with the same bits for every thread count.
+    grads is a flat array of the same size, and state's moments m and v
+    too (zeros before the first step). The update is elementwise, so the
+    slices are cut into up to threads ranges that run at once, with the same
+    bits for every thread count.
     """
-    if state.m is None:
-        # zero pages from the allocator, first written by update's threads
-        state.m, state.v = np.zeros(params.size, params.dtype), np.zeros(params.size, params.dtype)
     state.step += 1
     t = state.step
     bias1 = 1.0 - _BETA1**t
@@ -251,7 +250,7 @@ def check_splits(model_cfg: mstcnpp.StageConfig, train_set, val_set) -> None:
                                  f"(every label is < 0)")
 
 
-def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
+def fit(model, train_set, val_set, cfg: TrainConfig, save, threads: int = 1) -> TrainReport:
     """Train up to cfg.epochs with early stopping on rising validation loss.
 
     threads bounds the threads that compute at once in forward and backward
@@ -266,16 +265,15 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
     on that stage's range of model.flat, with one AdamWState per stage over
     its range of m and v, each counting one step per sequence.
 
-    Returns (best_model, report) where best_model is the checkpoint with the
-    lowest validation loss: model itself when that is the last epoch run,
-    else a snapshot taken before the next epoch's first update. Raises
-    ValueError, before any step, where check_splits does, and DivergenceError
-    (report attached) on a non-finite loss or gradient. A non-finite
-    gradient raises before its stage moves and names the parameter block
-    that holds its first non-finite entry (e.g. 'stage2/head_w'); the later
-    stages, updated earlier in the same step, have moved. The train command
-    writes no model.bin when it exits 3 on this error, so no output holds
-    such a half-updated model.
+    Each epoch that sets a new lowest validation loss calls save(model)
+    once its report entry is made, before the next epoch's first update, so
+    the last save holds the best epoch's parameters. Returns the report.
+    Raises ValueError, before any step, where check_splits does, and
+    DivergenceError (report attached) on a non-finite loss or gradient. A
+    non-finite gradient raises before its stage moves and names the
+    parameter block that holds its first non-finite entry (e.g.
+    'stage2/head_w'); the later stages, updated earlier in the same step,
+    have moved, but no save is made of such a half-updated model.
     """
     check_splits(model.config, train_set, val_set)
     n_classes, n_stages = model.config.n_classes, model.config.stages
@@ -291,7 +289,6 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
     moments = np.zeros((2, model.flat.size), model.dtype)
     states = [AdamWState(m=moments[0, part], v=moments[1, part]) for part in parts]
     report = TrainReport()
-    best_model = None  # the snapshot buffer, made when an epoch follows the best one
     best_val = math.inf
     rise_streak = 0
     prev_val = math.inf
@@ -306,11 +303,6 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
 
     with mstcnpp.thread_pool(threads):
         for epoch in range(1, cfg.epochs + 1):
-            if epoch > 1 and report.best_epoch == epoch - 1:  # its updates move the best
-                if best_model is None:
-                    best_model = mstcnpp.clone(model)
-                else:
-                    np.copyto(best_model.flat, model.flat)  # in place: no third parameter array
             lr = cosine_lr(epoch - 1, cfg.epochs, cfg.learning_rate)
             order = sample_epoch(train_set, cfg.sampling, seed=cfg.seed + epoch,
                                  n_classes=n_classes)
@@ -366,9 +358,10 @@ def fit(model, train_set, val_set, cfg: TrainConfig, threads: int = 1):
                 best_val = val_loss
                 report.best_epoch = epoch
                 report.best_checkpoint = f"epoch{epoch:03d}"
+                save(model)
 
             rise_streak = rise_streak + 1 if val_loss > prev_val else 0
             prev_val = val_loss
             if rise_streak >= cfg.patience:
                 break
-    return (model if report.best_epoch == report.stop_epoch else best_model), report
+    return report

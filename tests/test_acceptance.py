@@ -267,11 +267,13 @@ def _train_eval(scfg, seed, gamma, smoothing_weight, n_test=6):
     model = mstcnpp.init(mcfg, seed=seed)
     tcfg = trainer.TrainConfig(epochs=3, learning_rate=3e-3, patience=3, seed=seed,
                                gamma=gamma, smoothing_weight=smoothing_weight)
-    best, _ = trainer.fit(model, train, val, tcfg)
+    kept = []  # the parameters of each epoch that lowered the validation loss
+    trainer.fit(model, train, val, tcfg, lambda m: kept.append(m.flat.copy()))
+    model.flat[:] = kept[-1]
     pooled = np.zeros((4, 4), dtype=np.int64)
     seg_counts = []
     for x, y in test:
-        pred = np.argmax(mstcnpp.forward(best, x)[-1], axis=1)
+        pred = np.argmax(mstcnpp.forward(model, x)[-1], axis=1)
         pooled += evalmetrics.confusion(y, pred, 4)
         seg_counts.append(evalmetrics.segment_count(pred))
     rep = evalmetrics.report(pooled)

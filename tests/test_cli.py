@@ -258,6 +258,80 @@ class TestTrain:
         assert manifest["artifacts"] == [str(out / "train_report.json")]
         assert not (out / "model.bin").exists()
 
+    @staticmethod
+    def _epoch_one_bytes(workspace, tmp_path):
+        """model.bin of a one-epoch run: epoch 1 of any run with these flags,
+        whose first epoch takes the full learning rate and the same order."""
+        out = tmp_path / "epoch1"
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                     *TRAIN_FLAGS, "--epochs", "1"]) == 0
+        return (out / "model.bin").read_bytes()
+
+    def test_divergence_after_a_saved_epoch_keeps_its_model(self, workspace, tmp_path,
+                                                            monkeypatch, capsys):
+        # validation fails in epoch 2: model.bin, saved when epoch 1 was
+        # validated, is kept, listed and named
+        epoch_one = self._epoch_one_bytes(workspace, tmp_path)
+        evaluate, calls = trainer.evaluate, []
+
+        def nan_second(*args, **kwargs):
+            calls.append(args)
+            loss, accuracy = evaluate(*args, **kwargs)
+            return (float("nan") if len(calls) == 2 else loss), accuracy
+
+        monkeypatch.setattr(trainer, "evaluate", nan_second)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                     *TRAIN_FLAGS]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: non-finite validation loss at epoch 2" in err
+        assert f"kept {out / 'model.bin'}: epoch 1" in err
+        report = json.loads((out / "train_report.json").read_text())
+        assert (report["diverged"], report["stop_epoch"], report["best_epoch"]) == (True, 2, 1)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == [str(out / "model.bin"), str(out / "train_report.json")]
+        assert (out / "model.bin").read_bytes() == epoch_one
+
+    def test_failed_save_keeps_the_previous_model(self, workspace, tmp_path, monkeypatch,
+                                                  capsys):
+        # the second save, of epoch 2, stops halfway through the parameters
+        # as on a full disk: exit 2, epoch 1's model.bin whole, no temporary left
+        epoch_one = self._epoch_one_bytes(workspace, tmp_path)
+        saves = []
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 1:  # the header
+                    return self.fh.write(data)
+                self.fh.write(memoryview(data)[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        def opener(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            saves.append(path)
+            return HalfWriter(fh) if len(saves) == 2 else fh
+
+        monkeypatch.setattr(mstcnpp, "open", opener, raising=False)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                     *TRAIN_FLAGS]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(saves) == 2
+        assert (out / "model.bin").read_bytes() == epoch_one
+        assert sorted(p.name for p in out.iterdir()) == ["model.bin"]
+
     def test_missing_data_dir_exits_2(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "out")])

@@ -1005,10 +1005,6 @@ class TestLayout:
                           layers_prediction=2, layers_refinement=3, fuse_mode=fuse_mode)
         model = init(cfg, seed=1)
         self.assert_tiles_flat(model)
-        copy = mstcnpp.clone(model)
-        self.assert_tiles_flat(copy)
-        assert not np.shares_memory(copy.flat, model.flat)
-        assert np.array_equal(copy.flat, model.flat)
         save_model(model, tmp_path / "model.bin")
         for dtype in (np.float64, np.float32):
             loaded = load_model(tmp_path / "model.bin", dtype=dtype)

@@ -27,30 +27,50 @@ TINY = mstcnpp.StageConfig(in_dim=8, channels=8, n_classes=4, stages=2,
                            layers_prediction=3, layers_refinement=3)
 
 
+# paper depth at F=128 and T=1348, float32: one (T, F) row, the forward
+# cache (per stage: the projection, then each layer's fusion and output), the
+# largest stage's gradient (stage 1's) and the parameters, in bytes
+PAPER_DEPTH, PAPER_T = mstcnpp.StageConfig(in_dim=128, channels=128, n_classes=4), 1348
+assert (PAPER_DEPTH.stages, PAPER_DEPTH.layers_prediction,
+        PAPER_DEPTH.layers_refinement) == (4, 11, 10)
+PAPER_ROW = PAPER_T * PAPER_DEPTH.channels * 4
+PAPER_CACHE = PAPER_ROW * sum(2 * PAPER_DEPTH.layers_for_stage(s) + 1 for s in range(4))
+PAPER_STAGE_GRAD = 4 * max(mstcnpp._stage_param_count(PAPER_DEPTH, s) for s in range(4))
+PAPER_PARAMS = 4 * mstcnpp._param_count(PAPER_DEPTH)
+
+
 def make_split(n, sequence_seed, dim=8, noise=0.3):
     cfg = synthgen.SynthConfig(dim=dim, noise_sigma=noise, seed=0)
     return synthgen.generate(cfg, n, sequence_seed=sequence_seed)
+
+
+def _zero_state(size, dtype=np.float64):
+    return AdamWState(m=np.zeros(size, dtype), v=np.zeros(size, dtype))
+
+
+def _discard(model):  # fit's save, where a test needs no saved model
+    pass
 
 
 class TestAdamW:
     def test_zero_grad_no_decay_is_noop(self, rng):
         p = rng.normal(size=12)
         params = p.copy()
-        adamw_step(params, np.zeros(12), AdamWState(), lr=0.1)
+        adamw_step(params, np.zeros(12), _zero_state(12), lr=0.1)
         np.testing.assert_array_equal(params, p)
 
     def test_first_step_moves_by_lr_sign(self, rng):
         g = rng.normal(size=(5,))
         p = rng.normal(size=(5,))
         params = p.copy()
-        adamw_step(params, g, AdamWState(), lr=1e-3)
+        adamw_step(params, g, _zero_state(5), lr=1e-3)
         # bias-corrected first step: delta = -lr * g / (|g| + ~eps)
         np.testing.assert_allclose(params - p, -1e-3 * np.sign(g), rtol=1e-4)
 
     def test_weight_decay_shrinks_params(self, rng):
         p = rng.normal(size=(4,))
         params = p.copy()
-        adamw_step(params, np.zeros(4), AdamWState(), lr=0.1, weight_decay=0.5)
+        adamw_step(params, np.zeros(4), _zero_state(4), lr=0.1, weight_decay=0.5)
         np.testing.assert_allclose(params, p * (1 - 0.1 * 0.5), rtol=1e-12)
 
     def test_two_steps_accumulate_moments(self, rng):
@@ -58,7 +78,7 @@ class TestAdamW:
         g1, g2 = 0.4, -0.2
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         params = np.array([1.0])
-        state = AdamWState()
+        state = _zero_state(1)
         adamw_step(params, np.array([g1]), state, lr=lr)
         adamw_step(params, np.array([g2]), state, lr=lr)
 
@@ -80,7 +100,7 @@ class TestAdamW:
             start = rng.normal(size=size).astype(dtype)
             grads = rng.normal(size=(3, size)).astype(dtype)
             for threads in (1, 2, 3, 8):
-                params, state = start.copy(), AdamWState()
+                params, state = start.copy(), _zero_state(size, dtype)
                 ref_p, ref_m, ref_v = start.copy(), np.zeros(size, dtype), np.zeros(size, dtype)
                 for t, g in enumerate(grads, start=1):
                     adamw_step(params, g, state, lr=lr, weight_decay=wd, threads=threads)
@@ -161,14 +181,15 @@ class TestFit:
         model = mstcnpp.init(mcfg, seed=0)
         cfg = TrainConfig(epochs=10, learning_rate=5e-3, patience=1, seed=0,
                           weight_decay=0.0)
-        best, report = fit(model, train, val, cfg)
+        fc = FocalConfig(gamma=cfg.gamma)
+        saved = []  # the validation loss of each model handed to save, when handed
+        report = fit(model, train, val, cfg,
+                     lambda m: saved.append(evaluate(m, val, fc, cfg.smoothing_weight)[0]))
         assert report.stop_epoch == 2
         assert report.epochs[1].val_loss > report.epochs[0].val_loss
-        # best epoch 1 < stop epoch 2: epoch 2's update must not reach the snapshot
+        # best epoch 1 < stop epoch 2: saved before epoch 2's update, not after it
         assert report.best_epoch == 1
-        assert not np.shares_memory(best.flat, model.flat)
-        loss, _ = evaluate(best, val, FocalConfig(gamma=cfg.gamma), cfg.smoothing_weight)
-        assert loss == min(e.val_loss for e in report.epochs)
+        assert saved == [min(e.val_loss for e in report.epochs)]
 
     def test_reaches_high_accuracy_on_separable_data(self):
         train = make_split(6, sequence_seed=100, dim=16)
@@ -177,19 +198,21 @@ class TestFit:
                                    layers_prediction=4, layers_refinement=4)
         model = mstcnpp.init(mcfg, seed=0)
         cfg = TrainConfig(epochs=10, learning_rate=3e-3, patience=10, seed=0)
-        _, report = fit(model, train, val, cfg)
+        report = fit(model, train, val, cfg, _discard)
         assert max(e.val_accuracy for e in report.epochs) >= 0.95
 
     def test_fixed_seed_reproduces_report_and_params(self):
         train = make_split(3, sequence_seed=100)
         val = make_split(1, sequence_seed=101)
         cfg = TrainConfig(epochs=3, learning_rate=1e-3, seed=4)
-        m1, r1 = fit(mstcnpp.init(TINY, seed=4), train, val, cfg)
-        m2, r2 = fit(mstcnpp.init(TINY, seed=4), train, val, cfg)
+        m1, m2, kept1, kept2 = mstcnpp.init(TINY, seed=4), mstcnpp.init(TINY, seed=4), [], []
+        r1 = fit(m1, train, val, cfg, lambda m: kept1.append(m.flat.copy()))
+        r2 = fit(m2, train, val, cfg, lambda m: kept2.append(m.flat.copy()))
         assert r1.as_dict() == r2.as_dict()
         for (_, p1), (_, p2) in zip(mstcnpp.named_parameters(m1),
                                     mstcnpp.named_parameters(m2)):
             assert np.array_equal(p1, p2)
+        assert kept1 and np.array_equal(kept1, kept2)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_threads_give_identical_training(self, rng, dtype):
@@ -202,46 +225,57 @@ class TestFit:
         train = [(rng.normal(size=(t_len, 8)) + labels[:, None], labels) for _ in range(2)]
         val = [(rng.normal(size=(t_len, 8)) + labels[:, None], labels)]
         cfg = TrainConfig(epochs=2, learning_rate=1e-3, seed=1)
-        runs = [fit(mstcnpp.init(mcfg, seed=1, dtype=dtype), train, val, cfg, threads=threads)
-                for threads in (1, 2, 3)]
+        runs = []
+        for threads in (1, 2, 3):
+            model, kept = mstcnpp.init(mcfg, seed=1, dtype=dtype), []
+            report = fit(model, train, val, cfg, lambda m: kept.append(m.flat.copy()),
+                         threads=threads)
+            runs.append((model, report, kept))
         assert runs[0][0].dtype == dtype
-        for model, report in runs[1:]:
+        for model, report, kept in runs[1:]:
             assert report.as_dict() == runs[0][1].as_dict()
             assert np.array_equal(model.flat, runs[0][0].flat)
+            assert np.array_equal(kept, runs[0][2])
 
     def test_best_checkpoint_has_minimum_val_loss(self):
         train = make_split(3, sequence_seed=100)
         val = make_split(1, sequence_seed=101)
         model = mstcnpp.init(TINY, seed=0)
         cfg = TrainConfig(epochs=6, learning_rate=3e-3, patience=6, seed=0)
-        best, report = fit(model, train, val, cfg)
+        fc = FocalConfig(gamma=cfg.gamma)
+        saved = []
+        report = fit(model, train, val, cfg,
+                     lambda m: saved.append(evaluate(m, val, fc, cfg.smoothing_weight)[0]))
         losses = [e.val_loss for e in report.epochs]
         assert losses[report.best_epoch - 1] == min(losses)
-        fc = FocalConfig(gamma=cfg.gamma)
-        loss, _ = evaluate(best, val, fc, cfg.smoothing_weight)
-        assert abs(loss - min(losses)) < 1e-12
+        assert abs(saved[-1] - min(losses)) < 1e-12
 
     @pytest.mark.parametrize("epochs", [1, 4])
-    def test_snapshot_only_before_an_epoch_moves_the_best(self, monkeypatch, epochs):
-        # the best epoch's parameters are copied only when a later epoch is
-        # about to update them, into one buffer made once; a run whose last
-        # epoch is the best returns model itself
-        clones, clone = [], mstcnpp.clone
-        monkeypatch.setattr(mstcnpp, "clone", lambda m: clones.append(m) or clone(m))
+    def test_saves_model_at_each_new_best_before_the_next_update(self, epochs):
+        # save gets model itself, once per epoch that lowers the best
+        # validation loss, with the parameters that epoch validated: after
+        # its validation and before the next epoch's first update
         model = mstcnpp.init(TINY, seed=0)
         val = make_split(1, sequence_seed=101)
         cfg = TrainConfig(epochs=epochs, learning_rate=3e-3, patience=4, seed=0)
-        best, report = fit(model, make_split(3, sequence_seed=100), val, cfg)
-        assert len(clones) == (1 if report.stop_epoch > 1 else 0)
-        assert (best is model) == (report.best_epoch == report.stop_epoch)
-        loss, _ = evaluate(best, val, FocalConfig(gamma=cfg.gamma), cfg.smoothing_weight)
-        assert loss == min(e.val_loss for e in report.epochs)
+        fc = FocalConfig(gamma=cfg.gamma)
+        saved = []
+
+        def save(m):
+            assert m is model
+            saved.append(evaluate(m, val, fc, cfg.smoothing_weight)[0])
+
+        report = fit(model, make_split(3, sequence_seed=100), val, cfg, save)
+        losses = [e.val_loss for e in report.epochs]
+        assert report.stop_epoch == epochs
+        assert saved == [loss for i, loss in enumerate(losses) if all(loss < x for x in losses[:i])]
+        assert saved[-1] == min(losses) == losses[report.best_epoch - 1]
 
     @staticmethod
     def _check_peak_memory(rng, t_len, channels, threads):
-        # traced live set while training: the best snapshot, AdamW's m and v and
-        # one gradient (4 P; the parameters predate the trace) plus one forward
-        # cache C. The slack of 16 (T, F) arrays covers backward's temporaries;
+        # traced live set while training: AdamW's m and v and one gradient
+        # (3 P; the parameters predate the trace) plus one forward cache C.
+        # The slack of 16 (T, F) arrays covers backward's temporaries;
         # holding the previous step's cache and gradient as well adds C + P.
         mcfg = mstcnpp.StageConfig(in_dim=16, channels=channels, n_classes=4, stages=2,
                                    layers_prediction=4, layers_refinement=4)
@@ -256,11 +290,11 @@ class TestFit:
                         *(a for lc in sc.layer_caches for a in vars(lc).values())]:
                 arrays[id(arr)] = arr.nbytes
         del cache
-        bound = 4 * model.flat.nbytes + sum(arrays.values()) + 16 * t_len * channels * 8
+        bound = 3 * model.flat.nbytes + sum(arrays.values()) + 16 * t_len * channels * 8
         tracemalloc.start()
         try:
             fit(model, train, val, TrainConfig(epochs=3, learning_rate=1e-3, patience=3),
-                threads=threads)
+                _discard, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -308,31 +342,18 @@ class TestFit:
         train = make_split(4, sequence_seed=100)
         val = make_split(1, sequence_seed=101)
         fit(mstcnpp.init(TINY, seed=0), train, val,
-            TrainConfig(epochs=2, learning_rate=1e-3))
+            TrainConfig(epochs=2, learning_rate=1e-3), _discard)
         assert updates == [1, 0] * 8  # last stage first, in each of 8 steps
         assert all(ref() is None for ref in step_refs)
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, glibc's heap")
-    def test_peak_rss_holds_the_cache_and_one_stage_gradient(self):
-        # one step at paper depth in a fresh process (F=128, T=1348, float32,
-        # 2 threads): above what the process held before fit, its peak is
-        # the forward cache, one stage's gradient (the largest, stage 1's)
-        # and backward's buffers, with a slack of 6 (T, F) arrays for
-        # backward's temporaries. A whole gradient Model beside the cache
-        # (13 MiB more than one stage's), or a cache whose stages stay
-        # resident after backward drops them, does not fit
-        t_len, f = 1348, 128
-        cfg = mstcnpp.StageConfig(in_dim=f, channels=f, n_classes=4)
-        assert (cfg.stages, cfg.layers_prediction, cfg.layers_refinement) == (4, 11, 10)
-        row = t_len * f * 4  # one (T, F) float32 array
-        # per stage: the projection, then each layer's fusion and output
-        cache = sum(2 * cfg.layers_for_stage(s) + 1 for s in range(cfg.stages)) * row
-        stage_grad = 4 * max(mstcnpp._stage_param_count(cfg, s) for s in range(cfg.stages))
-        bound = cache + stage_grad + 2 * row + 6 * row
-        # 8 MiB below the same live set with a whole gradient Model in place of one stage's
-        assert bound + 8 * 2**20 < cache + 4 * mstcnpp._param_count(cfg) + 2 * row
+    @staticmethod
+    def _fit_peak_growth(epochs, model_path):
+        """How far ru_maxrss grows, in bytes, above what a fresh process held
+        before fit, over a fit of epochs at PAPER_DEPTH (T=PAPER_T, float32)
+        on one train and one val sequence, 2 threads, saving to model_path."""
+        t_len, f = PAPER_T, PAPER_DEPTH.channels
         code = f"""
-import resource
+import functools, resource
 import numpy as np
 from phaseseg import mstcnpp
 from phaseseg.trainer import TrainConfig, fit
@@ -343,13 +364,44 @@ data = [((rng.normal(size=({t_len}, {f})) + labels[:, None]).astype(np.float32),
 model = mstcnpp.init(mstcnpp.StageConfig(in_dim={f}, channels={f}, n_classes=4), seed=0,
                      dtype=np.float32)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-fit(model, data[:1], data[1:], TrainConfig(epochs=1), threads=2)
+report = fit(model, data[:1], data[1:], TrainConfig(epochs={epochs}),
+             functools.partial(mstcnpp.save_model, path={str(model_path)!r}), threads=2)
+assert report.stop_epoch == {epochs}
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
         assert proc.returncode == 0, proc.stderr
-        grown = int(proc.stdout) * 1024
+        assert model_path.exists()
+        return int(proc.stdout) * 1024
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, glibc's heap")
+    def test_peak_rss_holds_the_cache_and_one_stage_gradient(self, tmp_path):
+        # one step: above what the process held before fit, its peak is the
+        # forward cache, one stage's gradient and backward's buffers, with a
+        # slack of 6 (T, F) arrays for backward's temporaries. A whole
+        # gradient Model beside the cache (13 MiB more than one stage's), or a
+        # cache whose stages stay resident after backward drops them, does
+        # not fit
+        bound = PAPER_CACHE + PAPER_STAGE_GRAD + 2 * PAPER_ROW + 6 * PAPER_ROW
+        # 8 MiB below the same live set with a whole gradient Model in place of one stage's
+        assert bound + 8 * 2**20 < PAPER_CACHE + PAPER_PARAMS + 2 * PAPER_ROW
+        grown = self._fit_peak_growth(1, tmp_path / "model.bin")
+        assert grown <= bound, f"peak RSS grew by {grown / 2**20:.1f} MiB in fit, " \
+                               f"bound {bound / 2**20:.1f} MiB"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, glibc's heap")
+    def test_peak_rss_of_later_epochs_holds_no_parameter_copy(self, tmp_path):
+        # two epochs, each saving a new best: from the second epoch's first
+        # step AdamW's m and v are mapped whole beside the step's live set,
+        # with a slack of 8 (T, F) arrays for backward's temporaries and
+        # validation's forward. A copy of the best epoch's parameters (18 MiB)
+        # does not fit
+        live = 2 * PAPER_PARAMS + PAPER_CACHE + PAPER_STAGE_GRAD + 2 * PAPER_ROW
+        bound = live + 8 * PAPER_ROW
+        # 8 MiB below the same live set with a parameter copy beside it
+        assert bound + 8 * 2**20 < live + PAPER_PARAMS
+        grown = self._fit_peak_growth(2, tmp_path / "model.bin")
         assert grown <= bound, f"peak RSS grew by {grown / 2**20:.1f} MiB in fit, " \
                                f"bound {bound / 2**20:.1f} MiB"
 
@@ -387,7 +439,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
         data = [(rng.normal(size=(t_len, 8)) + labels[:, None], labels) for _ in range(3)]
         before = threading.active_count()
         fit(mstcnpp.init(mcfg, seed=0), data[:2], data[2:],
-            TrainConfig(epochs=2, learning_rate=1e-3), threads=2)
+            TrainConfig(epochs=2, learning_rate=1e-3), _discard, threads=2)
         assert pools == [(1,)]
         assert max(seen) <= before + 1
         assert threading.active_count() == before
@@ -399,7 +451,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
         model = mstcnpp.init(TINY, seed=0)
         model.stages[0].proj_w[0, 0] = np.nan
         with pytest.raises(DivergenceError) as exc_info:
-            fit(model, train, val, TrainConfig(epochs=2, learning_rate=1e-3))
+            fit(model, train, val, TrainConfig(epochs=2, learning_rate=1e-3), _discard)
         assert exc_info.value.report.diverged
 
     @staticmethod
@@ -424,7 +476,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 
         monkeypatch.setattr(mstcnpp, "backward", poisoned)
         with pytest.raises(DivergenceError, match=f"'stage{stage}/{block}'") as exc_info:
-            fit(model, train, val, TrainConfig(epochs=2, learning_rate=1e-3))
+            fit(model, train, val, TrainConfig(epochs=2, learning_rate=1e-3), _discard)
         assert exc_info.value.report.diverged
         return before, model
 
@@ -445,7 +497,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
     def test_empty_sets_rejected(self):
         model = mstcnpp.init(TINY, seed=0)
         with pytest.raises(ValueError):
-            fit(model, [], make_split(1, sequence_seed=1), TrainConfig())
+            fit(model, [], make_split(1, sequence_seed=1), TrainConfig(), _discard)
 
     def test_single_sequence_overfit_sanity(self):
         # gradients are healthy enough to crush one 50-frame sequence
@@ -454,7 +506,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
         (features, labels), = synthgen.generate(cfg, 1)
         x, y = features[:50], labels[:50]
         model = mstcnpp.init(TINY, seed=0)
-        state = AdamWState()
+        state = _zero_state(model.flat.size)
         fc = FocalConfig(gamma=2.0)
         reached = False
         for _ in range(500):
