@@ -16,10 +16,13 @@ File formats:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
 import re
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,6 +247,24 @@ def open_text(path, newline=None) -> io.StringIO:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str):
+    """A file opened in mode ("w": UTF-8, newlines as written; or "wb") beside
+    path and renamed onto it when the block ends, so path holds the whole new
+    file or, if the block raises, the file it held before. Every file
+    phaseseg writes is written through this."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the write's own error is the one to report
+            os.unlink(tmp)
+        raise
+
+
 def read_notes_file(path) -> list[tuple[str, str]]:
     """Parse a JSON-lines notes file into (timestamp, text) pairs; errors carry
     the offending line number."""
@@ -272,7 +293,7 @@ def read_notes_file(path) -> list[tuple[str, str]]:
 
 def write_label_csv(path, labels: np.ndarray) -> None:
     """Write a per-frame label array as frame,phase_id rows, one per frame."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "phase_id"])
         for frame, phase in enumerate(labels):

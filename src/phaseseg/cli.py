@@ -11,20 +11,21 @@ Subcommands cover the full workflow on synthetic or pre-extracted features:
 Every command resolves its settings as CLI flag > config file > default.
 A flag and a config-file line are read by one parse and checked against one
 table of rules (SETTINGS), so a value acts the same either way. Every command
-writes a manifest.json recording the resolved configuration, input hashes
-and artifacts, and uses stable exit codes: 0 success, 2 input/validation
-error, 3 numeric failure. Every command computes on PHASESEG_THREADS threads
-(default: the usable cores), with numpy's BLAS held to one thread inside
-each forward, backward and AdamW step; results depend on neither count.
-train, eval and segment each open one pool of those threads and one BLAS
-hold for the whole command (mstcnpp.thread_pool); init, forward, fit and
-evaluate reuse them. One worker of the pool hashes the inputs while the
-command loads them, and the command waits for the hashes before it writes
-its first output, so the manifest hashes the inputs as they were before the
-command wrote anything; a command that fails stops the hashing. segment
-opens its feature file without loading it: forward's stage-1 projection
-reads, checks and drops its rows a chunk at a time, so a bad value found
-there still exits 2 before the output directory is made.
+computes on PHASESEG_THREADS threads (default: the usable cores), with numpy's
+BLAS held to one thread inside each forward, backward and AdamW step; results
+depend on neither count. Every command runs inside one _Command: train, eval
+and segment open one pool of those threads and one BLAS hold for the whole
+command (mstcnpp.thread_pool), which init, forward, fit and evaluate reuse,
+and one worker of it hashes the inputs while the command loads them. --out is
+created once the hashes are in, so they hold the inputs as they were before
+the command wrote anything; a command that fails stops the hashing. Every file
+is written beside its target and renamed onto it (annotate.replacing), so a
+failed command leaves the previous file or none. Once --out exists, leaving
+the command writes manifest.json: the resolved configuration, input hashes,
+artifacts and exit code (0 success, 2 input/validation error, 3 numeric
+failure). segment opens its feature file without loading it: forward's
+stage-1 projection reads, checks and drops its rows a chunk at a time, so a
+bad value found there still exits 2 before --out is made.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ _hash_stop = threading.local()  # .event: set when the command awaiting this thr
 
 def _sha256(path: Path, buf: memoryview) -> str:
     """sha256 of the file at path, read through buf; raises CancelledError
-    after a read once the thread's stop event (see _hashing) is set."""
+    after a read once the thread's stop event (see _hash_stopping) is set."""
     stop = getattr(_hash_stop, "event", None) or threading.Event()
     h = hashlib.sha256()
     with open(path, "rb", buffering=0) as fh:
@@ -198,45 +199,14 @@ def _hash_inputs(paths) -> dict:
     return hashes
 
 
-@contextlib.contextmanager
-def _hashing(pool, paths):
-    """Yields a call that returns _hash_inputs(paths): with a pool, one of
-    its workers hashes from now on and the call waits for it; without one,
-    the call hashes. Leaving the block stops a hash still running, within
-    one 256 KiB read, so a command that fails on an input does not wait for
-    the rest of the hash when its pool closes."""
-    if pool is None:
-        yield functools.partial(_hash_inputs, paths)
-        return
-    stop = threading.Event()
-
-    def job():
-        _hash_stop.event = stop
-        try:
-            return _hash_inputs(paths)
-        finally:
-            del _hash_stop.event
-
+def _hash_stopping(stop: threading.Event, paths) -> dict:
+    """_hash_inputs(paths) on a pool worker, stopped within one 256 KiB read
+    once stop is set: a failed command does not wait for the rest."""
+    _hash_stop.event = stop
     try:
-        yield pool.submit(job).result
+        return _hash_inputs(paths)
     finally:
-        stop.set()
-
-
-class PhaseTimer:
-    """Seconds spent per named phase of a command; `with timer("load"): ...`
-    adds the block's duration to that phase."""
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-
-    @contextlib.contextmanager
-    def __call__(self, phase: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.seconds[phase] = self.seconds.get(phase, 0.0) + time.perf_counter() - start
+        del _hash_stop.event
 
 
 def _blas() -> dict | None:
@@ -249,31 +219,109 @@ def _blas() -> dict | None:
         return None
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, sources: dict,
-                   input_hashes: dict, artifacts, started: float, timer: PhaseTimer) -> Path:
-    """Write manifest.json; input_hashes are the _hash_inputs of the
-    command's inputs, and the timer's phases go under phase_s. Times are in
-    microseconds' precision, so the phases never sum past wall_clock_s."""
+def write_manifest(run: _Command, exit_code: int) -> None:
+    """Write run's manifest.json with the exit code main returns. The phases
+    run.timer timed go under phase_s; times are in microseconds' precision,
+    so the phases never sum past wall_clock_s."""
     manifest = {
-        "command": command,
-        "argv": sys.argv[1:],
-        "config": config,
-        "config_sources": sources,
-        "environment": {"threads": _threads(),
+        "command": run.args.command,
+        "argv": run.argv,
+        "config": run.cfg,
+        "config_sources": run.sources,
+        "environment": {"threads": run.threads,
                         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
                         "numpy": np.__version__,
                         "blas": _blas(),
                         "tap_products": seqcore.tap_products()},
-        "input_hashes": input_hashes,
-        "artifacts": [str(a) for a in artifacts],
-        "phase_s": {phase: round(s, 6) for phase, s in timer.seconds.items()},
-        "wall_clock_s": round(time.perf_counter() - started, 6),
+        "input_hashes": run.input_hashes,
+        "artifacts": list(run.artifacts),
+        "exit_code": exit_code,
+        "phase_s": {phase: round(s, 6) for phase, s in run.seconds.items()},
+        "wall_clock_s": round(time.perf_counter() - run.started, 6),
         # the process's high-water mark so far (Linux reports ru_maxrss in KiB)
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-    return path
+    with annotate.replacing(run.out() / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
+# main's exit code for each exception a command ends on; main lets any other through
+_EXIT_CODES = {EXIT_NUMERIC: (trainer.DivergenceError, FloatingPointError, OverflowError),
+               EXIT_INPUT: (ValueError, OSError, MemoryError)}  # MemoryError: a setting too large
+
+
+def _exit_code(exc: BaseException) -> int | None:
+    return next((code for code, kinds in _EXIT_CODES.items() if isinstance(exc, kinds)), None)
+
+
+class _Command:
+    """One run of the command args names: `with _Command(args, argv) as run:`.
+    Entering checks PHASESEG_THREADS (run.threads), resolves the settings
+    (run.cfg, run.sources) and, for a command that computes, opens its one
+    mstcnpp.thread_pool, whose worker, or else out(), hashes the command's
+    inputs. Leaving the block once out() has created --out writes
+    manifest.json with the exit code main returns."""
+
+    def __init__(self, args: argparse.Namespace, argv: list[str]):
+        self.args, self.argv = args, argv
+        self.started, self.seconds = time.perf_counter(), {}  # seconds per phase
+        self.artifacts: dict[str, None] = {}  # the paths written, in order, each once
+        self.input_hashes = self._out = None
+
+    def __enter__(self) -> _Command:
+        self.threads = _threads()
+        self.cfg, self.sources = resolve_config(self.args.defaults, self.args)
+        inputs = [p for p in (getattr(self.args, role) for role in self.args.inputs) if p]
+        self._hashes, pool = functools.partial(_hash_inputs, inputs), None
+        with contextlib.ExitStack() as stack:
+            if self.args.computes:
+                pool = stack.enter_context(mstcnpp.thread_pool(self.threads))
+            if pool is not None:  # one worker hashes from now on; out() waits for it
+                stop = threading.Event()
+                self._hashes = pool.submit(_hash_stopping, stop, inputs).result
+                stack.callback(stop.set)
+            self._stack = stack.pop_all()
+        return self
+
+    @contextlib.contextmanager
+    def timer(self, phase: str):
+        """Adds the block's seconds to phase's, which the manifest lists."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[phase] = self.seconds.get(phase, 0.0) + time.perf_counter() - start
+
+    def out(self) -> Path:
+        """--out, created on the first call once the input hashes are in, so a
+        bad input leaves no directory and no output is hashed."""
+        if self._out is None:
+            with self.timer("hash"):
+                self.input_hashes = self._hashes()
+            self._out = Path(self.args.out)
+            self._out.mkdir(parents=True, exist_ok=True)
+        return self._out
+
+    def write(self, name: str, writer) -> None:
+        """writer(path) makes the artifact at --out/name through
+        annotate.replacing and returns the paths it wrote, or None for path
+        alone; the manifest lists them."""
+        path = self.out() / name
+        self.artifacts.update(dict.fromkeys(map(str, writer(path) or [path])))
+
+    def __exit__(self, kind, exc, tb) -> None:
+        self._stack.close()  # stops a hash still running, then closes the pool
+        code = EXIT_OK if exc is None else _exit_code(exc)
+        if self._out is not None and code is not None:
+            write_manifest(self, code)
+
+
+def _text(text: str):
+    """A writer, for _Command.write, of text to its path."""
+    def write(path):
+        with annotate.replacing(path, "w") as fh:
+            fh.write(text)
+    return write
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +350,8 @@ def _physical_memory() -> int | None:
         return None
 
 
-def cmd_gen_synth(args) -> int:
-    started = time.perf_counter()
-    cfg, sources = resolve_config(GEN_DEFAULTS, args)
-    out_dir = Path(args.out)
-
+def cmd_gen_synth(run: _Command) -> None:
+    cfg = run.cfg
     conf = None
     if cfg["sellar_closure_confusability"]:
         conf = np.zeros((4, 4))
@@ -337,16 +382,9 @@ def cmd_gen_synth(args) -> int:
               for split, count, offset in (("train", cfg["n_train"], 0),
                                            ("val", cfg["n_val"], 1),
                                            ("test", cfg["n_test"], 2))]
-    out_dir.mkdir(parents=True, exist_ok=True)  # settings checked: a bad one leaves no directory
-    artifacts = []
     for split, sequences in splits:
-        artifacts += synthgen.save_dataset(sequences, out_dir / split)
-    timer = PhaseTimer()
-    with timer("hash"):
-        input_hashes = _hash_inputs([])
-    write_manifest(out_dir, "gen-synth", cfg, sources, input_hashes, artifacts, started, timer)
-    print(f"wrote {cfg['n_train']}/{cfg['n_val']}/{cfg['n_test']} sequences under {out_dir}")
-    return EXIT_OK
+        run.write(split, functools.partial(synthgen.save_dataset, sequences))
+    print(f"wrote {cfg['n_train']}/{cfg['n_val']}/{cfg['n_test']} sequences under {run.out()}")
 
 
 # ---------------------------------------------------------------------------
@@ -374,74 +412,62 @@ TRAIN_DEFAULTS = {
 }
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
-    cfg, sources = resolve_config(TRAIN_DEFAULTS, args)
+def cmd_train(run: _Command) -> None:
+    cfg, sources = run.cfg, run.sources
     bce = cfg["loss"] == "bce"
     overridden = [key for key in ("gamma", "alpha_mode") if sources[key] != "default"]
     if bce and overridden:  # bce is focal with gamma 0 and uniform alpha
         raise ValueError(f"loss = bce fixes gamma = 0 and alpha_mode = uniform; "
                          f"do not also set {' or '.join(overridden)}")
-    data_dir = Path(args.data)
-    out_dir = Path(args.out)
+    data_dir = Path(run.args.data)
     dtype = _DTYPES[cfg["precision"]]
-    threads, timer = _threads(), PhaseTimer()
 
-    with mstcnpp.thread_pool(threads) as pool, _hashing(pool, [data_dir]) as hashes:
-        with timer("load"):
-            train_set = synthgen.load_dataset(data_dir / "train", dtype=dtype)
-            val_set = synthgen.load_dataset(data_dir / "val", dtype=dtype)
+    with run.timer("load"):
+        train_set = synthgen.load_dataset(data_dir / "train", dtype=dtype)
+        val_set = synthgen.load_dataset(data_dir / "val", dtype=dtype)
 
-        model_cfg = mstcnpp.StageConfig(
-            in_dim=train_set[0][0].shape[1],
-            channels=cfg["channels"],
-            n_classes=cfg["n_classes"],
-            stages=cfg["stages"],
-            layers_prediction=cfg["layers_prediction"],
-            layers_refinement=cfg["layers_refinement"],
-            fuse_mode=cfg["fuse_mode"],
-        )
-        model = mstcnpp.init(model_cfg, seed=cfg["seed"], dtype=dtype, threads=threads)
-        train_cfg = trainer.TrainConfig(
-            epochs=cfg["epochs"],
-            learning_rate=cfg["lr"],
-            smoothing_weight=cfg["lambda_smooth"],
-            patience=cfg["patience"],
-            seed=cfg["seed"],
-            weight_decay=cfg["weight_decay"],
-            sampling=cfg["sampling"],
-            gamma=0.0 if bce else cfg["gamma"],
-            alpha_mode="uniform" if bce else cfg["alpha_mode"],
-        )
-        trainer.check_splits(model_cfg, train_set, val_set)
-        with timer("hash"):  # the data as it was before --out, perhaps inside it, was made
-            input_hashes = hashes()
-        # the inputs checked: a bad one leaves no directory
-        out_dir.mkdir(parents=True, exist_ok=True)
-        model_path, report_path = out_dir / "model.bin", out_dir / "train_report.json"
-        try:
-            with timer("fit"):  # which writes model.bin at each new best epoch
-                report = trainer.fit(model, train_set, val_set, train_cfg,
-                                     functools.partial(mstcnpp.save_model, path=model_path),
-                                     threads=threads)
-        except trainer.DivergenceError as exc:  # keep the finished epochs; main exits 3
-            best = exc.report.best_epoch  # 0 when no epoch was validated, so none saved
-            report_path.write_text(json.dumps(exc.report.as_dict(), indent=2), encoding="utf-8")
-            write_manifest(out_dir, "train", cfg, sources, input_hashes,
-                           [model_path, report_path] if best else [report_path], started, timer)
-            if best:
-                print(f"kept {model_path}: epoch {best}, the best validated", file=sys.stderr)
-            raise
+    model_cfg = mstcnpp.StageConfig(
+        in_dim=train_set[0][0].shape[1],
+        channels=cfg["channels"],
+        n_classes=cfg["n_classes"],
+        stages=cfg["stages"],
+        layers_prediction=cfg["layers_prediction"],
+        layers_refinement=cfg["layers_refinement"],
+        fuse_mode=cfg["fuse_mode"],
+    )
+    model = mstcnpp.init(model_cfg, seed=cfg["seed"], dtype=dtype, threads=run.threads)
+    train_cfg = trainer.TrainConfig(
+        epochs=cfg["epochs"],
+        learning_rate=cfg["lr"],
+        smoothing_weight=cfg["lambda_smooth"],
+        patience=cfg["patience"],
+        seed=cfg["seed"],
+        weight_decay=cfg["weight_decay"],
+        sampling=cfg["sampling"],
+        gamma=0.0 if bce else cfg["gamma"],
+        alpha_mode="uniform" if bce else cfg["alpha_mode"],
+    )
+    trainer.check_splits(model_cfg, train_set, val_set)
+    model_path = run.out() / "model.bin"  # the data hashed before --out, perhaps in it
+    try:
+        with run.timer("fit"):  # which writes model.bin at each new best epoch
+            report = trainer.fit(
+                model, train_set, val_set, train_cfg,
+                lambda best: run.write("model.bin", functools.partial(mstcnpp.save_model, best)),
+                threads=run.threads)
+    except trainer.DivergenceError as exc:  # keep the finished epochs; main exits 3
+        run.write("train_report.json", _text(json.dumps(exc.report.as_dict(), indent=2)))
+        if exc.report.best_epoch:  # 0 when no epoch was validated, so none saved
+            print(f"kept {model_path}: epoch {exc.report.best_epoch}, the best validated",
+                  file=sys.stderr)
+        raise
 
-    with timer("save"):
-        report_path.write_text(json.dumps(report.as_dict(), indent=2), encoding="utf-8")
-    write_manifest(out_dir, "train", cfg, sources, input_hashes,
-                   [model_path, report_path], started, timer)
+    with run.timer("save"):
+        run.write("train_report.json", _text(json.dumps(report.as_dict(), indent=2)))
     last = report.epochs[-1]
     print(f"stopped at epoch {report.stop_epoch} (best {report.best_epoch}); "
           f"val loss {last.val_loss:.4f}, val acc {100 * last.val_accuracy:.2f}%")
     print(f"model: {model_path}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -455,59 +481,45 @@ EVAL_DEFAULTS = {
 }
 
 
-def predict(model, x, cfg: dict, threads: int, timer: PhaseTimer) -> tuple[np.ndarray, np.ndarray]:
+def predict(run: _Command, model, x) -> tuple[np.ndarray, np.ndarray]:
     """Final-stage argmax timeline (raw) and the final timeline: raw itself
-    with post = none, else after the accumulator at cfg's threshold; times the
-    "forward" and "post" phases."""
-    with timer("forward"):
-        probs = mstcnpp.forward(model, x, threads=threads)[-1]
-    with timer("post"):
+    with post = none, else after the accumulator at run's threshold; times
+    the "forward" and "post" phases."""
+    with run.timer("forward"):
+        probs = mstcnpp.forward(model, x, threads=run.threads)[-1]
+    with run.timer("post"):
         raw = accumulator.argmax_decode(probs)
-        return raw, raw if cfg["post"] == "none" else accumulator.smooth(raw, cfg["threshold"])
+        return raw, (raw if run.cfg["post"] == "none"
+                     else accumulator.smooth(raw, run.cfg["threshold"]))
 
 
-def cmd_eval(args) -> int:
-    started = time.perf_counter()
-    cfg, sources = resolve_config(EVAL_DEFAULTS, args)
-    dtype = _DTYPES[cfg["precision"]]
-    model_path = Path(args.model)
-    data_dir = Path(args.data)
-    out_dir = Path(args.out)
-    threads, timer = _threads(), PhaseTimer()
+def cmd_eval(run: _Command) -> None:
+    dtype = _DTYPES[run.cfg["precision"]]
+    with run.timer("load"):
+        model = mstcnpp.load_model(Path(run.args.model), dtype=dtype)
+        dataset = synthgen.load_dataset(Path(run.args.data), dtype=dtype)
+    n_classes = model.config.n_classes
 
-    with mstcnpp.thread_pool(threads) as pool, _hashing(pool, [model_path, data_dir]) as hashes:
-        with timer("load"):
-            model = mstcnpp.load_model(model_path, dtype=dtype)
-            dataset = synthgen.load_dataset(data_dir, dtype=dtype)
-        n_classes = model.config.n_classes
-
-        pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
-        segment_counts = []
-        for features, labels in dataset:
-            _, pred = predict(model, features, cfg, threads, timer)
-            with timer("post"):
-                pooled += evalmetrics.confusion(labels, pred, n_classes)
-                segment_counts.append(evalmetrics.segment_count(pred))
-        with timer("hash"):
-            input_hashes = hashes()
-    with timer("post"):
+    pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
+    segment_counts = []
+    for features, labels in dataset:
+        _, pred = predict(run, model, features)
+        with run.timer("post"):
+            pooled += evalmetrics.confusion(labels, pred, n_classes)
+            segment_counts.append(evalmetrics.segment_count(pred))
+    with run.timer("post"):
         rep = evalmetrics.report(pooled)
 
     payload = rep.as_dict()
     payload["confusion"] = pooled.tolist()
     payload["segment_counts"] = segment_counts
-    payload["post"] = cfg["post"]
+    payload["post"] = run.cfg["post"]
     table = evalmetrics.format_report(rep)
-    with timer("write"):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        json_path = out_dir / "report.json"
-        json_path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-        txt_path = out_dir / "report.txt"
-        txt_path.write_text(table + "\n", encoding="utf-8")
-    write_manifest(out_dir, "eval", cfg, sources, input_hashes,
-                   [json_path, txt_path], started, timer)
+    run.out()  # the wait for the hashes is timed apart from the writes
+    with run.timer("write"):
+        run.write("report.json", _text(json.dumps(payload, indent=2)))
+        run.write("report.txt", _text(table + "\n"))
     print(table)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -521,35 +533,21 @@ SEGMENT_DEFAULTS = {
 }
 
 
-def cmd_segment(args) -> int:
-    started = time.perf_counter()
-    cfg, sources = resolve_config(SEGMENT_DEFAULTS, args)
-    dtype = _DTYPES[cfg["precision"]]
-    model_path = Path(args.model)
-    feat_path = Path(args.ssl_features)
-    out_dir = Path(args.out)
-    threads, timer = _threads(), PhaseTimer()
+def cmd_segment(run: _Command) -> None:
+    dtype = _DTYPES[run.cfg["precision"]]
+    with contextlib.ExitStack() as files:
+        # the headers alone: forward reads the stages in turn, the rows a chunk at a time
+        with run.timer("load"):
+            model = files.enter_context(mstcnpp.ModelFile(Path(run.args.model), dtype))
+            features = files.enter_context(synthgen.FeatureFile(run.args.ssl_features, dtype))
+        raw, final = predict(run, model, features)
 
-    with mstcnpp.thread_pool(threads) as pool, _hashing(pool, [model_path, feat_path]) as hashes:
-        with contextlib.ExitStack() as files:
-            # the headers alone: forward reads the stages in turn, the rows a chunk at a time
-            with timer("load"):
-                model = files.enter_context(mstcnpp.ModelFile(model_path, dtype))
-                features = files.enter_context(synthgen.FeatureFile(feat_path, dtype))
-            raw, final = predict(model, features, cfg, threads, timer)
-        with timer("hash"):
-            input_hashes = hashes()
-
-    with timer("write"):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / "phases.csv"
-        annotate.write_label_csv(csv_path, final)
-        svg_path, ribbon_csv = evalmetrics.export_ribbon(raw, final, out_dir / "ribbon.svg")
-    write_manifest(out_dir, "segment", cfg, sources, input_hashes,
-                   [csv_path, svg_path, ribbon_csv], started, timer)
-    print(f"phase timeline: {csv_path} ({final.size} frames, "
+    run.out()  # the wait for the hashes is timed apart from the writes
+    with run.timer("write"):
+        run.write("phases.csv", functools.partial(annotate.write_label_csv, labels=final))
+        run.write("ribbon.svg", functools.partial(evalmetrics.export_ribbon, raw, final))
+    print(f"phase timeline: {run.out() / 'phases.csv'} ({final.size} frames, "
           f"{evalmetrics.segment_count(final)} segments)")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -562,44 +560,27 @@ NOTES_DEFAULTS = {
 }
 
 
-def cmd_parse_notes(args) -> int:
-    started = time.perf_counter()
-    cfg, sources = resolve_config(NOTES_DEFAULTS, args)
-    notes_path = Path(args.notes)
-    out_dir = Path(args.out)
-
+def cmd_parse_notes(run: _Command) -> None:
+    cfg, args = run.cfg, run.args
     ontology = annotate.PhaseOntology.from_file(args.lexicon) if args.lexicon \
         else annotate.PhaseOntology()
-    notes = annotate.read_notes_file(notes_path)
+    notes = annotate.read_notes_file(Path(args.notes))
     boundaries = annotate.extract_boundaries(notes, ontology)
     if not boundaries:
-        print("no phases found in notes", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("no phases found in notes")
     # every frame index and the timeline are computed before any file is written
     frames = [annotate.seconds_to_frame(seconds, cfg["fps"]) for seconds, _ in boundaries]
     timeline = None
     if cfg["frames"] > 0:
         timeline = annotate.build_timeline(boundaries, cfg["frames"], cfg["fps"], ontology)
-    timer = PhaseTimer()
-    with timer("hash"):
-        input_hashes = _hash_inputs([p for p in (notes_path, args.lexicon) if p])
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bounds_path = out_dir / "boundaries.csv"
-    with open(bounds_path, "w", encoding="utf-8") as fh:
-        fh.write("frame,phase_id\n")
-        for frame, (_, phase) in zip(frames, boundaries):
-            fh.write(f"{frame},{phase}\n")
-    artifacts = [bounds_path]
+    rows = "".join(f"{frame},{phase}\n" for frame, (_, phase) in zip(frames, boundaries))
+    run.write("boundaries.csv", _text("frame,phase_id\n" + rows))
     if timeline is not None:
-        labels_path = out_dir / "labels.csv"
-        annotate.write_label_csv(labels_path, timeline.labels)
-        artifacts.append(labels_path)
-
-    write_manifest(out_dir, "parse-notes", cfg, sources, input_hashes, artifacts, started, timer)
+        run.write("labels.csv", functools.partial(annotate.write_label_csv,
+                                                  labels=timeline.labels))
     for seconds, phase in boundaries:
         print(f"{annotate.format_timestamp(seconds)}  {ontology.names[phase]}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +591,13 @@ def build_parser() -> argparse.ArgumentParser:
     """One --key-with-dashes flag per key of each command's defaults, read by
     _parse_value and checked in resolve_config as a config-file line is; the
     path arguments are listed by hand. No flag has a second, abbreviated
-    spelling."""
+    spelling. Each command declares, for _Command, its defaults, the
+    arguments that name its input files, and whether it computes on a pool."""
     parser = argparse.ArgumentParser(prog="phaseseg", allow_abbrev=False,
                                      description="surgical phase segmentation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, defaults, what):
+    def command(name, func, defaults, what, inputs=(), computes=False):
         p = sub.add_parser(name, help=what, allow_abbrev=False)
         p.add_argument("--config", help="key = value settings file")
         p.add_argument("--out", required=True, help="output directory")
@@ -625,45 +607,46 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + key.replace("_", "-"), type=_parse_value,
                            metavar="{" + ",".join(choices) + "}" if choices else None,
                            help=f"{rule.get('help', '')} (default {default})".lstrip())
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, defaults=defaults, inputs=inputs, computes=computes)
         return p
 
     command("gen-synth", cmd_gen_synth, GEN_DEFAULTS, "generate a synthetic dataset")
 
-    p = command("train", cmd_train, TRAIN_DEFAULTS, "train a model on a dataset directory")
+    p = command("train", cmd_train, TRAIN_DEFAULTS, "train a model on a dataset directory",
+                inputs=("data",), computes=True)
     p.add_argument("--data", required=True, help="dataset dir with train/ and val/")
 
-    p = command("eval", cmd_eval, EVAL_DEFAULTS, "evaluate a model on a dataset split")
+    p = command("eval", cmd_eval, EVAL_DEFAULTS, "evaluate a model on a dataset split",
+                inputs=("model", "data"), computes=True)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="split directory (seq_*.npy)")
 
-    p = command("segment", cmd_segment, SEGMENT_DEFAULTS, "segment one feature file")
+    p = command("segment", cmd_segment, SEGMENT_DEFAULTS, "segment one feature file",
+                inputs=("model", "ssl_features"), computes=True)
     p.add_argument("--model", required=True)
     p.add_argument("--ssl-features", required=True,
                    help="pre-extracted per-frame embeddings (.npy, T x d)")
 
     p = command("parse-notes", cmd_parse_notes, NOTES_DEFAULTS,
-                "extract weak labels from operative notes")
+                "extract weak labels from operative notes", inputs=("notes", "lexicon"))
     p.add_argument("--notes", required=True, help="JSON-lines notes file")
     p.add_argument("--lexicon", help="keyword lexicon override file")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _threads()  # a bad setting is reported whatever the command
-        return args.func(args)
-    except trainer.DivergenceError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (FloatingPointError, OverflowError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a setting too large
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        with _Command(args, argv) as run:
+            args.func(run)
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        print(f"{'numeric failure' if code == EXIT_NUMERIC else 'error'}: {exc}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotate import PHASE_NAMES
+from .annotate import PHASE_NAMES, replacing
 
 # per-phase ribbon palette (index = phase id); ignored frames draw gray
 PHASE_PALETTE = ("#4C72B0", "#DD8452", "#55A868", "#C44E52",
@@ -192,9 +192,10 @@ def export_ribbon(raw, final, path) -> tuple[Path, Path]:
                      f'font-family="sans-serif">{name}</text>')
         x += 14 + 7 * len(str(name)) + 14
     parts.append("</svg>")
-    svg_path.write_text("\n".join(parts), encoding="utf-8")
+    with replacing(svg_path, "w") as fh:
+        fh.write("\n".join(parts))
 
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(csv_path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "gt", "pred"])
         for frame in range(t_len):

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .annotate import replacing
 from .seqcore import (
     _MIN_GEMM_ROWS,
     ShapeError,
@@ -755,23 +756,15 @@ def model_from_bytes(buf, dtype=np.float64) -> tuple[Model, int]:
 
 def save_model(model: Model, path) -> None:
     """Write the header, then the parameters as float32 straight from
-    model.flat (a float32 model's are not copied). The file is written beside
-    path and renamed onto it, so path holds the whole new file or, if the
-    save fails, the file it held before."""
+    model.flat (a float32 model's are not copied), through replacing: path
+    holds the whole new file or, if the save fails, the file it held before."""
     cfg = model.config
-    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<I", FORMAT_VERSION)
-                     + _CONFIG_STRUCT.pack(cfg.in_dim, cfg.channels, cfg.n_classes, cfg.stages,
-                                           cfg.layers_prediction, cfg.layers_refinement,
-                                           FUSE_MODES.index(cfg.fuse_mode)))
-            fh.write(memoryview(model.flat.astype("<f4", copy=False)))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):  # the save's own error is the one to report
-            os.unlink(tmp)
-        raise
+    with replacing(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", FORMAT_VERSION)
+                 + _CONFIG_STRUCT.pack(cfg.in_dim, cfg.channels, cfg.n_classes, cfg.stages,
+                                       cfg.layers_prediction, cfg.layers_refinement,
+                                       FUSE_MODES.index(cfg.fuse_mode)))
+        fh.write(memoryview(model.flat.astype("<f4", copy=False)))
 
 
 def load_model(path, dtype=np.float64) -> Model:

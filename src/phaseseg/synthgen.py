@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotate import read_label_csv, write_label_csv
+from .annotate import read_label_csv, replacing, write_label_csv
 from .seqcore import ShapeError
 
 
@@ -162,14 +162,16 @@ def generate(cfg: SynthConfig, n_sequences: int,
 # ---------------------------------------------------------------------------
 
 def save_dataset(sequences, directory) -> list[str]:
+    """Write each (features, labels) as seq_###.npy and .csv; returns their paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for i, (features, labels) in enumerate(sequences):
-        npy = directory / f"seq_{i:03d}.npy"
-        np.save(npy, np.asarray(features, dtype=np.float32))
-        write_label_csv(directory / f"seq_{i:03d}.csv", labels)
-        written.append(str(npy))
+        npy, labels_csv = directory / f"seq_{i:03d}.npy", directory / f"seq_{i:03d}.csv"
+        with replacing(npy, "wb") as fh:
+            np.save(fh, np.asarray(features, dtype=np.float32))
+        write_label_csv(labels_csv, labels)
+        written += [str(npy), str(labels_csv)]
     return written
 
 

@@ -1,4 +1,6 @@
 import argparse
+import errno
+import functools
 import hashlib
 import json
 import os
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from phaseseg import cli, mstcnpp, seqcore, synthgen, trainer
+from phaseseg import annotate, cli, mstcnpp, seqcore, synthgen, trainer
 from phaseseg.annotate import read_label_csv, write_label_csv
 from phaseseg.cli import main
 
@@ -99,6 +101,15 @@ class TestGenSynth:
         assert main(["gen-synth", "--out", str(out), "--dim", "8",
                      "--n-train", "1", "--n-val", "1", "--n-test", "1"]) == 0
         assert (out / "train" / "seq_000.npy").exists()
+
+    def test_manifest_lists_every_file_written(self, tmp_path):
+        out = tmp_path / "ds"
+        assert main(["gen-synth", "--out", str(out), "--dim", "8",
+                     "--n-train", "2", "--n-val", "1", "--n-test", "1"]) == 0
+        files = sorted(str(f) for f in out.rglob("*") if f.is_file())
+        assert len(files) == 9  # 4 sequences of a .npy and a .csv, and the manifest
+        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert sorted(artifacts) == [f for f in files if not f.endswith("manifest.json")]
 
     def test_manifest_written(self, workspace):
         manifest = json.loads((workspace["data"] / "manifest.json").read_text())
@@ -254,6 +265,7 @@ class TestTrain:
         assert report["stop_epoch"] == len(report["epochs"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "train"
+        assert manifest["exit_code"] == 3
         assert set(manifest["phase_s"]) == {"load", "fit", "hash"}
         assert manifest["artifacts"] == [str(out / "train_report.json")]
         assert not (out / "model.bin").exists()
@@ -295,34 +307,20 @@ class TestTrain:
 
     def test_failed_save_keeps_the_previous_model(self, workspace, tmp_path, monkeypatch,
                                                   capsys):
-        # the second save, of epoch 2, stops halfway through the parameters
-        # as on a full disk: exit 2, epoch 1's model.bin whole, no temporary left
+        # the second save, of epoch 2, stops halfway through the file (in the
+        # parameters) as on a full disk: exit 2, epoch 1's model.bin whole and
+        # listed in the manifest, no temporary left
         epoch_one = self._epoch_one_bytes(workspace, tmp_path)
         saves = []
 
-        class HalfWriter:
-            def __init__(self, fh):
-                self.fh, self.writes = fh, 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes == 1:  # the header
-                    return self.fh.write(data)
-                self.fh.write(memoryview(data)[:len(data) // 2])
-                raise OSError(28, "No space left on device")
-
         def opener(path, mode="r", *args, **kwargs):
             fh = open(path, mode, *args, **kwargs)
+            if "model.bin" not in os.fspath(path):
+                return fh
             saves.append(path)
-            return HalfWriter(fh) if len(saves) == 2 else fh
+            return _HalfWrite(fh, len(epoch_one) // 2) if len(saves) == 2 else fh
 
-        monkeypatch.setattr(mstcnpp, "open", opener, raising=False)
+        monkeypatch.setattr(annotate, "open", opener, raising=False)
         capsys.readouterr()
         out = tmp_path / "out"
         assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
@@ -330,7 +328,10 @@ class TestTrain:
         assert "No space left on device" in capsys.readouterr().err
         assert len(saves) == 2
         assert (out / "model.bin").read_bytes() == epoch_one
-        assert sorted(p.name for p in out.iterdir()) == ["model.bin"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "model.bin"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2
+        assert manifest["artifacts"] == [str(out / "model.bin")]
 
     def test_missing_data_dir_exits_2(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope"),
@@ -516,6 +517,93 @@ def test_manifest_records_environment_and_phase_times(workspace, tmp_path, monke
                                            "tap_products"}
     assert set(trained["phase_s"]) == {"load", "fit", "save", "hash"}
     assert sum(trained["phase_s"].values()) <= trained["wall_clock_s"]
+
+
+def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch):
+    # an in-process caller's own list, not the argv of the process it runs in
+    monkeypatch.setattr(sys, "argv", ["wrapper", "op", "--report", "r.json"])
+    out = tmp_path / "ds"
+    argv = ["gen-synth", "--out", str(out), "--dim", "8", "--n-train", "1", "--n-val", "1",
+            "--n-test", "1"]
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["argv"] == argv
+    assert manifest["exit_code"] == 0
+
+
+class _HalfWrite:
+    """A file that takes budget bytes (characters, in text) of writes, then
+    raises ENOSPC as a full disk does."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        view = data if isinstance(data, str) else memoryview(data).cast("B")
+        taken = view[:self.budget]
+        self.fh.write(taken)
+        self.budget -= len(taken)
+        if self.budget == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(view)
+
+
+# each file a command writes under --out, and the command
+WRITERS = {"model.bin": "train", "train_report.json": "train", "report.json": "eval",
+           "report.txt": "eval", "phases.csv": "segment", "ribbon.svg": "segment",
+           "ribbon.csv": "segment", "boundaries.csv": "parse-notes",
+           "labels.csv": "parse-notes", "train/seq_000.npy": "gen-synth",
+           "manifest.json": "parse-notes"}
+
+
+def _writer_argv(workspace, tmp_path, command, out):
+    if command == "gen-synth":
+        return ["gen-synth", "--out", str(out), "--dim", "8", "--n-train", "1", "--n-val", "1",
+                "--n-test", "1"]
+    if command == "train":
+        return ["train", "--data", str(workspace["data"]), "--out", str(out), *TRAIN_FLAGS]
+    if command == "parse-notes":
+        return ["parse-notes", "--notes", str(_notes_file(tmp_path)), "--frames", "40",
+                "--out", str(out)]
+    return _inference_argv(workspace, command, out)
+
+
+@pytest.mark.parametrize("previous", [True, False], ids=["over-previous", "fresh"])
+@pytest.mark.parametrize("name", WRITERS)
+def test_write_failed_halfway_keeps_the_previous_file_or_none(workspace, tmp_path, monkeypatch,
+                                                             capsys, name, previous):
+    # the write stops at half the file's size: the file is the one --out held
+    # before, or absent; no temporary is left; the run exits 2 and, unless the
+    # manifest itself failed, says so in its manifest
+    clean = tmp_path / "clean"
+    argv = functools.partial(_writer_argv, workspace, tmp_path, WRITERS[name])
+    assert main(argv(clean)) == 0
+    out = tmp_path / "out"
+    if previous:
+        shutil.copytree(clean, out)
+    target, size = os.fspath(out / name) + ".", (clean / name).stat().st_size
+
+    def opener(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _HalfWrite(fh, size // 2) if os.fspath(path).startswith(target) else fh
+
+    monkeypatch.setattr(annotate, "open", opener, raising=False)
+    capsys.readouterr()
+    assert main(argv(out)) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    if previous:
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+    else:
+        assert not (out / name).exists()
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+    if name != "manifest.json":
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
 
 
 @pytest.mark.parametrize("command, bad", [
