@@ -23,9 +23,9 @@ is written beside its target and renamed onto it (annotate.replacing), so a
 failed command leaves the previous file or none. Once --out exists, leaving
 the command writes manifest.json: the resolved configuration, input hashes,
 artifacts and exit code (0 success, 2 input/validation error, 3 numeric
-failure). segment opens its feature file without loading it: forward's
-stage-1 projection reads, checks and drops its rows a chunk at a time, so a
-bad value found there still exits 2 before --out is made.
+failure). eval and segment read feature files alike, one at a time (predict):
+forward's stage-1 projection reads, checks and drops the rows a chunk at a
+time, so a bad value found there still exits 2 before --out is made.
 """
 
 from __future__ import annotations
@@ -481,12 +481,18 @@ EVAL_DEFAULTS = {
 }
 
 
-def predict(run: _Command, model, x) -> tuple[np.ndarray, np.ndarray]:
-    """Final-stage argmax timeline (raw) and the final timeline: raw itself
-    with post = none, else after the accumulator at run's threshold; times
-    the "forward" and "post" phases."""
-    with run.timer("forward"):
-        probs = mstcnpp.forward(model, x, threads=run.threads)[-1]
+def predict(run: _Command, model, path) -> tuple[np.ndarray, np.ndarray]:
+    """Final-stage argmax timeline (raw) of the feature file at path and the
+    final timeline: raw itself with post = none, else after the accumulator
+    at run's threshold. Times the phases "load" (the header), "forward" (the
+    rows, a chunk at a time) and "post"; an error in the file names it."""
+    with run.timer("load"):
+        features = synthgen.FeatureFile(path, model.dtype)
+    with features, run.timer("forward"):
+        try:
+            probs = mstcnpp.forward(model, features, threads=run.threads)[-1]
+        except seqcore.ShapeError as exc:  # the width check, which knows no file
+            raise seqcore.ShapeError(f"{path}: {exc}") from None
     with run.timer("post"):
         raw = accumulator.argmax_decode(probs)
         return raw, (raw if run.cfg["post"] == "none"
@@ -494,18 +500,22 @@ def predict(run: _Command, model, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_eval(run: _Command) -> None:
-    dtype = _DTYPES[run.cfg["precision"]]
     with run.timer("load"):
-        model = mstcnpp.load_model(Path(run.args.model), dtype=dtype)
-        dataset = synthgen.load_dataset(Path(run.args.data), dtype=dtype)
+        model = mstcnpp.load_model(Path(run.args.model), _DTYPES[run.cfg["precision"]])
+        files = synthgen.sequence_files(run.args.data)
     n_classes = model.config.n_classes
 
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
     segment_counts = []
-    for features, labels in dataset:
-        _, pred = predict(run, model, features)
+    for npy, labels_csv in files:  # one sequence at a time, each read as segment reads its one
+        _, pred = predict(run, model, npy)
+        with run.timer("load"):
+            labels = annotate.read_label_csv(labels_csv, total_frames=pred.size)
         with run.timer("post"):
-            pooled += evalmetrics.confusion(labels, pred, n_classes)
+            try:
+                pooled += evalmetrics.confusion(labels, pred, n_classes)
+            except ValueError as exc:  # labels beyond the model's classes
+                raise ValueError(f"{labels_csv}: {exc}") from None
             segment_counts.append(evalmetrics.segment_count(pred))
     with run.timer("post"):
         rep = evalmetrics.report(pooled)
@@ -534,13 +544,10 @@ SEGMENT_DEFAULTS = {
 
 
 def cmd_segment(run: _Command) -> None:
-    dtype = _DTYPES[run.cfg["precision"]]
-    with contextlib.ExitStack() as files:
-        # the headers alone: forward reads the stages in turn, the rows a chunk at a time
-        with run.timer("load"):
-            model = files.enter_context(mstcnpp.ModelFile(Path(run.args.model), dtype))
-            features = files.enter_context(synthgen.FeatureFile(run.args.ssl_features, dtype))
-        raw, final = predict(run, model, features)
+    with run.timer("load"):  # the header alone: forward reads the stages in turn
+        model = mstcnpp.ModelFile(Path(run.args.model), _DTYPES[run.cfg["precision"]])
+    with model:
+        raw, final = predict(run, model, run.args.ssl_features)
 
     run.out()  # the wait for the hashes is timed apart from the writes
     with run.timer("write"):

@@ -27,8 +27,9 @@ A model's parameters live in one contiguous array, `Model.flat`, in file
 order; every weight and bias field is a writeable view into it, laid out
 stage by stage by `_bind_stage` alone. backward writes each stage's gradient
 in that stage's layout: into a gradient Model of the same layout, or into one
-buffer that every stage reuses, handed to a consumer stage by stage. Likewise
-a `ModelFile` hands forward one stage at a time from a single buffer.
+buffer that every stage reuses, handed to a consumer stage by stage. Model
+files are read by `ModelFile` alone: it hands forward one stage at a time
+from a single buffer, and load_model every parameter at once.
 """
 
 from __future__ import annotations
@@ -701,12 +702,12 @@ _CONFIG_STRUCT = struct.Struct("<7I")  # in_dim, channels, classes, stages, L_pr
 _HEADER_SIZE = 8 + _CONFIG_STRUCT.size  # magic, version, config
 
 
-def _read_header(buf, end: int) -> StageConfig:
-    """The config of the model header at the start of buf: raises
-    ModelFormatError unless the header is whole and valid and the model's
-    source, end bytes long, holds every parameter byte it describes after
-    the header. The header alone fixes that count, so nothing is allocated
-    for a hostile one."""
+def _read_header(buf, size: int) -> StageConfig:
+    """The config of the model header buf, read from the start of a file of
+    size bytes: raises ModelFormatError unless the header is whole and valid
+    and the file holds exactly the parameter bytes it describes after the
+    header. The header alone fixes that count, so nothing is allocated for a
+    hostile one."""
     if buf[:4] != MAGIC:
         raise ModelFormatError("not a model file: bad magic bytes")
     try:
@@ -725,33 +726,13 @@ def _read_header(buf, end: int) -> StageConfig:
                           layers_refinement=fields[5], fuse_mode=FUSE_MODES[fields[6]])
     except ValueError as exc:
         raise ModelFormatError(f"invalid model header: {exc}") from None
-    count = _param_count(cfg)
-    if _HEADER_SIZE + 4 * count > end:
-        raise ModelFormatError(f"model file truncated: header describes {4 * count} "
-                               f"parameter bytes, {end - _HEADER_SIZE} present")
-    return cfg
-
-
-def _check_end(end: int, size: int) -> None:
-    """Raises ModelFormatError unless the model ending at offset end fills
-    its file of size bytes."""
-    if end != size:
+    end = _HEADER_SIZE + 4 * _param_count(cfg)
+    if end > size:
+        raise ModelFormatError(f"model file truncated: header describes {end - _HEADER_SIZE} "
+                               f"parameter bytes, {size - _HEADER_SIZE} present")
+    if end < size:
         raise ModelFormatError(f"{size - end} unexpected trailing bytes in model file")
-
-
-def model_from_bytes(buf, dtype=np.float64) -> tuple[Model, int]:
-    """Parse a serialized model at the start of buf; returns (model, offset
-    past the model).
-
-    A short buffer is rejected before any parameter is allocated. Bytes
-    after the model are left to the caller. A float32 model parsed from a
-    writeable buffer keeps its parameters in that buffer.
-    """
-    cfg = _read_header(buf, len(buf))
-    count = _param_count(cfg)
-    flat = np.frombuffer(buf, dtype="<f4", count=count, offset=_HEADER_SIZE)
-    flat = flat.astype(dtype, copy=not flat.flags.writeable)
-    return _bind(cfg, flat), _HEADER_SIZE + 4 * count
+    return cfg
 
 
 def save_model(model: Model, path) -> None:
@@ -768,26 +749,25 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path, dtype=np.float64) -> Model:
-    """Read a model file; a float32 model keeps its parameters in the read buffer."""
-    with open(path, "rb") as fh:  # np.empty: the buffer is not zero-filled before the read
-        buf = memoryview(np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8))
-        buf = buf[:fh.readinto(buf)]
-    model, end = model_from_bytes(buf, dtype=dtype)
-    _check_end(end, len(buf))
-    return model
+    """The model file at path, read through a ModelFile into one float32
+    array, which a float32 model keeps and a float64 one is cast from."""
+    with ModelFile(path, dtype) as reader:
+        raw = np.empty(_param_count(reader.config), dtype="<f4")  # not zero-filled first
+        reader._read(_HEADER_SIZE, raw, "the parameters")
+    return _bind(reader.config, raw.astype(dtype, copy=False))
 
 
 class ModelFile:
-    """A model file opened for forward to read one stage at a time, at dtype.
+    """A model file opened at dtype: the only code that reads model bytes.
 
-    Opening reads and checks the header and the file's length as load_model
-    does, with the same ModelFormatError; config, dtype and stages then
-    stand in for a Model's in forward(return_cache=False). stages yields
-    each Stage in order, read at its file offset into one float32 buffer
-    sized for the largest stage (at float64 also cast into one float64
-    buffer of that size) that every stage reuses: a stage's arrays stay
-    valid only until the next stage is taken. A stage the file no longer
-    holds whole, since it shrank after opening, raises ModelFormatError.
+    Opening reads the header and checks it and the file's exact length
+    (ModelFormatError). load_model then reads every parameter; forward
+    (return_cache=False) takes config, dtype and stages as a Model's:
+    stages yields each Stage in order, read at its file offset into one
+    float32 buffer sized for the largest stage (at float64 also cast into
+    one float64 buffer of that size) that every stage reuses, so a stage's
+    arrays stay valid only until the next stage is taken. Bytes the file no
+    longer holds, since it shrank after opening, raise ModelFormatError.
     Use it in a `with` block, or close() it.
     """
 
@@ -795,12 +775,23 @@ class ModelFile:
         self.path, self.dtype = path, np.dtype(dtype)
         self._fh = open(path, "rb", buffering=0)
         try:
-            size = os.fstat(self._fh.fileno()).st_size
-            self.config = _read_header(self._fh.read(_HEADER_SIZE), size)
-            _check_end(_HEADER_SIZE + 4 * _param_count(self.config), size)
+            self.config = _read_header(self._fh.read(_HEADER_SIZE),
+                                       os.fstat(self._fh.fileno()).st_size)
         except BaseException:
             self._fh.close()
             raise
+
+    def _read(self, pos: int, raw: np.ndarray, what: str) -> None:
+        """Fills the 1-D array raw with the file's bytes from offset pos; what
+        names them in the error if the file ends first."""
+        buf = memoryview(raw.view(np.uint8))
+        got = 0
+        self._fh.seek(pos)
+        while got < len(buf) and (k := self._fh.readinto(buf[got:])):
+            got += k
+        if got < len(buf):
+            raise ModelFormatError(f"model file truncated since it was opened: "
+                                   f"{what} ends after {got} of {len(buf)} bytes")
 
     @property
     def stages(self):
@@ -810,17 +801,10 @@ class ModelFile:
         flat = raw if raw.dtype == self.dtype else np.empty(raw.size, dtype=self.dtype)
         pos = _HEADER_SIZE
         for s, n in enumerate(counts):
-            buf = memoryview(raw[:n].view(np.uint8))
-            got = 0
-            self._fh.seek(pos)
-            while got < len(buf) and (k := self._fh.readinto(buf[got:])):
-                got += k
-            if got < len(buf):
-                raise ModelFormatError(f"model file truncated since it was opened: "
-                                       f"stage {s + 1} ends after {got} of {len(buf)} bytes")
+            self._read(pos, raw[:n], f"stage {s + 1}")
             if flat is not raw:
                 flat[:n] = raw[:n]
-            pos += len(buf)
+            pos += 4 * n
             yield _bind_stage(cfg, s, flat[:n], [])
 
     def close(self) -> None:

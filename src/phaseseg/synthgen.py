@@ -16,7 +16,9 @@ boundaries genuinely ambiguous.
 Feature files on disk are .npy arrays, read through FeatureFile: opening one
 checks its header, and rows(lo, hi) reads, casts and checks a row range, so
 a caller can project a long sequence without holding it (mstcnpp.forward
-does for segment). load_features reads every row at once.
+does for segment and for eval, one sequence at a time). load_features reads
+every row at once. sequence_files lists a split's feature and label files;
+load_dataset, which train uses, holds every sequence of the split.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class SynthConfig:
     dim: int = 64
     duration_mean: tuple = (30.0, 35.0, 96.0, 12.0)   # frames per phase
     duration_std: tuple = (8.0, 10.0, 24.0, 3.0)
-    center_scale: float = 1.0
     noise_sigma: float = 0.35
     confusability: tuple | None = None   # (C, C) center-mixing weights, zero diagonal
     label_noise: float = 0.0             # boundary jitter, fraction of segment length
@@ -63,11 +64,10 @@ class SynthConfig:
 
 
 def phase_centers(cfg: SynthConfig) -> np.ndarray:
-    """Deterministic (C, d) cluster centers: orthonormal directions scaled,
-    then mixed by the confusability matrix to pull configured pairs closer."""
+    """Deterministic (C, d) cluster centers: orthonormal directions, mixed
+    by the confusability matrix to pull configured pairs closer."""
     rng = np.random.default_rng(cfg.seed)
-    basis = np.linalg.qr(rng.normal(size=(cfg.dim, cfg.n_phases)))[0].T
-    centers = basis * cfg.center_scale
+    centers = np.linalg.qr(rng.normal(size=(cfg.dim, cfg.n_phases)))[0].T
     if cfg.confusability is not None:
         mix = np.asarray(cfg.confusability, dtype=float)
         if mix.shape != (cfg.n_phases, cfg.n_phases):
@@ -265,17 +265,23 @@ def load_features(path, dtype=np.float64) -> np.ndarray:
         return features.rows(0, features.shape[0])
 
 
-def load_dataset(directory, dtype=np.float64) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Load every seq_*.npy / seq_*.csv pair, sorted by name."""
-    directory = Path(directory)
-    pairs = []
-    for npy in sorted(directory.glob("seq_*.npy")):
-        csv_path = npy.with_suffix(".csv")
+def sequence_files(directory) -> list[tuple[Path, Path]]:
+    """Every (seq_*.npy, seq_*.csv) pair under directory, sorted by name;
+    raises FileNotFoundError, before any is read, if a .npy has no .csv or
+    there is no .npy."""
+    pairs = [(npy, npy.with_suffix(".csv")) for npy in sorted(Path(directory).glob("seq_*.npy"))]
+    for npy, csv_path in pairs:
         if not csv_path.exists():
             raise FileNotFoundError(f"missing label file for {npy.name}")
-        features = load_features(npy, dtype)
-        labels = read_label_csv(csv_path, total_frames=features.shape[0])
-        pairs.append((features, labels))
     if not pairs:
         raise FileNotFoundError(f"no seq_*.npy files under {directory}")
+    return pairs
+
+
+def load_dataset(directory, dtype=np.float64) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every sequence_files pair, loaded: (features (T, d) of dtype, labels)."""
+    pairs = []
+    for npy, csv_path in sequence_files(directory):
+        features = load_features(npy, dtype)
+        pairs.append((features, read_label_csv(csv_path, total_frames=features.shape[0])))
     return pairs

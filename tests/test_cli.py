@@ -817,6 +817,56 @@ class TestEval:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("case", ["label-beyond-classes", "width-mismatch"])
+    def test_bad_sequence_exits_2_naming_its_file_once(self, workspace, tmp_path, capsys,
+                                                       case):
+        # the second file of the split is bad; its message names it, once
+        split = tmp_path / "split"
+        shutil.copytree(workspace["data"] / "test", split)
+        if case == "label-beyond-classes":
+            bad, want = split / "seq_001.csv", "labels outside [0, 4)"
+            labels = read_label_csv(bad)
+            labels[-1] = 4
+            write_label_csv(bad, labels)
+        else:
+            bad, want = split / "seq_001.npy", "input has 6 channels, model expects 12"
+            np.save(bad, np.load(bad)[:, :6])
+        out = tmp_path / "eval"
+        rc = main(["eval", "--model", str(workspace["model"]), "--data", str(split),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert want in err and err.count(bad.name) == 1, err
+        assert not out.exists()
+
+    def test_peak_memory_does_not_grow_with_the_split(self, tmp_path):
+        # eval holds one sequence at a time: a split three times as long
+        # peaks within one sequence's features of the shorter one
+        t_len, dim = 1000, 256
+        cfg = mstcnpp.StageConfig(in_dim=dim, channels=8, n_classes=4, stages=2,
+                                  layers_prediction=2, layers_refinement=2)
+        mstcnpp.save_model(mstcnpp.init(cfg, seed=0), tmp_path / "model.bin")
+        rng = np.random.default_rng(0)
+        labels = np.repeat(np.arange(4), t_len // 4)
+        sequence = 4 * t_len * dim  # float32 features, as eval computes by default
+        for count in (2, 6):
+            synthgen.save_dataset([(rng.normal(size=(t_len, dim)), labels)
+                                   for _ in range(count)], tmp_path / str(count))
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert main(["eval", "--model", str(tmp_path / "model.bin"),
+                             "--data", str(tmp_path / str(count)),
+                             "--out", str(tmp_path / f"out{count}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # imports and caches first, outside the compared runs
+        short, long = peak(2), peak(6)
+        assert abs(long - short) < sequence, (short, long, sequence)
+
 
 class TestSegment:
     def test_outputs_cover_every_frame(self, workspace, tmp_path):

@@ -20,7 +20,6 @@ from phaseseg.mstcnpp import (
     forward,
     init,
     load_model,
-    model_from_bytes,
     named_parameters,
     save_model,
 )
@@ -1025,43 +1024,52 @@ def _header(**overrides):
 
 
 class TestHostileModelBytes:
-    @pytest.mark.parametrize("size", [4, 6, 8, 12, 35])
-    def test_truncated_header_rejected(self, size):
-        with pytest.raises(ModelFormatError, match="truncated model header"):
-            model_from_bytes(_header()[:size])
+    """Hostile model files: load_model and ModelFile reject each alike."""
 
-    def test_huge_channels_rejected_without_allocating(self):
+    @staticmethod
+    def _rejected(tmp_path, blob, match):
+        path = tmp_path / "model.bin"
+        path.write_bytes(blob)
+        for read in (load_model, mstcnpp.ModelFile):
+            with pytest.raises(ModelFormatError, match=match):
+                read(path)
+
+    @pytest.mark.parametrize("size", [4, 6, 8, 12, 35])
+    def test_truncated_header_rejected(self, tmp_path, size):
+        self._rejected(tmp_path, _header()[:size], "truncated model header")
+
+    def test_huge_channels_rejected_without_allocating(self, tmp_path):
         for fields in (dict(channels=2**31), dict(stages=2**31),
                        dict(layers_prediction=2**31, layers_refinement=2**31)):
-            buf = _header(**fields) + bytes(64)
             tracemalloc.start()
             try:
-                with pytest.raises(ModelFormatError, match="truncated"):
-                    model_from_bytes(buf)
+                self._rejected(tmp_path, _header(**fields) + bytes(64), "truncated")
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20, fields
 
-    def test_invalid_header_values_rejected(self):
-        with pytest.raises(ModelFormatError):
-            model_from_bytes(_header(n_classes=1))
-        with pytest.raises(ModelFormatError):
-            model_from_bytes(_header(fuse=7))
+    def test_invalid_header_values_rejected(self, tmp_path):
+        self._rejected(tmp_path, _header(n_classes=1), "invalid model header")
+        self._rejected(tmp_path, _header(fuse=7), "unknown fusion mode id 7")
 
     def test_parameter_count_matches_file_size(self, tmp_path):
+        path = tmp_path / "model.bin"
         for cfg in (TINY, StageConfig(in_dim=3, channels=5, n_classes=2, stages=3,
                                       layers_prediction=3, layers_refinement=1,
                                       fuse_mode="concat")):
             model = init(cfg, seed=1)
-            save_model(model, tmp_path / "model.bin")
-            buf = (tmp_path / "model.bin").read_bytes()
-            assert len(buf) == len(_header()) + 4 * mstcnpp._param_count(cfg)
-            loaded, end = model_from_bytes(buf + b"tail")
-            assert end == len(buf)
+            save_model(model, path)
+            blob = path.read_bytes()
+            assert len(blob) == len(_header()) + 4 * mstcnpp._param_count(cfg)
+            with mstcnpp.ModelFile(path, np.float32) as reader:
+                assert reader.config == cfg
+            loaded = load_model(path, np.float32)
             for (na, pa), (nb, pb) in zip(named_parameters(model), named_parameters(loaded)):
                 assert na == nb and pa.shape == pb.shape and pb.flags.writeable
                 assert np.array_equal(pb, pa.astype(np.float32))
+            self._rejected(tmp_path, blob + b"tail", "4 unexpected trailing bytes")
+            self._rejected(tmp_path, blob[:-1], "model file truncated: header describes")
 
 
 class TestModelFile:
